@@ -223,10 +223,6 @@ def embed(op: np.ndarray | LabeledOperator, slot_label: str,
     return LabeledOperator(embed_matrix(matrix, slot, layout), layout)
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     b = np.asarray(b)

@@ -105,6 +105,28 @@ def test_liouvillian_matches_brute_force_on_random_states():
         assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
 
 
+def test_liouvillian_matches_dense_kron_formula():
+    # textbook column-stacking form, one np.kron per pre/post product
+    rng = np.random.default_rng(11)
+    for dim, n_c in ((2, 1), (3, 2), (4, 3)):
+        layout = SpaceLayout((dim,), ("cavity",))
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = m + m.conj().T
+        cs = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+              for _ in range(n_c)]
+        eye = np.eye(dim)
+        expected = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for c in cs:
+            cdc = c.conj().T @ c
+            expected += (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
+                         - 0.5 * np.kron(cdc.T, eye))
+        lio = build_liouvillian(
+            LabeledOperator(h, layout, hermitian_hint=True),
+            [LabeledOperator(c, layout) for c in cs])
+        got = lio.matrix.toarray()
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_single_photon_decay_example():
     layout, a, lio = bare_cavity(2)
     rho = np.diag([0.0, 1.0]).astype(complex)

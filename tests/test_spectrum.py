@@ -1,6 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import curve_fit
+
+import spinbus.spectrum as spectrum_module
+from spinbus.cli import preset_path
+from spinbus.config import load_config
 
 from spinbus.errors import (
     GridTooCoarse,
@@ -8,7 +14,7 @@ from spinbus.errors import (
     WeightsInvalid,
     WindowTooShort,
 )
-from spinbus.liouvillian import build_liouvillian, steady_state
+from spinbus.liouvillian import build_liouvillian, steady_state, vectorize
 from spinbus.model import (
     DecoherenceRates,
     ModelParams,
@@ -23,6 +29,7 @@ from spinbus.operators import (
     embed,
     fock_annihilation_matrix,
     full_layout,
+    pauli_matrices,
 )
 from spinbus.spectrum import (
     Spectrum,
@@ -35,6 +42,7 @@ from spinbus.spectrum import (
     two_time_correlation,
     validate_weights,
 )
+from spinbus.sweeps import _point_model
 from spinbus.units import TWO_PI
 
 KAPPA = TWO_PI * 26e3
@@ -194,6 +202,124 @@ def test_window_too_short_raises():
     with pytest.raises(WindowTooShort):
         spectrum_fft_crosscheck(lio, a, rho, tmax=1 / KAPPA, dt=0.01 / KAPPA,
                                 mode="full")
+
+
+# ------------------------------------------------- factor-once resolvent
+
+def dense_oracle(lio, a_op, rho, omegas, mode="incoherent"):
+    """S at absolute frame frequencies by one np.linalg.solve per frequency."""
+    a = a_op.matrix
+    if mode == "incoherent":
+        a = a - np.trace(a @ rho.matrix) * np.eye(a.shape[0])
+    b = vectorize(a @ rho.matrix)
+    u = vectorize(a).conj()
+    lmat = lio.matrix.toarray()
+    eye = np.eye(lmat.shape[0])
+    raw = np.array([u @ np.linalg.solve(1j * w * eye - lmat, b) for w in omegas])
+    return np.clip(raw.real / np.pi, 0.0, None)
+
+
+def preset_point(name, n_fock, overrides=(), **loop_changes):
+    cfg = load_config(preset_path(name), list(overrides))
+    loop = replace(cfg.loop, **loop_changes)
+    model, rates, offset = _point_model(
+        cfg, loop, cfg.solver.distance_for(loop.r_loop), n_fock)
+    span = cfg.solver.grid_span_kappa * cfg.resonator.kappa
+    return cfg, model, rates, offset, span
+
+
+def test_schur_route_matches_direct_solve_fig4a_cancellation():
+    # The peak is tiny against ||u|| ||b|| / kappa here, so the spectrum is a
+    # large cancellation: an unrefined Schur solve misses it by ~1e-7 of peak.
+    cfg, model, rates, offset, span = preset_point("fig4a", 4,
+                                                   r_loop=0.6542e-6)
+    grid = np.linspace(-span, span, cfg.solver.grid_points)
+    for m_s in (1, 0, -1):
+        lio, a_op, rho = sector_problem(model, rates, m_s)
+        s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+        ref = dense_oracle(lio, a_op, rho, grid + offset)
+        assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
+
+
+def test_schur_route_matches_direct_solve_fig7_full_mode():
+    cfg, model, rates, offset, span = preset_point(
+        "fig7", 4, ["solver.nv_mode=full"], T1_pcq=20e-6, T2_pcq=20e-6)
+    grid = np.linspace(-span, span, 101)
+    solver = cfg.solver
+    s = full_liouvillian_spectrum(model, rates, grid, offset,
+                                  solver.spectrum_mode, solver.nv_relaxation,
+                                  solver.pcq_relaxation)
+    layout = full_layout(4)
+    lio = build_liouvillian(
+        build_interaction_hamiltonian(model, layout),
+        build_collapse_operators(rates, layout, solver.nv_relaxation,
+                                 solver.pcq_relaxation))
+    a_op = embed(fock_annihilation_matrix(4), "cavity", layout)
+    ref = dense_oracle(lio, a_op, steady_state(lio), grid + offset,
+                       solver.spectrum_mode)
+    assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
+
+
+def test_short_and_long_grid_routes_agree_where_they_meet(monkeypatch):
+    factorizations = []
+
+    def counting_schur(*args, **kwargs):
+        factorizations.append(1)
+        return schur(*args, **kwargs)
+
+    schur = spectrum_module.schur
+    monkeypatch.setattr(spectrum_module, "schur", counting_schur)
+    g = TWO_PI * 2e6
+    lio, a_op, rho_ss = jc_problem(g, zeta=2 * KAPPA, n_fock=4)
+    short = np.linspace(-16 * KAPPA, 16 * KAPPA, 33)
+    long = np.linspace(-16 * KAPPA, 16 * KAPPA, 129)   # every 4th is in short
+    s_short = spectrum_resolvent(lio, a_op, rho_ss, short, frame_offset=g)
+    assert not factorizations
+    s_long = spectrum_resolvent(lio, a_op, rho_ss, long, frame_offset=g)
+    assert len(factorizations) == 1
+    assert np.array_equal(long[::4], short)
+    peak = s_short.values.max()
+    assert np.max(np.abs(s_long.values[::4] - s_short.values)) <= 1e-10 * peak
+
+
+def test_schur_route_reports_undamped_pole():
+    delta = TWO_PI * 1e6
+    layout = SpaceLayout((2,), ("pcq",))
+    sz, _, _ = pauli_matrices()
+    h = LabeledOperator(0.5 * delta * sz, layout, hermitian_hint=True)
+    lio = build_liouvillian(h, [])
+    sigma_minus = LabeledOperator(np.array([[0.0, 0.0], [1.0, 0.0]]), layout)
+    rho = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+                        layout)
+    grid = delta * np.linspace(0.5, 1.5, 65)
+    assert grid[32] == delta
+    with pytest.raises(SingularResolvent) as exc:
+        spectrum_resolvent(lio, sigma_minus, rho, grid, mode="full")
+    assert exc.value.omega == delta
+
+
+def test_long_grid_through_carrier(monkeypatch):
+    carrier_solves = []
+
+    def counting_carrier_solve(*args):
+        carrier_solves.append(1)
+        return carrier_solve(*args)
+
+    carrier_solve = spectrum_module._carrier_solve
+    monkeypatch.setattr(spectrum_module, "_carrier_solve",
+                        counting_carrier_solve)
+    lio, a_op, rho_ss = jc_problem(TWO_PI * 2e6, zeta=2 * KAPPA)
+    grid = np.linspace(-4 * KAPPA, 4 * KAPPA, 65)
+    assert grid[32] == 0.0
+    with pytest.raises(SingularResolvent) as exc:
+        spectrum_resolvent(lio, a_op, rho_ss, grid, mode="full")
+    assert exc.value.omega == 0.0
+    s = spectrum_resolvent(lio, a_op, rho_ss, grid, mode="incoherent")
+    assert len(carrier_solves) == 2
+    near = spectrum_resolvent(lio, a_op, rho_ss, np.array([1e-9 * KAPPA]),
+                              mode="incoherent")
+    assert s.values[32] == pytest.approx(near.values[0], rel=1e-6)
+    assert np.all(np.isfinite(s.values))
 
 
 # ---------------------------------------------------------------- sectors
