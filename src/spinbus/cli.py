@@ -72,64 +72,57 @@ def _threads(args) -> int:
     return max(1, int(env)) if env and env.isdigit() else 1
 
 
-def _emit(table, path: str | None, fmt: str, default_name: str) -> None:
-    if path is None:
-        path = default_name + (".csv" if fmt == "csv" else ".dat")
+def _emit(table, path: str, fmt: str) -> None:
     (emit_csv if fmt == "csv" else emit_plotdata)(table, path)
     print(f"wrote {path}")
 
 
-def cmd_couplings(args) -> int:
-    cfg = _load(args)
-    table = run_couplings_scan(cfg)
-    _emit(table, args.out, args.format, "couplings")
+def _beside(path: str, tag: str) -> str:
+    """Path of a companion table: the tag joined to the stem of `path`."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_{tag}{ext}"
+
+
+def _run(cfg: ScanConfig, args, couplings: bool, spectra: bool) -> int:
+    """Write the requested tables.
+
+    Spectra go to --out (default spectrum.csv or .dat); the peaks table and,
+    when spectra are written too, the coupling map go beside that path as
+    <stem>_peaks and <stem>_couplings. A coupling map alone goes to --out
+    (default couplings.csv or .dat).
+    """
+    ext = ".csv" if args.format == "csv" else ".dat"
+    spectrum_path = args.out or "spectrum" + ext
+    if couplings:
+        path = (_beside(spectrum_path, "couplings") if spectra
+                else args.out or "couplings" + ext)
+        _emit(run_couplings_scan(cfg), path, args.format)
+    if spectra:
+        result = run_spectrum_scan(cfg, threads=_threads(args))
+        _emit(result.spectra, spectrum_path, args.format)
+        if result.peaks is not None:
+            _emit(result.peaks, _beside(spectrum_path, "peaks"), args.format)
+            for row in result.peaks.rows:
+                print(f"  {result.peaks.columns[0][0]}={row[0]:g}: "
+                      f"{row[1]} peak(s), resolved={row[2]}, dip={row[3]:.3f}")
     return 0
+
+
+def cmd_couplings(args) -> int:
+    return _run(_load(args), args, couplings=True, spectra=False)
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _load(args)
-    result = run_spectrum_scan(cfg, threads=_threads(args))
-    _emit(result.spectra, args.out, args.format, "spectrum")
-    if result.peaks is not None:
-        base = (args.out or "spectrum.csv")
-        stem, dot, ext = base.rpartition(".")
-        peaks_path = (stem or base) + "_peaks." + (ext if dot else "csv")
-        (emit_csv if args.format == "csv" else emit_plotdata)(
-            result.peaks, peaks_path)
-        print(f"wrote {peaks_path}")
-        for row in result.peaks.rows:
-            print(f"  {result.peaks.columns[0][0]}={row[0]:g}: "
-                  f"{row[1]} peak(s), resolved={row[2]}, dip={row[3]:.3f}")
-    return 0
+    return _run(_load(args), args, couplings=False, spectra=True)
 
 
 def cmd_scan(args) -> int:
     cfg = _load(args)
-    ran_any = False
-    if "couplings" in cfg.products:
-        _emit(run_couplings_scan(cfg), args.out, args.format, "couplings")
-        ran_any = True
-    if "spectrum" in cfg.products or "peaks" in cfg.products:
-        rc = cmd_spectrum_from_config(cfg, args)
-        ran_any = True
-        if rc != 0:
-            return rc
-    if not ran_any:
+    couplings = "couplings" in cfg.products
+    spectra = "spectrum" in cfg.products or "peaks" in cfg.products
+    if not (couplings or spectra):
         raise UsageError(f"config requests no runnable products: {cfg.products}")
-    return 0
-
-
-def cmd_spectrum_from_config(cfg: ScanConfig, args) -> int:
-    result = run_spectrum_scan(cfg, threads=_threads(args))
-    _emit(result.spectra, args.out, args.format, "spectrum")
-    if result.peaks is not None:
-        base = (args.out or "spectrum.csv")
-        stem, dot, ext = base.rpartition(".")
-        peaks_path = (stem or base) + "_peaks." + (ext if dot else "csv")
-        (emit_csv if args.format == "csv" else emit_plotdata)(
-            result.peaks, peaks_path)
-        print(f"wrote {peaks_path}")
-    return 0
+    return _run(cfg, args, couplings, spectra)
 
 
 def cmd_check(_args) -> int:

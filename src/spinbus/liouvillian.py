@@ -24,6 +24,9 @@ from .errors import (
 )
 from .operators import DensityMatrix, LabeledOperator, SpaceLayout
 
+# Superoperator dimension up to which L is handled as a dense matrix.
+DENSE_SOLVE_CAP = 2048
+
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
@@ -222,7 +225,7 @@ def expm_action_grid(lio: Superoperator, v0: np.ndarray, t_max: float,
         raise ValueError("need at least two grid points")
     v0 = np.asarray(v0, dtype=complex)
     d2 = lio.matrix.shape[0]
-    if d2 <= 2048:
+    if d2 <= DENSE_SOLVE_CAP:
         from scipy.linalg import expm
 
         step = expm(lio.matrix.toarray() * (t_max / (num - 1)))

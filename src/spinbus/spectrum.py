@@ -16,7 +16,7 @@ evaluation routes are provided: the resolvent identity
 and direct quadrature/FFT of the propagated correlation. They must agree;
 the tests enforce it.
 
-The resolvent is solved densely up to _DENSE_SOLVE_CAP and by sparse LU
+The resolvent is solved densely up to DENSE_SOLVE_CAP and by sparse LU
 above it. A dense L evaluated on _SCHUR_MIN_FREQS or more frequencies is
 factorized once, L = Z T Z^dag (complex Schur), and each frequency costs two
 triangular back-substitutions: the solve and one step of iterative
@@ -25,6 +25,10 @@ required: the spectrum can be a cancellation far below ||u|| ||b|| / kappa,
 which the unrefined Schur solve misses by ~1e-7 of the peak. Shorter grids,
 such as the truncation probes, take one dense LU solve per frequency, which
 is cheaper than one Schur factorization there.
+
+Both nv_modes run on frozen-spin sectors (cavity+qubit problems): "sectors"
+sums them with configured weights, and "full" is exactly the one sector its
+spin relaxation pins (full_liouvillian_spectrum gives the argument).
 
 Frequencies are measured in the rotating frame of the drive. A Spectrum
 stores its grid relative to frame_offset (e.g. the upper vacuum-Rabi peak
@@ -44,6 +48,7 @@ from scipy.linalg import schur
 from scipy.signal import find_peaks as _sp_find_peaks
 
 from .errors import (
+    DegenerateSteadyState,
     GridTooCoarse,
     LayoutMismatch,
     SingularResolvent,
@@ -51,6 +56,7 @@ from .errors import (
     WindowTooShort,
 )
 from .liouvillian import (
+    DENSE_SOLVE_CAP,
     Superoperator,
     build_liouvillian,
     expm_action_grid,
@@ -61,8 +67,6 @@ from .liouvillian import (
 from .model import (
     DecoherenceRates,
     ModelParams,
-    build_collapse_operators,
-    build_interaction_hamiltonian,
     sector_collapse_operators,
     sector_interaction_hamiltonian,
 )
@@ -72,15 +76,13 @@ from .operators import (
     cavity_qubit_layout,
     embed,
     fock_annihilation_matrix,
-    full_layout,
+    partial_trace,
 )
 
 logger = logging.getLogger(__name__)
 
 SpectrumMode = Literal["full", "incoherent"]
 
-# Dense solves below this superoperator dimension, sparse above.
-_DENSE_SOLVE_CAP = 2048
 # A dense L is factorized once into Schur form for at least this many
 # frequencies. Measured crossover (2-core Xeon VM): one Schur form costs
 # about as much as 50-60 per-frequency LU solves at dimensions 144-576.
@@ -300,7 +302,7 @@ def _resolvent_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
     if not np.any(b):
         return out
     carrier = np.abs(omegas) < 1e-12 * lio.norm_scale()
-    dense = lio.matrix.toarray() if d2 <= _DENSE_SOLVE_CAP else None
+    dense = lio.matrix.toarray() if d2 <= DENSE_SOLVE_CAP else None
     op_scale = float(np.linalg.norm(u))
     for k in np.flatnonzero(carrier):
         out[k] = u @ _carrier_solve(lio, dense, b, op_scale)
@@ -447,7 +449,8 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
     held fixed). This is the shipped default for reproducing the
     spin-induced multiplet: the printed raising relaxation channel would
     instead pin the spin in m_s = +1 and produce a single shifted line
-    (available via full_liouvillian_spectrum).
+    (available via full_liouvillian_spectrum). The metadata records, per
+    sector used, its weight, photon number and cavity Fock populations.
     """
     w = validate_weights(weights)
     grid = np.asarray(omega_grid, dtype=float)
@@ -459,9 +462,11 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
         lio, a_op, rho_ss = sector_problem(p, rates, m_s, pcq_relaxation)
         s = spectrum_resolvent(lio, a_op, rho_ss, grid, mode, frame_offset)
         total += weight * s.values
+        cavity = partial_trace(rho_ss.matrix, rho_ss.layout, ("cavity",))
         sector_meta[m_s] = {"weight": float(weight),
                             "photon_number": float(np.real(
-                                rho_ss.expect(a_op.dag() @ a_op)))}
+                                rho_ss.expect(a_op.dag() @ a_op))),
+                            "cavity_populations": np.real(np.diag(cavity))}
     meta = dict(metadata or {})
     meta.update(mode=mode, method="sector-resolvent", weights=tuple(map(float, w)),
                 sectors=sector_meta, eta=p.eta, g=p.g)
@@ -475,20 +480,30 @@ def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
                               nv_relaxation: str = "as_printed",
                               pcq_relaxation: str = "lowering",
                               metadata: dict | None = None) -> Spectrum:
-    """Spectrum on the full cavity (x) qubit (x) spin space, all five
-    collapse channels active."""
-    layout = full_layout(p.N_fock)
-    h = build_interaction_hamiltonian(p, layout)
-    c_ops = build_collapse_operators(rates, layout, nv_relaxation,
-                                     pcq_relaxation)
-    lio = build_liouvillian(h, c_ops)
-    a_op = embed(fock_annihilation_matrix(p.N_fock), "cavity", layout)
-    rho_ss = steady_state(lio)
-    meta = dict(metadata or {})
-    meta.update(method="full-liouvillian", nv_relaxation=nv_relaxation,
-                pcq_relaxation=pcq_relaxation)
-    return spectrum_resolvent(lio, a_op, rho_ss, omega_grid, mode,
-                              frame_offset, meta)
+    """Spectrum of the full cavity (x) qubit (x) spin model, all five
+    collapse channels active, evaluated exactly as its pinned spin sector.
+
+    Every channel of the full model keeps Delta m = m_s - m_s' (sigma_z S_z,
+    the spin relaxation S_+ or S_-, S_z dephasing), so L is block diagonal
+    in Delta m (Buca & Prosen, New J. Phys. 14, 073007 (2012); Albert &
+    Jiang, Phys. Rev. A 89, 022118 (2014)). Within the Delta m = 0 block
+    the dephasing vanishes and the relaxation only feeds a sector into its
+    neighbour, so the unique steady state sits in the sector the relaxation
+    pins: m_s = +1 for "as_printed" (S_+), m_s = -1 for "lowering" (S_-).
+    That sector is closed under L, and it holds A rho_ss with A acting on
+    the cavity alone, so the resolvent never leaves it: the spectrum is the
+    pinned sector's spectrum, which nv_sector_spectrum computes on the
+    (2N)^2 cavity+qubit space instead of the 9 (2N)^2 full one.
+
+    Without spin relaxation (gamma_nv = 0) every sector is stationary and
+    DegenerateSteadyState(3) is raised.
+    """
+    if rates.gamma_nv == 0.0:
+        raise DegenerateSteadyState(3)
+    pinned = (1.0, 0.0, 0.0) if nv_relaxation == "as_printed" else (0.0, 0.0, 1.0)
+    meta = dict(metadata or {}, nv_relaxation=nv_relaxation)
+    return nv_sector_spectrum(p, rates, pinned, omega_grid, frame_offset,
+                              mode, pcq_relaxation, meta)
 
 
 def _refine_peak_position(grid: np.ndarray, vals: np.ndarray, idx: int) -> float:

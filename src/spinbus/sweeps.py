@@ -27,16 +27,12 @@ from .couplings import (
 from .errors import IoError, SpinbusError, ValidationError
 from .liouvillian import adaptive_truncation
 from .model import DecoherenceRates, ModelParams
-from .operators import partial_trace
 from .spectrum import (
     PeakReport,
     Spectrum,
     find_spectral_peaks,
     full_liouvillian_spectrum,
     nv_sector_spectrum,
-    sector_problem,
-    spectrum_resolvent,
-    validate_weights,
 )
 from .units import TWO_PI
 
@@ -142,38 +138,35 @@ def _point_model(cfg: ScanConfig, loop: LoopParams, d: float, n_fock: int
     return model, rates, model.g
 
 
-def _truncation_metric(cfg: ScanConfig, loop: LoopParams, d: float):
-    """Metric for adaptive truncation: steady-state cavity populations
-    (padded to n_fock_max) plus the normalized shape of a coarse spectrum."""
+def _point_spectrum(cfg: ScanConfig, loop: LoopParams, d: float, n_fock: int,
+                    grid: np.ndarray) -> Spectrum:
+    """Spectrum of one scan point at truncation n_fock, in the configured
+    nv_mode, on a grid relative to the upper Rabi peak."""
+    model, rates, offset = _point_model(cfg, loop, d, n_fock)
     solver = cfg.solver
-    probe_points = 33
+    if solver.nv_mode == "sectors":
+        return nv_sector_spectrum(model, rates, solver.weights, grid, offset,
+                                  solver.spectrum_mode, solver.pcq_relaxation)
+    return full_liouvillian_spectrum(model, rates, grid, offset,
+                                     solver.spectrum_mode, solver.nv_relaxation,
+                                     solver.pcq_relaxation)
+
+
+def _truncation_metric(cfg: ScanConfig, loop: LoopParams, d: float):
+    """Metric for adaptive truncation: weighted steady-state cavity
+    populations (padded to n_fock_max) plus the normalized shape of a
+    coarse spectrum."""
+    solver = cfg.solver
     span = solver.grid_span_kappa * cfg.resonator.kappa
-    coarse = np.linspace(-span, span, probe_points)
+    coarse = np.linspace(-span, span, 33)
 
     def metric(n_fock: int) -> np.ndarray:
-        model, rates, offset = _point_model(cfg, loop, d, n_fock)
+        s = _point_spectrum(cfg, loop, d, n_fock, coarse)
         pops = np.zeros(solver.n_fock_max + 1)
-        if solver.nv_mode == "sectors":
-            weights = validate_weights(solver.weights)
-            vals = np.zeros(probe_points)
-            for m_s, w in zip((1, 0, -1), weights):
-                if w == 0.0:
-                    continue
-                lio, a_op, rho_ss = sector_problem(model, rates, m_s,
-                                                   solver.pcq_relaxation)
-                cavity = partial_trace(rho_ss.matrix, rho_ss.layout, ("cavity",))
-                pops[:n_fock] += w * np.real(np.diag(cavity))
-                s = spectrum_resolvent(lio, a_op, rho_ss, coarse,
-                                       cfg.solver.spectrum_mode, offset)
-                vals += w * s.values
-        else:
-            s = full_liouvillian_spectrum(
-                model, rates, coarse, offset, solver.spectrum_mode,
-                solver.nv_relaxation, solver.pcq_relaxation)
-            vals = s.values
-            # full-mode population metric comes through the spectrum shape
-        peak = vals.max()
-        shape = vals / peak if peak > 0 else vals
+        for sector in s.metadata["sectors"].values():
+            pops[:n_fock] += sector["weight"] * sector["cavity_populations"]
+        peak = s.values.max()
+        shape = s.values / peak if peak > 0 else s.values
         return np.concatenate([pops, shape])
 
     return metric
@@ -196,18 +189,9 @@ def compute_point_spectrum(cfg: ScanConfig, axis_name: str, value: float
     loop = _loop_at(cfg, axis_name, value)
     d = value if axis_name == "d" else cfg.solver.distance_for(loop.r_loop)
     n_fock = resolve_n_fock(cfg, loop, d)
-    model, rates, offset = _point_model(cfg, loop, d, n_fock)
     span = cfg.solver.grid_span_kappa * cfg.resonator.kappa
     grid = np.linspace(-span, span, cfg.solver.grid_points)
-    if cfg.solver.nv_mode == "sectors":
-        spec = nv_sector_spectrum(model, rates, cfg.solver.weights, grid,
-                                  offset, cfg.solver.spectrum_mode,
-                                  cfg.solver.pcq_relaxation)
-    else:
-        spec = full_liouvillian_spectrum(model, rates, grid, offset,
-                                         cfg.solver.spectrum_mode,
-                                         cfg.solver.nv_relaxation,
-                                         cfg.solver.pcq_relaxation)
+    spec = _point_spectrum(cfg, loop, d, n_fock, grid)
     spec.metadata.update(axis=axis_name, axis_value=value, n_fock=n_fock,
                          config_hash=cfg.config_hash)
     report = find_spectral_peaks(spec, cfg.solver.dip_fraction)

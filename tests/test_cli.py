@@ -100,6 +100,29 @@ def test_scan_runs_config_products(tmp_path):
     assert out.exists()
 
 
+def test_scan_keeps_every_product_table(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text(FAST_SPECTRUM
+                   .replace("axis tau = list 20 us", "axis r_loop = list 0.2 um")
+                   .replace("products = spectrum, peaks",
+                            "products = couplings, spectrum, peaks"))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    header, rows, _ = read_csv(str(out))
+    assert header[1] == "delta_omega_over_2pi (kHz)" and len(rows) == 301
+    header, rows, _ = read_csv(str(tmp_path / "scan_couplings.csv"))
+    assert header[2] == "g_over_2pi (MHz)" and len(rows) == 1
+    assert (tmp_path / "scan_peaks.csv").exists()
+    assert stdout.count(f"wrote {out}\n") == 1
+    assert "r_loop=" in stdout and "peak(s)" in stdout
+    # without --out the peaks table follows the default plotdata name
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--config", str(cfg), "--format", "plotdata"]) == 0
+    assert (tmp_path / "spectrum.dat").exists()
+    assert (tmp_path / "spectrum_peaks.dat").exists()
+
+
 def test_determinism_across_runs(tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_SPECTRUM)

@@ -9,6 +9,7 @@ from spinbus.cli import preset_path
 from spinbus.config import load_config
 
 from spinbus.errors import (
+    DegenerateSteadyState,
     GridTooCoarse,
     SingularResolvent,
     WeightsInvalid,
@@ -241,23 +242,51 @@ def test_schur_route_matches_direct_solve_fig4a_cancellation():
         assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
 
 
-def test_schur_route_matches_direct_solve_fig7_full_mode():
+@pytest.mark.parametrize("n_fock", [3, 4])
+@pytest.mark.parametrize("spectrum_mode", ["incoherent", "full"])
+@pytest.mark.parametrize("nv_relaxation", ["as_printed", "lowering"])
+def test_schur_route_matches_direct_solve_fig7_full_mode(
+        monkeypatch, nv_relaxation, spectrum_mode, n_fock):
+    # Full mode is evaluated as the pinned spin sector; the reference is the
+    # unreduced cavity (x) qubit (x) spin Liouvillian.
     cfg, model, rates, offset, span = preset_point(
-        "fig7", 4, ["solver.nv_mode=full"], T1_pcq=20e-6, T2_pcq=20e-6)
+        "fig7", n_fock, ["solver.nv_mode=full",
+                         f"solver.nv_relaxation={nv_relaxation}",
+                         f"solver.spectrum_mode={spectrum_mode}"],
+        T1_pcq=20e-6, T2_pcq=20e-6)
     grid = np.linspace(-span, span, 101)
     solver = cfg.solver
+    dims = []
+    resolvent = spectrum_module.spectrum_resolvent
+
+    def recording_resolvent(lio, *args, **kwargs):
+        dims.append(lio.matrix.shape[0])
+        return resolvent(lio, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, "spectrum_resolvent",
+                        recording_resolvent)
     s = full_liouvillian_spectrum(model, rates, grid, offset,
                                   solver.spectrum_mode, solver.nv_relaxation,
                                   solver.pcq_relaxation)
-    layout = full_layout(4)
+    assert max(dims) == (2 * n_fock) ** 2
+    layout = full_layout(n_fock)
     lio = build_liouvillian(
         build_interaction_hamiltonian(model, layout),
         build_collapse_operators(rates, layout, solver.nv_relaxation,
                                  solver.pcq_relaxation))
-    a_op = embed(fock_annihilation_matrix(4), "cavity", layout)
+    a_op = embed(fock_annihilation_matrix(n_fock), "cavity", layout)
     ref = dense_oracle(lio, a_op, steady_state(lio), grid + offset,
                        solver.spectrum_mode)
     assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
+
+
+def test_full_mode_without_spin_relaxation_is_degenerate():
+    cfg, model, rates, offset, span = preset_point(
+        "fig7", 3, ["solver.nv_mode=full"], T1_pcq=20e-6, T2_pcq=20e-6)
+    with pytest.raises(DegenerateSteadyState) as exc:
+        full_liouvillian_spectrum(model, replace(rates, gamma_nv=0.0),
+                                  np.linspace(-span, span, 33), offset)
+    assert exc.value.kernel_dim == 3
 
 
 def test_short_and_long_grid_routes_agree_where_they_meet(monkeypatch):
