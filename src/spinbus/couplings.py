@@ -21,7 +21,7 @@ where noted; parameter objects store angular frequencies (rad/s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -258,27 +258,35 @@ def coupling_map(
         Delta=TWO_PI * 5.2e9,
         n_turns=n_turns,
     )
+    n = template.n_turns
+    d = np.empty(r_vals.size)
+    gbar = np.empty(r_vals.size)
+    for k, r_loop in enumerate(r_vals):
+        d[k] = d_k = d_rule(r_loop)
+        gbar[k] = direct_nv_cpw_coupling(r, nv, d_k, constants)
+        if k == 0:
+            # The grids are nondecreasing, so the first cell is the only one
+            # LoopParams can reject; it is checked after its row's d.
+            replace(template, r_loop=r_loop, I_p=i_vals[0])
+
+    # The operation order of pcq_cpw_coupling and nv_pcq_coupling, so every
+    # cell is bit-identical to the scalar functions. r_loop**2 is pow(), as
+    # for a scalar; an array's **2 is r*r, which differs in the last bit for
+    # about one r_loop in a thousand.
+    r_col = r_vals[:, None]
+    g = (n * (i_vals * constants.mu0 / constants.hbar)
+         * (np.float_power(r_col, 2) / d[:, None])
+         * rms_vacuum_current(r, constants) / TWO_PI)
+    eta = 2.0 * (n * constants.mu0 * i_vals / (2.0 * r_col)) * nv.slope
+
     rows = np.empty(
         r_vals.size * i_vals.size,
         dtype=[("r_loop", float), ("I_p", float),
                ("g", float), ("eta", float), ("gbar", float)],
     )
-    k = 0
-    for r_loop in r_vals:
-        d = d_rule(r_loop)
-        gbar = direct_nv_cpw_coupling(r, nv, d, constants)
-        for I_p in i_vals:
-            loop = LoopParams(
-                r_loop=r_loop, I_p=I_p, Delta=template.Delta,
-                n_turns=template.n_turns, Phi_x=template.Phi_x,
-                T1_pcq=template.T1_pcq, T2_pcq=template.T2_pcq,
-                alpha=template.alpha,
-            )
-            rows[k] = (
-                r_loop, I_p,
-                pcq_cpw_coupling(r, loop, d, constants),
-                nv_pcq_coupling(loop, nv, constants),
-                gbar,
-            )
-            k += 1
+    rows["r_loop"] = np.repeat(r_vals, i_vals.size)
+    rows["I_p"] = np.tile(i_vals, r_vals.size)
+    rows["g"] = g.ravel()
+    rows["eta"] = eta.ravel()
+    rows["gbar"] = np.repeat(gbar, i_vals.size)
     return rows

@@ -45,7 +45,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import schur
-from scipy.signal import find_peaks as _sp_find_peaks
 
 from .errors import (
     DegenerateSteadyState,
@@ -538,6 +537,35 @@ def _half_max_width(grid: np.ndarray, vals: np.ndarray, idx: int) -> float:
     return float(right - left)
 
 
+def _find_peaks(x: np.ndarray, height: float, prominence: float) -> np.ndarray:
+    """Indices of the peaks of x at least `height` high and `prominence`
+    prominent: the selection of scipy.signal.find_peaks(x, height=height,
+    prominence=prominence).
+
+    A peak is a sample strictly above both neighbours, or the midpoint
+    (rounded down) of such a flat run; the end samples are never peaks. Its
+    prominence is its height above the higher of the two minima between it
+    and the nearest higher sample on each side (a NaN counts as higher) or
+    the end of x: scipy's unbounded window, wlen=None.
+    """
+    x = np.asarray(x, dtype=float)
+    start = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])   # runs of equal x
+    end = np.r_[start[1:], x.size] - 1
+    inner = (start > 0) & (end < x.size - 1)
+    start, end = start[inner], end[inner]
+    top = (x[start - 1] < x[start]) & (x[end + 1] < x[start])
+    peaks = (start[top] + end[top]) // 2
+    peaks = peaks[x[peaks] >= height]
+    keep = np.zeros(peaks.size, dtype=bool)
+    for k, p in enumerate(peaks):
+        walls = np.flatnonzero(~(x <= x[p]))
+        j = np.searchsorted(walls, p)
+        lo = walls[j - 1] + 1 if j > 0 else 0
+        hi = walls[j] if j < walls.size else x.size
+        keep[k] = x[p] - max(x[lo:p + 1].min(), x[p:hi].min()) >= prominence
+    return peaks[keep]
+
+
 def find_spectral_peaks(s: Spectrum, dip_fraction: float = 0.1,
                         floor_fraction: float = 1e-9,
                         prominence_fraction: float = 1e-6) -> PeakReport:
@@ -557,8 +585,7 @@ def find_spectral_peaks(s: Spectrum, dip_fraction: float = 0.1,
     vmax = float(vals.max(initial=0.0))
     if vmax <= 0.0:
         return PeakReport(peaks=(), resolved=False, dip_depth=0.0)
-    idx, _ = _sp_find_peaks(vals, height=floor_fraction * vmax,
-                            prominence=prominence_fraction * vmax)
+    idx = _find_peaks(vals, floor_fraction * vmax, prominence_fraction * vmax)
     step = float(np.max(np.diff(grid)))
     peaks = []
     for i in idx:

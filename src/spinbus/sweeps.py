@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -88,13 +89,12 @@ def run_couplings_scan(cfg: ScanConfig) -> ResultTable:
         d_rule=cfg.solver.distance_for,
         loop_template=cfg.loop,
     )
-    rows = tuple(
-        (row["r_loop"] / 1e-6, row["I_p"] / 1e-9,
-         row["g"] / 1e6, row["eta"] / 1e3, row["gbar"] / 1e3)
-        for row in table
-    )
     columns = (("r_loop", "um"), ("I_p", "nA"), ("g_over_2pi", "MHz"),
                ("eta_over_2pi", "kHz"), ("gbar_over_2pi", "kHz"))
+    rows = tuple(zip(*(
+        (table[field] / UNIT_TABLE[unit][1]).tolist()
+        for field, (_, unit) in zip(table.dtype.names, columns)
+    )))
     return ResultTable(columns, rows, _provenance(cfg))
 
 
@@ -268,10 +268,29 @@ def run_spectrum_scan(cfg: ScanConfig, threads: int = 1) -> SpectrumScanResult:
 # ---------------------------------------------------------------------------
 # emission
 
-def _format_cell(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+# Joins a row's formatted cells so that one split recovers the csv fields.
+_FIELD_SEP = "\x1f"   # ASCII unit separator
+
+
+@functools.lru_cache(maxsize=64)
+def _row_format(types: tuple[type, ...], sep: str) -> str:
+    """One %-format for a row with these cell types: %.17g for floats, str
+    (%s) for anything else, joined by sep."""
+    return sep.join("%.17g" if issubclass(t, float) else "%s" for t in types)
+
+
+def _format_row(row, sep: str) -> str:
+    """The row's cells formatted and joined by sep, in one %-operation."""
+    row = tuple(row)
+    return _row_format(tuple(map(type, row)), sep) % row
+
+
+def _csv_fields(row) -> list[str]:
+    """The row's formatted cells, split apart again for csv.writer."""
+    fields = _format_row(row, _FIELD_SEP).split(_FIELD_SEP)
+    if len(fields) != len(row):   # a text cell holds the separator itself
+        fields = [_format_row((x,), "") for x in row]
+    return fields
 
 
 def _provenance_lines(t: ResultTable) -> list[str]:
@@ -285,8 +304,7 @@ def emit_csv(t: ResultTable, path: str) -> None:
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(t.header)
-    for row in t.rows:
-        writer.writerow([_format_cell(x) for x in row])
+    writer.writerows(map(_csv_fields, t.rows))
     _write_text(path, buf.getvalue())
 
 
@@ -304,9 +322,10 @@ def emit_plotdata(t: ResultTable, path: str) -> None:
             if not first:
                 buf.write("\n\n")
             current = row[0]
-            buf.write(f"# block {t.columns[0][0]} = {_format_cell(current)}\n")
+            buf.write(f"# block {t.columns[0][0]} = "
+                      f"{_format_row((current,), '')}\n")
             first = False
-        buf.write(" ".join(_format_cell(x) for x in row) + "\n")
+        buf.write(_format_row(row, " ") + "\n")
     _write_text(path, buf.getvalue())
 
 

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import spinbus
 from spinbus.cli import main, preset_path
 from spinbus.sweeps import data_section, read_csv
 
@@ -158,6 +160,22 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal (with scipy.stats and scipy.interpolate) costs about a
+    # second of start-up; the peak finder is numpy code.
+    src = os.path.dirname(os.path.dirname(spinbus.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spinbus.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_preset_path_rejects_unknown():

@@ -231,20 +231,43 @@ def test_coupling_map_zero_current_columns():
 
 
 def test_coupling_map_matches_brute_force_grid():
-    r_grid = [0.2e-6, 0.5e-6]
-    i_grid = [300e-9, 900e-9]
-    rows = coupling_map(RES, NV, r_grid, i_grid)
-    k = 0
-    for r in r_grid:
-        for ip in i_grid:
-            lp = LoopParams(r_loop=r, I_p=ip, Delta=TWO_PI * 5.2e9)
-            assert rows[k]["g"] == pytest.approx(
-                pcq_cpw_coupling(RES, lp, r), rel=1e-13)
-            assert rows[k]["eta"] == pytest.approx(
-                nv_pcq_coupling(lp, NV), rel=1e-13)
-            assert rows[k]["gbar"] == pytest.approx(
-                direct_nv_cpw_coupling(RES, NV, r), rel=1e-13)
-            k += 1
+    # Exact: the map and the scalar functions run the same float operations.
+    # Thousands of radii: r*r and pow(r, 2) differ for about 1 in 1000.
+    rng = np.random.default_rng(20260)
+    r_grid = np.sort(rng.uniform(0.05e-6, 2e-6, 4000))
+    i_grid = np.concatenate([[0.0], np.sort(rng.uniform(1e-9, 2e-6, 2))])
+    fixed_d = 0.7e-6
+    for d_rule in (d_rule_loop_radius, lambda r_loop: fixed_d):
+        rows = coupling_map(RES, NV, r_grid, i_grid, d_rule=d_rule, n_turns=3)
+        k = 0
+        for r in r_grid:
+            d = d_rule(r)
+            for ip in i_grid:
+                lp = LoopParams(r_loop=r, I_p=ip, Delta=TWO_PI * 5.2e9,
+                                n_turns=3)
+                assert rows[k]["r_loop"] == r and rows[k]["I_p"] == ip
+                assert rows[k]["g"] == pcq_cpw_coupling(RES, lp, d)
+                assert rows[k]["eta"] == nv_pcq_coupling(lp, NV)
+                assert rows[k]["gbar"] == direct_nv_cpw_coupling(RES, NV, d)
+                k += 1
+        assert k == rows.size
+        assert np.all(rows["g"][::i_grid.size] == 0.0)   # the I_p = 0 column
+
+
+@pytest.mark.parametrize("r_grid, i_grid, d_rule, error", [
+    # row by row, d is checked before the cells, so d <= 0 wins over a bad cell
+    ([0.0, 0.2e-6], [600e-9], d_rule_loop_radius, NonpositiveDistance),
+    ([-0.1e-6, 0.2e-6], [600e-9], d_rule_loop_radius, NonpositiveDistance),
+    ([0.0, 0.2e-6], [600e-9], lambda r: 1e-6, ValueError),
+    ([0.2e-6, 0.4e-6], [-1e-9, 600e-9], d_rule_loop_radius, ValueError),
+    ([0.2e-6, 0.4e-6], [600e-9], lambda r: 0.0, NonpositiveDistance),
+    ([0.2e-6], [-1e-9], lambda r: -1e-6, NonpositiveDistance),
+], ids=["r_loop0", "r_loop_neg", "r_loop0_fixed_d", "I_p_neg", "d0",
+        "d_neg_and_I_p_neg"])
+def test_coupling_map_rejects_bad_cells(r_grid, i_grid, d_rule, error):
+    with pytest.raises(ValueError) as info:
+        coupling_map(RES, NV, r_grid, i_grid, d_rule=d_rule)
+    assert type(info.value) is error
 
 
 def test_coupling_map_rejects_empty_and_nonmonotone():

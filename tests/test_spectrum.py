@@ -545,6 +545,37 @@ def test_find_peaks_empty_spectrum():
     assert not report.resolved
 
 
+def _peak_finder_cases():
+    rng = np.random.default_rng(4242)
+    cases = [np.zeros(101), np.zeros(3),
+             np.array([2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 0.0, 4.0, 4.0]),
+             np.array([5.0, 5.0, 5.0, 1.0, 2.0, 2.0, 1.0, 7.0, 7.0])]
+    cases += [np.array(c, dtype=float) for c in np.ndindex(3, 3, 3)]
+    for _ in range(300):
+        n = int(rng.integers(3, 60))
+        levels = rng.integers(0, 5, n).astype(float)    # interior and edge plateaus
+        cases.append(np.repeat(levels, rng.integers(1, 4, n)))
+        cases.append(rng.random(n) * 10.0 ** rng.integers(-3, 4))
+    grid = np.linspace(-10.0, 10.0, 2001)
+    cases.append(lorentzian(grid, 1.0, -3.0, 1.0) + lorentzian(grid, 0.4, 2.0, 2.0)
+                 + 1e-9 * rng.random(grid.size))
+    return cases
+
+
+@pytest.mark.parametrize("height_fraction, prominence_fraction",
+                         [(1e-9, 1e-6), (0.0, 0.0), (1e-9, 0.0), (0.0, 1e-6),
+                          (0.3, 0.2), (0.5, 0.5), (1.0, 1.0)])
+def test_peak_finder_matches_scipy_find_peaks(height_fraction,
+                                              prominence_fraction):
+    from scipy.signal import find_peaks
+    for x in _peak_finder_cases():
+        vmax = float(x.max(initial=0.0))
+        height, prominence = height_fraction * vmax, prominence_fraction * vmax
+        want, _ = find_peaks(x, height=height, prominence=prominence)
+        got = spectrum_module._find_peaks(x, height, prominence)
+        assert np.array_equal(got, want), x
+
+
 def test_spectrum_clips_and_logs_negatives():
     grid = np.linspace(-1, 1, 5)
     s = Spectrum(grid, np.array([1.0, -1e-14, 0.5, -1e-13, 0.2]))

@@ -181,6 +181,41 @@ def test_emit_plotdata_blocks_per_axis_value(tmp_path):
     assert "# block axis = 0.1" in blocks[0]
 
 
+def test_emit_bytes_are_locked(tmp_path):
+    # Floats print as %.17g, other cells as str; csv quotes "a,b" and
+    # 'say "hi"'. A text cell may hold any character, U+001F included.
+    t = ResultTable(
+        columns=(("x", "um"), ("v", "1"), ("n", "1"), ("note", "1")),
+        rows=((0.1, 1 / 3, 7, "a,b"),
+              (0.1, 1e-300, -2, "plain"),
+              (2.5e17, -0.0, 0, 'say "hi"'),
+              (2.5e17, np.float64(2 / 3), 12, ""),
+              (2.5e17, 1.5, True, "u\x1fv")),
+        provenance={"spinbus": "0.1.0", "config_hash": "sha256:abc"},
+    )
+    csv_path, dat_path = tmp_path / "t.csv", tmp_path / "t.dat"
+    emit_csv(t, str(csv_path))
+    emit_plotdata(t, str(dat_path))
+    assert csv_path.read_bytes() == (
+        b"# spinbus = 0.1.0\n# config_hash = sha256:abc\n"
+        b"x (um),v (1),n (1),note (1)\n"
+        b'0.10000000000000001,0.33333333333333331,7,"a,b"\n'
+        b"0.10000000000000001,1e-300,-2,plain\n"
+        b'2.5e+17,-0,0,"say ""hi"""\n'
+        b"2.5e+17,0.66666666666666663,12,\n"
+        b"2.5e+17,1.5,True,u\x1fv\n")
+    assert dat_path.read_bytes() == (
+        b"# spinbus = 0.1.0\n# config_hash = sha256:abc\n"
+        b"# columns: x (um) v (1) n (1) note (1)\n"
+        b"# block x = 0.10000000000000001\n"
+        b"0.10000000000000001 0.33333333333333331 7 a,b\n"
+        b"0.10000000000000001 1e-300 -2 plain\n"
+        b"\n\n# block x = 2.5e+17\n"
+        b'2.5e+17 -0 0 say "hi"\n'
+        b"2.5e+17 0.66666666666666663 12 \n"
+        b"2.5e+17 1.5 True u\x1fv\n")
+
+
 def test_emit_csv_io_error():
     from spinbus.errors import IoError
     with pytest.raises(IoError):
