@@ -16,15 +16,17 @@ evaluation routes are provided: the resolvent identity
 and direct quadrature/FFT of the propagated correlation. They must agree;
 the tests enforce it.
 
-The resolvent is solved densely up to DENSE_SOLVE_CAP and by sparse LU
-above it. A dense L evaluated on _SCHUR_MIN_FREQS or more frequencies is
-factorized once, L = Z T Z^dag (complex Schur), and each frequency costs two
-triangular back-substitutions: the solve and one step of iterative
-refinement against the residual of the sparse L. The refinement is
-required: the spectrum can be a cancellation far below ||u|| ||b|| / kappa,
-which the unrefined Schur solve misses by ~1e-7 of the peak. Shorter grids,
-such as the truncation probes, take one dense LU solve per frequency, which
-is cheaper than one Schur factorization there.
+The resolvent has three routes. Up to DENSE_SOLVE_CAP, an L evaluated on
+_SCHUR_MIN_FREQS or more frequencies is densified and factorized once,
+L = Z T Z^dag (complex Schur), and each frequency costs two triangular
+back-substitutions: the solve and one step of iterative refinement against
+the residual of the sparse L. The refinement is required: the spectrum can
+be a cancellation far below ||u|| ||b|| / kappa, which the unrefined Schur
+solve misses by ~1e-7 of the peak. Shorter grids, such as the truncation
+probes, take one banded LU solve per frequency on the sparse L, whose
+bandwidth in column stacking is 3 D for a cavity+qubit sector of dimension
+D: O(D^4) per frequency instead of the dense LU's O(D^6), and no Schur
+form to pay for. Above DENSE_SOLVE_CAP each frequency takes a sparse LU.
 
 Both nv_modes run on frozen-spin sectors (cavity+qubit problems): "sectors"
 sums them with configured weights, and "full" is exactly the one sector its
@@ -44,7 +46,7 @@ from typing import Literal, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import schur
+from scipy.linalg import get_lapack_funcs, schur
 
 from .errors import (
     DegenerateSteadyState,
@@ -82,10 +84,16 @@ logger = logging.getLogger(__name__)
 
 SpectrumMode = Literal["full", "incoherent"]
 
-# A dense L is factorized once into Schur form for at least this many
-# frequencies. Measured crossover (2-core Xeon VM): one Schur form costs
-# about as much as 50-60 per-frequency LU solves at dimensions 144-576.
+# A dense-size L is factorized once into Schur form for at least this many
+# frequencies. Measured crossover against the banded LU (strong-drive
+# sectors, 2-core Xeon VM, best of 7): ~64 frequencies at dimension 64 and
+# 220-330 at 144-576, where one Schur form costs as much as 40-200 banded
+# solves. The truncation probes have 33 points and no preset or perfbench
+# workload has a final grid below 201, so any value in 34-201 routes them
+# alike; 64 is kept, and no final spectrum changes route.
 _SCHUR_MIN_FREQS = 64
+# Largest accepted ||(i w I - L) x - b|| / ||b|| of any resolvent solve.
+_RESIDUAL_TOL = 1e-8
 # Complex values per block of solution vectors on the Schur route. The route
 # holds a few such blocks at once; larger blocks raised peak memory.
 _CHUNK_ELEMENTS = 2**13
@@ -172,8 +180,8 @@ def two_time_correlation(lio: Superoperator, a_op: LabeledOperator,
     return states @ u
 
 
-def _carrier_solve(lio: Superoperator, dense: np.ndarray | None,
-                   b: np.ndarray, op_scale: float) -> np.ndarray:
+def _carrier_solve(lio: Superoperator, b: np.ndarray,
+                   op_scale: float) -> tuple[np.ndarray, float]:
     """Deflated solve of -L x = b at the carrier frequency (w = 0).
 
     (i w I - L) is singular at w = 0 through the steady-state kernel, but
@@ -182,7 +190,8 @@ def _carrier_solve(lio: Superoperator, dense: np.ndarray | None,
     incoherent case. Replacing the first diagonal row of -L by t removes
     exactly the trace kernel; a genuine stationary component (a coherent
     delta peak, gauged against the operator scale since |tr(A rho)| <=
-    ||A||_F) or any further kernel direction is reported instead.
+    ||A||_F) or any further kernel direction is reported instead. Returns x
+    and its residual relative to ||b||.
     """
     t = trace_row(lio.dim)
     bnorm = float(np.linalg.norm(b))
@@ -191,24 +200,16 @@ def _carrier_solve(lio: Superoperator, dense: np.ndarray | None,
             0.0, "coherent delta peak at the carrier frequency")
     bb = b.copy()
     bb[0] = 0.0
-    if dense is not None:
-        m = -dense.copy()
-        m[0, :] = t
-        try:
-            x = np.linalg.solve(m, bb)
-        except np.linalg.LinAlgError:
-            raise SingularResolvent(0.0) from None
-    else:
-        m = (-lio.matrix).tolil()
-        m[0, :] = t
-        try:
-            x = spla.splu(m.tocsc()).solve(bb)
-        except RuntimeError:
-            raise SingularResolvent(0.0) from None
-    residual = float(np.linalg.norm(lio.matrix @ x + b))
-    if not np.isfinite(residual) or residual > 1e-8 * bnorm:
+    m = (-lio.matrix).tolil()
+    m[0, :] = t
+    try:
+        x = spla.splu(m.tocsc()).solve(bb)
+    except RuntimeError:
+        raise SingularResolvent(0.0) from None
+    residual = float(np.linalg.norm(lio.matrix @ x + b)) / bnorm
+    if not residual <= _RESIDUAL_TOL:
         raise SingularResolvent(0.0)
-    return x
+    return x, residual
 
 
 def _shifted_triangular_solve(t: np.ndarray, rhs: np.ndarray,
@@ -225,20 +226,22 @@ def _shifted_triangular_solve(t: np.ndarray, rhs: np.ndarray,
     return y
 
 
-def _schur_values(lio: Superoperator, dense: np.ndarray, u: np.ndarray,
-                  b: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """u^dag (i w I - L)^{-1} b from one Schur form L = Z T Z^dag.
+def _schur_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
+                  omegas: np.ndarray) -> tuple[np.ndarray, float]:
+    """u^dag (i w I - L)^{-1} b from one Schur form L = Z T Z^dag of the
+    densified L, and the worst residual relative to ||b||.
 
     Per frequency: a back-substitution with T, then one refinement step
-    against the residual of the sparse L. `dense` is overwritten.
+    against the residual of the sparse L.
     """
-    t, z = schur(dense, output="complex", overwrite_a=True)
+    t, z = schur(lio.matrix.toarray(), output="complex", overwrite_a=True)
     t = np.ascontiguousarray(t)
     zh = z.conj().T
     c = zh @ b
     bcol = b[:, None]
     bnorm = float(np.linalg.norm(b))
     out = np.empty(omegas.size, dtype=complex)
+    worst = 0.0
     step = max(1, _CHUNK_ELEMENTS // b.size)
     for k0 in range(0, omegas.size, step):
         w = omegas[k0:k0 + step]
@@ -248,69 +251,109 @@ def _schur_values(lio: Superoperator, dense: np.ndarray, u: np.ndarray,
             x = z @ _shifted_triangular_solve(t, c, iw)
             r = bcol - (x * iw - lio.matrix @ x)
             x += z @ _shifted_triangular_solve(t, zh @ r, iw)
-            residual = np.linalg.norm(x * iw - lio.matrix @ x - bcol, axis=0)
-        bad = ~(residual <= 1e-8 * bnorm)
+            residual = np.linalg.norm(x * iw - lio.matrix @ x - bcol,
+                                      axis=0) / bnorm
+        bad = ~(residual <= _RESIDUAL_TOL)
         if bad.any():
             raise SingularResolvent(float(w[np.argmax(bad)]))
+        worst = max(worst, float(residual.max()))
         out[k0:k0 + step] = u @ x
-    return out
+    return out, worst
 
 
-def _direct_values(lio: Superoperator, dense: np.ndarray | None,
-                   u: np.ndarray, b: np.ndarray,
-                   omegas: np.ndarray) -> np.ndarray:
-    """u^dag (i w I - L)^{-1} b by one LU solve per frequency."""
-    d2 = b.size
-    out = np.empty(omegas.size, dtype=complex)
-    bnorm = float(np.linalg.norm(b))
-    eye_d = np.eye(d2) if dense is not None else sp.identity(
-        d2, dtype=complex, format="csc")
-    for k, w in enumerate(omegas):
-        if dense is not None:
-            m = 1j * w * eye_d - dense
+def _band_storage(lio: Superoperator) -> tuple[np.ndarray, int, int]:
+    """-L in LAPACK general band storage, with kl and ku read off the
+    nonzeros: -L[i, j] sits in row kl + ku + i - j of column j, and the top
+    kl rows are left free for the fill-in of the pivoted LU (gbsv)."""
+    m = lio.matrix.tocoo()
+    m.sum_duplicates()
+    offsets = m.row - m.col
+    kl = int(offsets.max(initial=0))
+    ku = int(-offsets.min(initial=0))
+    band = np.zeros((2 * kl + ku + 1, m.shape[1]), dtype=complex, order="F")
+    band[kl + ku + offsets, m.col] = -m.data
+    return band, kl, ku
+
+
+def _direct_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
+                   omegas: np.ndarray, route: str) -> tuple[np.ndarray, float]:
+    """u^dag (i w I - L)^{-1} b by one LU solve per frequency, and the
+    worst residual relative to ||b||.
+
+    Route "banded" solves with LAPACK's pivoted band LU, gbsv (Anderson et
+    al., LAPACK Users' Guide, 3rd ed., SIAM 1999, sec. 2.4.2). A
+    cavity+qubit sector of dimension D has kl = ku = 3 D in column
+    stacking, so a solve costs O(D^2 kl^2) = O(D^4) against a dense LU's
+    O(D^6). Route "sparse" takes a sparse LU. Either way the solution is
+    checked against the residual of the sparse L.
+    """
+    if route == "banded":
+        band, kl, ku = _band_storage(lio)
+        gbsv, = get_lapack_funcs(("gbsv",), (band,))
+
+        def solve(w: float) -> np.ndarray | None:
+            ab = band.copy(order="F")
+            ab[kl + ku] += 1j * w
+            _, _, x, info = gbsv(kl, ku, ab, b, overwrite_ab=True)
+            return x if info == 0 else None
+    else:
+        eye = sp.identity(b.size, dtype=complex, format="csc")
+
+        def solve(w: float) -> np.ndarray | None:
             try:
-                x = np.linalg.solve(m, b)
-            except np.linalg.LinAlgError:
-                raise SingularResolvent(float(w)) from None
-            residual = float(np.linalg.norm(m @ x - b))
-        else:
-            m = ((1j * w) * eye_d - lio.matrix).tocsc()
-            try:
-                x = spla.splu(m).solve(b)
+                return spla.splu(((1j * w) * eye - lio.matrix).tocsc()).solve(b)
             except RuntimeError:
-                raise SingularResolvent(float(w)) from None
-            residual = float(np.linalg.norm(m @ x - b))
-        if not np.isfinite(residual) or residual > 1e-8 * bnorm:
+                return None
+
+    bnorm = float(np.linalg.norm(b))
+    out = np.empty(omegas.size, dtype=complex)
+    worst = 0.0
+    for k, w in enumerate(omegas):
+        x = solve(w)
+        if x is None:
             raise SingularResolvent(float(w))
+        residual = float(np.linalg.norm(1j * w * x - lio.matrix @ x - b)) / bnorm
+        if not residual <= _RESIDUAL_TOL:
+            raise SingularResolvent(float(w))
+        worst = max(worst, residual)
         out[k] = u @ x
-    return out
+    return out, worst
 
 
 def _resolvent_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
-                      omegas: np.ndarray) -> np.ndarray:
-    """vec-form values u^dag (i w I - L)^{-1} b for each w.
+                      omegas: np.ndarray) -> tuple[np.ndarray, str, float]:
+    """vec-form values u^dag (i w I - L)^{-1} b for each w, the route taken
+    ("schur", "banded" or "sparse") and the worst residual relative to ||b||.
 
-    The carrier (w = 0) takes the deflated solve, the other frequencies the
-    route chosen from the size of L and the grid length (module docstring).
-    Every solve is residual-checked: numerically singular frequencies
-    (undamped poles, or the coherent delta peak at the carrier) raise
-    SingularResolvent rather than returning garbage.
+    The carrier (w = 0) takes the deflated sparse solve, the other
+    frequencies the route chosen from the size of L and the grid length
+    (module docstring); only the Schur route densifies L. Every solve is
+    residual-checked: numerically singular frequencies (undamped poles, or
+    the coherent delta peak at the carrier) raise SingularResolvent rather
+    than returning garbage.
     """
-    d2 = lio.matrix.shape[0]
+    carrier = np.abs(omegas) < 1e-12 * lio.norm_scale()
+    rest = ~carrier
+    if lio.matrix.shape[0] > DENSE_SOLVE_CAP:
+        route = "sparse"
+    elif np.count_nonzero(rest) >= _SCHUR_MIN_FREQS:
+        route = "schur"
+    else:
+        route = "banded"
     out = np.zeros(omegas.size, dtype=complex)
     if not np.any(b):
-        return out
-    carrier = np.abs(omegas) < 1e-12 * lio.norm_scale()
-    dense = lio.matrix.toarray() if d2 <= DENSE_SOLVE_CAP else None
+        return out, route, 0.0
     op_scale = float(np.linalg.norm(u))
+    worst = 0.0
     for k in np.flatnonzero(carrier):
-        out[k] = u @ _carrier_solve(lio, dense, b, op_scale)
-    rest = ~carrier
-    if dense is not None and np.count_nonzero(rest) >= _SCHUR_MIN_FREQS:
-        out[rest] = _schur_values(lio, dense, u, b, omegas[rest])
+        x, residual = _carrier_solve(lio, b, op_scale)
+        out[k] = u @ x
+        worst = max(worst, residual)
+    if route == "schur":
+        out[rest], residual = _schur_values(lio, u, b, omegas[rest])
     else:
-        out[rest] = _direct_values(lio, dense, u, b, omegas[rest])
-    return out
+        out[rest], residual = _direct_values(lio, u, b, omegas[rest], route)
+    return out, route, max(worst, residual)
 
 
 def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
@@ -321,12 +364,16 @@ def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
     """Spectrum via resolvent solves.
 
     omega_grid is relative to frame_offset; the resolvent is evaluated at
-    the absolute frame frequency. A dense Liouvillian on a grid of at least
-    _SCHUR_MIN_FREQS frequencies is factorized once into Schur form, with
-    one refinement step per frequency; shorter grids take one LU solve per
-    frequency. Every solve is residual-checked. In full mode the coherent component makes
-    (i w - L) singular at the drive carrier (w_abs = 0); that frequency is
-    reported via SingularResolvent, never interpolated over.
+    the absolute frame frequency. A dense-size Liouvillian on a grid of at
+    least _SCHUR_MIN_FREQS frequencies is factorized once into Schur form,
+    with one refinement step per frequency; shorter grids take one banded
+    LU solve per frequency, and an L above DENSE_SOLVE_CAP one sparse LU
+    solve per frequency. Every solve is residual-checked; the metadata
+    records the route ("schur", "banded" or "sparse") and the worst
+    residual relative to ||b|| as max_relative_residual. In full mode the
+    coherent component makes (i w - L) singular at the drive carrier
+    (w_abs = 0); that frequency is reported via SingularResolvent, never
+    interpolated over.
     """
     if a_op.layout != rho_ss.layout or a_op.layout != lio.layout:
         raise LayoutMismatch("operator, state and Liouvillian layouts differ")
@@ -334,10 +381,11 @@ def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
     a_fl = _fluctuation_operator(a_op, rho_ss, mode)
     b = vectorize(a_fl @ rho_ss.matrix)
     u = vectorize(a_fl).conj()
-    raw = _resolvent_values(lio, u, b, grid + frame_offset)
+    raw, route, residual = _resolvent_values(lio, u, b, grid + frame_offset)
     values = np.real(raw) / np.pi
     meta = dict(metadata or {})
-    meta.update(mode=mode, method="resolvent", frame_offset=frame_offset)
+    meta.update(mode=mode, method="resolvent", frame_offset=frame_offset,
+                route=route, max_relative_residual=residual)
     return Spectrum(grid, values, frame_offset, meta)
 
 
@@ -439,7 +487,8 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
                        frame_offset: float = 0.0,
                        mode: SpectrumMode = "incoherent",
                        pcq_relaxation: str = "lowering",
-                       metadata: dict | None = None) -> Spectrum:
+                       metadata: dict | None = None,
+                       problems: dict | None = None) -> Spectrum:
     """Weighted sum of frozen-spin sector spectra.
 
     Each m_s sector is a cavity+qubit problem whose qubit detuning is
@@ -449,23 +498,36 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
     spin-induced multiplet: the printed raising relaxation channel would
     instead pin the spin in m_s = +1 and produce a single shifted line
     (available via full_liouvillian_spectrum). The metadata records, per
-    sector used, its weight, photon number and cavity Fock populations.
+    sector used, its weight, photon number, cavity Fock populations, and
+    the resolvent route and worst relative residual.
+
+    `problems` is a dict the caller owns: a sector problem stored there
+    under (p, rates, m_s, pcq_relaxation) is reused, and each one built is
+    added, so a caller that evaluates the same model on two grids builds
+    every sector problem once.
     """
     w = validate_weights(weights)
     grid = np.asarray(omega_grid, dtype=float)
     total = np.zeros(grid.size)
     sector_meta = {}
+    problems = {} if problems is None else problems
     for m_s, weight in zip((1, 0, -1), w):
         if weight == 0.0:
             continue
-        lio, a_op, rho_ss = sector_problem(p, rates, m_s, pcq_relaxation)
+        key = (p, rates, m_s, pcq_relaxation)
+        if key not in problems:
+            problems[key] = sector_problem(p, rates, m_s, pcq_relaxation)
+        lio, a_op, rho_ss = problems[key]
         s = spectrum_resolvent(lio, a_op, rho_ss, grid, mode, frame_offset)
         total += weight * s.values
         cavity = partial_trace(rho_ss.matrix, rho_ss.layout, ("cavity",))
         sector_meta[m_s] = {"weight": float(weight),
                             "photon_number": float(np.real(
                                 rho_ss.expect(a_op.dag() @ a_op))),
-                            "cavity_populations": np.real(np.diag(cavity))}
+                            "cavity_populations": np.real(np.diag(cavity)),
+                            "route": s.metadata["route"],
+                            "max_relative_residual":
+                                s.metadata["max_relative_residual"]}
     meta = dict(metadata or {})
     meta.update(mode=mode, method="sector-resolvent", weights=tuple(map(float, w)),
                 sectors=sector_meta, eta=p.eta, g=p.g)
@@ -478,7 +540,8 @@ def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
                               mode: SpectrumMode = "incoherent",
                               nv_relaxation: str = "as_printed",
                               pcq_relaxation: str = "lowering",
-                              metadata: dict | None = None) -> Spectrum:
+                              metadata: dict | None = None,
+                              problems: dict | None = None) -> Spectrum:
     """Spectrum of the full cavity (x) qubit (x) spin model, all five
     collapse channels active, evaluated exactly as its pinned spin sector.
 
@@ -495,14 +558,15 @@ def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
     (2N)^2 cavity+qubit space instead of the 9 (2N)^2 full one.
 
     Without spin relaxation (gamma_nv = 0) every sector is stationary and
-    DegenerateSteadyState(3) is raised.
+    DegenerateSteadyState(3) is raised. `problems` is passed on to
+    nv_sector_spectrum.
     """
     if rates.gamma_nv == 0.0:
         raise DegenerateSteadyState(3)
     pinned = (1.0, 0.0, 0.0) if nv_relaxation == "as_printed" else (0.0, 0.0, 1.0)
     meta = dict(metadata or {}, nv_relaxation=nv_relaxation)
     return nv_sector_spectrum(p, rates, pinned, omega_grid, frame_offset,
-                              mode, pcq_relaxation, meta)
+                              mode, pcq_relaxation, meta, problems)
 
 
 def _refine_peak_position(grid: np.ndarray, vals: np.ndarray, idx: int) -> float:

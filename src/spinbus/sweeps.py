@@ -139,29 +139,32 @@ def _point_model(cfg: ScanConfig, loop: LoopParams, d: float, n_fock: int
 
 
 def _point_spectrum(cfg: ScanConfig, loop: LoopParams, d: float, n_fock: int,
-                    grid: np.ndarray) -> Spectrum:
+                    grid: np.ndarray, problems: dict | None) -> Spectrum:
     """Spectrum of one scan point at truncation n_fock, in the configured
-    nv_mode, on a grid relative to the upper Rabi peak."""
+    nv_mode, on a grid relative to the upper Rabi peak. Sector problems are
+    shared through `problems` (see nv_sector_spectrum)."""
     model, rates, offset = _point_model(cfg, loop, d, n_fock)
     solver = cfg.solver
     if solver.nv_mode == "sectors":
         return nv_sector_spectrum(model, rates, solver.weights, grid, offset,
-                                  solver.spectrum_mode, solver.pcq_relaxation)
+                                  solver.spectrum_mode, solver.pcq_relaxation,
+                                  problems=problems)
     return full_liouvillian_spectrum(model, rates, grid, offset,
                                      solver.spectrum_mode, solver.nv_relaxation,
-                                     solver.pcq_relaxation)
+                                     solver.pcq_relaxation, problems=problems)
 
 
-def _truncation_metric(cfg: ScanConfig, loop: LoopParams, d: float):
+def _truncation_metric(cfg: ScanConfig, loop: LoopParams, d: float,
+                       problems: dict | None):
     """Metric for adaptive truncation: weighted steady-state cavity
     populations (padded to n_fock_max) plus the normalized shape of a
-    coarse spectrum."""
+    coarse spectrum. The probes' sector problems are kept in `problems`."""
     solver = cfg.solver
     span = solver.grid_span_kappa * cfg.resonator.kappa
     coarse = np.linspace(-span, span, 33)
 
     def metric(n_fock: int) -> np.ndarray:
-        s = _point_spectrum(cfg, loop, d, n_fock, coarse)
+        s = _point_spectrum(cfg, loop, d, n_fock, coarse, problems)
         pops = np.zeros(solver.n_fock_max + 1)
         for sector in s.metadata["sectors"].values():
             pops[:n_fock] += sector["weight"] * sector["cavity_populations"]
@@ -172,11 +175,14 @@ def _truncation_metric(cfg: ScanConfig, loop: LoopParams, d: float):
     return metric
 
 
-def resolve_n_fock(cfg: ScanConfig, loop: LoopParams, d: float) -> int:
+def resolve_n_fock(cfg: ScanConfig, loop: LoopParams, d: float,
+                   problems: dict | None = None) -> int:
+    """The configured n_fock, or the adaptive truncation's choice. The
+    probes' sector problems are added to `problems` when it is given."""
     if cfg.solver.n_fock is not None:
         return cfg.solver.n_fock
     return adaptive_truncation(
-        _truncation_metric(cfg, loop, d),
+        _truncation_metric(cfg, loop, d, problems),
         start=cfg.solver.n_fock_start,
         tolerance=cfg.solver.truncation_tol,
         n_max=cfg.solver.n_fock_max,
@@ -188,10 +194,11 @@ def compute_point_spectrum(cfg: ScanConfig, axis_name: str, value: float
     """Spectrum and peak report at one axis point (pure; used by workers)."""
     loop = _loop_at(cfg, axis_name, value)
     d = value if axis_name == "d" else cfg.solver.distance_for(loop.r_loop)
-    n_fock = resolve_n_fock(cfg, loop, d)
+    problems = {}   # the probe's problems at the chosen N serve the spectrum
+    n_fock = resolve_n_fock(cfg, loop, d, problems)
     span = cfg.solver.grid_span_kappa * cfg.resonator.kappa
     grid = np.linspace(-span, span, cfg.solver.grid_points)
-    spec = _point_spectrum(cfg, loop, d, n_fock, grid)
+    spec = _point_spectrum(cfg, loop, d, n_fock, grid, problems)
     spec.metadata.update(axis=axis_name, axis_value=value, n_fock=n_fock,
                          config_hash=cfg.config_hash)
     report = find_spectral_peaks(spec, cfg.solver.dip_fraction)

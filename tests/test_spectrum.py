@@ -291,24 +291,80 @@ def test_full_mode_without_spin_relaxation_is_degenerate():
 
 def test_short_and_long_grid_routes_agree_where_they_meet(monkeypatch):
     factorizations = []
+    densified = []
 
     def counting_schur(*args, **kwargs):
         factorizations.append(1)
         return schur(*args, **kwargs)
 
+    def counting_toarray(self, *args, **kwargs):
+        densified.append(1)
+        return toarray(self, *args, **kwargs)
+
     schur = spectrum_module.schur
     monkeypatch.setattr(spectrum_module, "schur", counting_schur)
     g = TWO_PI * 2e6
     lio, a_op, rho_ss = jc_problem(g, zeta=2 * KAPPA, n_fock=4)
+    toarray = type(lio.matrix).toarray
+    monkeypatch.setattr(type(lio.matrix), "toarray", counting_toarray)
     short = np.linspace(-16 * KAPPA, 16 * KAPPA, 33)
     long = np.linspace(-16 * KAPPA, 16 * KAPPA, 129)   # every 4th is in short
     s_short = spectrum_resolvent(lio, a_op, rho_ss, short, frame_offset=g)
-    assert not factorizations
+    assert not factorizations and not densified
+    assert s_short.metadata["route"] == "banded"
     s_long = spectrum_resolvent(lio, a_op, rho_ss, long, frame_offset=g)
-    assert len(factorizations) == 1
+    assert len(factorizations) == 1 and len(densified) == 1
+    assert s_long.metadata["route"] == "schur"
+    for s in (s_short, s_long):
+        assert 0.0 < s.metadata["max_relative_residual"] <= 1e-8
     assert np.array_equal(long[::4], short)
     peak = s_short.values.max()
     assert np.max(np.abs(s_long.values[::4] - s_short.values)) <= 1e-10 * peak
+
+
+# (preset, N, overrides, loop changes, sectors): a strong-drive sector of
+# the truncation probes, and the fig4a point whose spectrum is a
+# cancellation.
+STRONG = (["resonator.zeta=1.4 MHz"], {"T1_pcq": 11e-6, "T2_pcq": 11e-6})
+BANDED_CASES = {
+    "zeta-1.4MHz-N4": ("fig7", 4, *STRONG, (1,)),
+    "zeta-1.4MHz-N6": ("fig7", 6, *STRONG, (1,)),
+    "zeta-1.4MHz-N10": ("fig7", 10, *STRONG, (1,)),
+    "zeta-1.4MHz-N12": ("fig7", 12, *STRONG, (1,)),
+    "fig4a-cancellation-N4": ("fig4a", 4, [], {"r_loop": 0.6542e-6},
+                              (1, 0, -1)),
+}
+
+
+@pytest.mark.parametrize("case", list(BANDED_CASES))
+def test_banded_route_matches_direct_solve(case):
+    preset, n_fock, overrides, loop_changes, sectors = BANDED_CASES[case]
+    cfg, model, rates, offset, span = preset_point(preset, n_fock, overrides,
+                                                   **loop_changes)
+    grid = np.linspace(-span, span, 33)
+    for m_s in sectors:
+        lio, a_op, rho = sector_problem(model, rates, m_s)
+        _, kl, ku = spectrum_module._band_storage(lio)
+        assert kl == ku == 3 * (2 * n_fock)   # 3 D in column stacking
+        s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+        assert s.metadata["route"] == "banded"
+        ref = dense_oracle(lio, a_op, rho, grid + offset)
+        assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
+
+
+def test_sparse_route_above_dense_cap():
+    # 46 Fock levels: D^2 = 2116 > DENSE_SOLVE_CAP. The undriven cavity
+    # seeded with one photon has S = (1/pi) (kappa/2) / (w^2 + kappa^2/4).
+    layout, a, lio = bare_cavity(46)
+    assert lio.matrix.shape[0] > spectrum_module.DENSE_SOLVE_CAP
+    ket = basis_state(layout, {"cavity": 1})
+    rho = DensityMatrix(np.outer(ket, ket.conj()), layout)
+    grid = np.linspace(-3 * KAPPA, 3 * KAPPA, 7)
+    s = spectrum_resolvent(lio, a, rho, grid, mode="full")
+    assert s.metadata["route"] == "sparse"
+    assert s.metadata["max_relative_residual"] <= 1e-8
+    exact = (KAPPA / 2) / (grid**2 + KAPPA**2 / 4) / np.pi
+    assert np.max(np.abs(s.values - exact)) <= 1e-10 * exact.max()
 
 
 def test_schur_route_reports_undamped_pole():
@@ -325,6 +381,29 @@ def test_schur_route_reports_undamped_pole():
     with pytest.raises(SingularResolvent) as exc:
         spectrum_resolvent(lio, sigma_minus, rho, grid, mode="full")
     assert exc.value.omega == delta
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.75])
+def test_banded_route_reports_undamped_pole(tilt):
+    # H = (Delta/2)(sigma_z + tilt sigma_x), undamped: a pole at
+    # Delta sqrt(1 + tilt^2) (1.25 Delta for tilt 0.75). Untilted, the band
+    # LU meets an exactly zero pivot there; tilted, it completes with a
+    # rounding-size pivot and only the residual check sees the failure.
+    delta = TWO_PI * 1e6
+    layout = SpaceLayout((2,), ("pcq",))
+    sz, s_plus, s_minus = pauli_matrices()
+    h = LabeledOperator(0.5 * delta * (sz + tilt * (s_plus + s_minus)), layout,
+                        hermitian_hint=True)
+    lio = build_liouvillian(h, [])
+    sigma_minus = LabeledOperator(s_minus, layout)
+    rho = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+                        layout)
+    pole = delta * np.sqrt(1.0 + tilt**2)
+    grid = pole * np.linspace(0.5, 1.5, 33)
+    assert grid[16] == pole
+    with pytest.raises(SingularResolvent) as exc:
+        spectrum_resolvent(lio, sigma_minus, rho, grid, mode="full")
+    assert exc.value.omega == pole
 
 
 def test_long_grid_through_carrier(monkeypatch):

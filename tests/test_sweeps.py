@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spinbus.spectrum as spectrum_module
 from spinbus.cli import preset_path
 from spinbus.config import load_config, load_config_text
 from spinbus.couplings import (
@@ -10,12 +11,16 @@ from spinbus.couplings import (
     pcq_cpw_coupling,
 )
 from spinbus.errors import ValidationError
+from spinbus.spectrum import nv_sector_spectrum
 from spinbus.sweeps import (
     ResultTable,
+    _point_model,
+    compute_point_spectrum,
     data_section,
     emit_csv,
     emit_plotdata,
     read_csv,
+    resolve_n_fock,
     run_couplings_scan,
     run_spectrum_scan,
 )
@@ -319,3 +324,70 @@ def test_spectrum_scan_parallel_matches_serial():
     parallel = run_spectrum_scan(cfg, threads=2)
     assert serial.spectra.rows == parallel.spectra.rows
     assert serial.peaks.rows == parallel.peaks.rows
+
+
+STRONG_DRIVE = """
+[resonator]
+omega_r = 6 GHz
+L_r = 2 nH
+kappa = 26 kHz
+zeta = 1.4 MHz
+
+[loop]
+r_loop = 0.2 um
+I_p = 880 nA
+Delta = 6 GHz
+T1_pcq = {tau} us
+T2_pcq = {tau} us
+
+[nv]
+D = 2870 MHz
+slope = 28 GHz/T
+T1_nv = 4 ms
+T2_nv = 600 us
+
+[solver]
+nv_mode = sectors
+weights = 1/3 1/3 1/3
+grid_points = 201
+grid_span_kappa = 20
+
+[scan]
+axis tau = list {tau} us
+"""
+
+
+@pytest.mark.parametrize("tau_us, n_fock", [(8.5, 10), (11, 8), (17, 6)])
+def test_adaptive_truncation_strong_drive_plateaus(tau_us, n_fock):
+    # One tau inside each N = 10, 8, 6 plateau of the strong-drive regime:
+    # a change to the probes' solve route must not move the chosen N.
+    cfg = load_config_text(STRONG_DRIVE.format(tau=tau_us))
+    d = cfg.solver.distance_for(cfg.loop.r_loop)
+    assert resolve_n_fock(cfg, cfg.loop, d) == n_fock
+
+
+def test_point_spectrum_reuses_probe_problems(monkeypatch):
+    builds = []
+    sector_problem = spectrum_module.sector_problem
+
+    def counting_sector_problem(p, rates, m_s, *args):
+        builds.append((p.N_fock, m_s))
+        return sector_problem(p, rates, m_s, *args)
+
+    monkeypatch.setattr(spectrum_module, "sector_problem",
+                        counting_sector_problem)
+    cfg = load_config_text(FAST_SPECTRUM.replace("n_fock = 4",
+                                                 "n_fock = adaptive"))
+    spec, _ = compute_point_spectrum(cfg, "tau", 20e-6)
+    n_fock = spec.metadata["n_fock"]
+    # every (N, m_s) problem is built once: by the probes, N and N + 2
+    assert sorted(builds) == sorted({(n, m) for n in (n_fock, n_fock + 2)
+                                     for m in (1, 0, -1)})
+    model, rates, offset = _point_model(
+        cfg, cfg.loop, cfg.solver.distance_for(cfg.loop.r_loop), n_fock)
+    fresh = nv_sector_spectrum(model, rates, cfg.solver.weights,
+                               spec.omega_grid, offset)
+    assert np.array_equal(spec.values, fresh.values)
+    for sector in spec.metadata["sectors"].values():
+        assert sector["route"] == "schur"
+        assert sector["max_relative_residual"] <= 1e-8
