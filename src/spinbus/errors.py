@@ -5,9 +5,28 @@ failures with a single except clause; most types also subclass ValueError
 because they signal bad inputs.
 """
 
+from __future__ import annotations
+
+
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
 
 class SpinbusError(Exception):
     """Base class for all spinbus errors."""
+
+    def __reduce__(self):
+        # Rebuilt without __init__: subclasses that format their message or
+        # take typed fields there would format it again on unpickling.
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+    def in_context(self, context: str) -> SpinbusError:
+        """The same error (type and fields) with `context: ` before its
+        message."""
+        return _rebuild(type(self), (f"{context}: {self}",), self.__dict__)
 
 
 class DimensionMismatch(SpinbusError, ValueError):

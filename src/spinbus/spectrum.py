@@ -85,12 +85,15 @@ logger = logging.getLogger(__name__)
 SpectrumMode = Literal["full", "incoherent"]
 
 # A dense-size L is factorized once into Schur form for at least this many
-# frequencies. Measured crossover against the banded LU (strong-drive
-# sectors, 2-core Xeon VM, best of 7): ~64 frequencies at dimension 64 and
-# 220-330 at 144-576, where one Schur form costs as much as 40-200 banded
-# solves. The truncation probes have 33 points and no preset or perfbench
-# workload has a final grid below 201, so any value in 34-201 routes them
-# alike; 64 is kept, and no final spectrum changes route.
+# frequencies. Measured against the banded LU with one BLAS thread, as scans
+# run (strong-drive sectors, 2-core Xeon VM, best to median of 7): the
+# crossover is ~64 frequencies at dimension 64. On 201 frequencies Schur
+# takes 35-41 ms against 58-71 ms at dimension 144, 104-119 against
+# 141-157 ms at 256 and 276-298 against 353-401 ms at 400, which covers
+# every strong-drive final grid; only at 576, which no final grid reaches,
+# is the banded route faster (800-835 against 1050-1166 ms). The truncation
+# probes have 33 points and no preset or perfbench workload has a final
+# grid below 201.
 _SCHUR_MIN_FREQS = 64
 # Largest accepted ||(i w I - L) x - b|| / ||b|| of any resolvent solve.
 _RESIDUAL_TOL = 1e-8

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .config import UNIT_TABLE, ScanConfig
 from .couplings import (
     LoopParams,
@@ -210,9 +210,7 @@ def _point_job(args):
     try:
         return compute_point_spectrum(cfg, axis_name, value)
     except SpinbusError as exc:
-        raise type(exc)(
-            f"at scan point {axis_name}={value!r}: {exc}"
-        ) from exc
+        raise exc.in_context(f"at scan point {axis_name}={value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -228,16 +226,29 @@ def run_spectrum_scan(cfg: ScanConfig, threads: int = 1) -> SpectrumScanResult:
     (cyclic kHz), S, log10 S. The analysis frame is centred on the upper
     vacuum-Rabi peak omega_g = g recomputed at each point. A peaks table is
     attached when the config requests the "peaks" product.
+
+    The points run on min(threads, points) worker processes, each with BLAS
+    pinned to one thread (see _blas); the caller's BLAS thread counts are
+    restored on return.
     """
     if len(cfg.axes) != 1:
         raise ValidationError("spectrum scan needs exactly one axis")
     axis = cfg.axes[0]
     jobs = [(cfg, axis.name, v) for v in axis.values]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_point_job, jobs))
-    else:
-        results = [_point_job(j) for j in jobs]
+    workers = max(1, min(threads, len(jobs)))
+    previous = _blas.pin()
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_blas.pin) as pool:
+                results = list(pool.map(_point_job, jobs))
+        else:
+            results = [_point_job(j) for j in jobs]
+    finally:
+        _blas.restore(previous)
+    provenance = dict(_provenance(cfg),
+                      blas_threads=1 if previous else "unpinned",
+                      workers=workers)
 
     axis_col = (axis.name, axis.unit or "1")
     rows = []
@@ -259,7 +270,7 @@ def run_spectrum_scan(cfg: ScanConfig, threads: int = 1) -> SpectrumScanResult:
     spectra = ResultTable(
         (axis_col, ("delta_omega_over_2pi", "kHz"), ("S", "s"),
          ("log10_S", "1")),
-        tuple(rows), _provenance(cfg),
+        tuple(rows), provenance,
     )
     peaks = None
     if "peaks" in cfg.products:
@@ -267,7 +278,7 @@ def run_spectrum_scan(cfg: ScanConfig, threads: int = 1) -> SpectrumScanResult:
             (axis_col, ("n_peaks", "1"), ("resolved", "bool"),
              ("dip_depth", "1"), ("peak_positions_over_2pi", "kHz"),
              ("peak_fwhm_over_2pi", "kHz")),
-            tuple(peak_rows), _provenance(cfg),
+            tuple(peak_rows), provenance,
         )
     return SpectrumScanResult(spectra=spectra, peaks=peaks)
 

@@ -142,15 +142,46 @@ def test_check_subcommand_passes(capsys):
     assert out.count("PASS") >= 9
 
 
-def test_threads_flag_matches_serial(tmp_path):
-    cfg = tmp_path / "fast.cfg"
-    cfg.write_text(FAST_SPECTRUM.replace("list 20 us", "list 15, 20 us"))
-    out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert main(["spectrum", "--config", str(cfg), "--out", str(out1),
-                 "--threads", "1"]) == 0
-    assert main(["spectrum", "--config", str(cfg), "--out", str(out2),
-                 "--threads", "2"]) == 0
-    assert data_section(str(out1)) == data_section(str(out2))
+# A strong-drive sector problem (d^2 = 144) big enough for OpenBLAS to
+# thread its Schur and LU kernels, where results depend on the thread count
+# unless the engine pins it.
+STRONG_DRIVE = FAST_SPECTRUM.replace(
+    "kappa = 26 kHz", "kappa = 26 kHz\nzeta = 1.4 MHz").replace(
+    "n_fock = 4\ngrid_points = 301\ngrid_span_kappa = 8",
+    "n_fock = 6\ngrid_points = 65\ngrid_span_kappa = 20").replace(
+    "list 20 us", "list 11, 12 us")
+
+
+def _subprocess_env() -> dict:
+    src = os.path.dirname(os.path.dirname(spinbus.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def test_data_sections_identical_across_blas_and_worker_threads(tmp_path):
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text(STRONG_DRIVE)
+    sections = {}
+    for blas in (None, "1", "2"):
+        env = _subprocess_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        for threads in ("1", "2"):
+            out = tmp_path / f"s_{blas}_{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinbus.cli", "spectrum", "--config",
+                 str(cfg), "--out", str(out), "--threads", threads],
+                capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            peaks = tmp_path / f"s_{blas}_{threads}_peaks.csv"
+            sections[blas, threads] = (data_section(str(out)),
+                                       data_section(str(peaks)))
+            _, _, prov = read_csv(str(out))
+            assert prov["workers"] == threads
+    reference = sections[None, "1"]
+    assert len(reference[0].splitlines()) == 1 + 2 * 65
+    assert all(s == reference for s in sections.values())
 
 
 def test_console_entry_point_runs():
@@ -165,9 +196,7 @@ def test_console_entry_point_runs():
 def test_cli_import_leaves_out_scipy_signal():
     # scipy.signal (with scipy.stats and scipy.interpolate) costs about a
     # second of start-up; the peak finder is numpy code.
-    src = os.path.dirname(os.path.dirname(spinbus.__file__))
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, spinbus.cli; "

@@ -1,8 +1,12 @@
+import multiprocessing
+import pickle
+
 import numpy as np
 import pytest
 
 import spinbus.spectrum as spectrum_module
-from spinbus.cli import preset_path
+import spinbus.sweeps as sweeps_module
+from spinbus.cli import main, preset_path
 from spinbus.config import load_config, load_config_text
 from spinbus.couplings import (
     LoopParams,
@@ -10,7 +14,12 @@ from spinbus.couplings import (
     nv_pcq_coupling,
     pcq_cpw_coupling,
 )
-from spinbus.errors import ValidationError
+from spinbus.errors import (
+    DegenerateSteadyState,
+    ParseError,
+    SingularResolvent,
+    ValidationError,
+)
 from spinbus.spectrum import nv_sector_spectrum
 from spinbus.sweeps import (
     ResultTable,
@@ -391,3 +400,47 @@ def test_point_spectrum_reuses_probe_problems(monkeypatch):
     for sector in spec.metadata["sectors"].values():
         assert sector["route"] == "schur"
         assert sector["max_relative_residual"] <= 1e-8
+
+
+def _raise_below_17us(error):
+    def compute(cfg, axis_name, value):
+        if value < 17e-6:
+            raise error
+        return compute_point_spectrum(cfg, axis_name, value)
+    return compute
+
+
+@pytest.mark.parametrize("error, field, expected", [
+    (DegenerateSteadyState(3), "kernel_dim", 3),
+    (SingularResolvent(2.5e5), "omega", 2.5e5),
+])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_point_keeps_type_fields_and_names_axis_value(
+        monkeypatch, capsys, tmp_path, error, field, expected, threads):
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the stub only when forked")
+    monkeypatch.setattr(sweeps_module, "compute_point_spectrum",
+                        _raise_below_17us(error))
+    text = FAST_SPECTRUM.replace("list 20 us", "list 15, 20 us")
+    cfg = load_config_text(text)
+    context = f"at scan point tau={cfg.axes[0].values[0]!r}"   # 15 us
+    with pytest.raises(type(error)) as info:
+        run_spectrum_scan(cfg, threads=threads)
+    assert str(info.value) == f"{context}: {error}"
+    assert getattr(info.value, field) == expected
+    path = tmp_path / "fast.cfg"
+    path.write_text(text)
+    assert main(["spectrum", "--config", str(path), "--threads", str(threads),
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: category={type(error).__name__}: {context}: {error}\n")
+
+
+def test_errors_survive_pickling_unchanged():
+    for error in (DegenerateSteadyState(3), SingularResolvent(1.5),
+                  ParseError("bad value", 7)):
+        for exc in (error, error.in_context("at scan point tau=2e-05")):
+            copy = pickle.loads(pickle.dumps(exc))
+            assert type(copy) is type(exc)
+            assert str(copy) == str(exc)
+            assert copy.__dict__ == exc.__dict__
