@@ -34,78 +34,104 @@ import re
 from dataclasses import dataclass
 
 from .couplings import LoopParams, NVParams, ResonatorParams, static_bias_field
-from .errors import ParseError, ValidationError
-from .units import CONSTANTS, TWO_PI
+from .errors import ParseError, SpinbusError, ValidationError
+from .units import TWO_PI, UNIT_TABLE, format_in, to_unit
 
-# unit token -> (dimension, factor to SI)
-UNIT_TABLE: dict[str, tuple[str, float]] = {
-    "Hz": ("frequency", 1.0), "kHz": ("frequency", 1e3),
-    "MHz": ("frequency", 1e6), "GHz": ("frequency", 1e9),
-    "s": ("time", 1.0), "ms": ("time", 1e-3),
-    "us": ("time", 1e-6), "ns": ("time", 1e-9),
-    "m": ("length", 1.0), "mm": ("length", 1e-3),
-    "um": ("length", 1e-6), "nm": ("length", 1e-9),
-    "A": ("current", 1.0), "mA": ("current", 1e-3),
-    "uA": ("current", 1e-6), "nA": ("current", 1e-9),
-    "H": ("inductance", 1.0), "mH": ("inductance", 1e-3),
-    "uH": ("inductance", 1e-6), "nH": ("inductance", 1e-9),
-    "pH": ("inductance", 1e-12),
-    "T": ("field", 1.0), "mT": ("field", 1e-3), "uT": ("field", 1e-6),
-    "nT": ("field", 1e-9), "G": ("field", 1e-4), "mG": ("field", 1e-7),
-    "Wb": ("flux", 1.0), "Phi0": ("flux", CONSTANTS.flux_quantum),
-    "Hz/T": ("slope", 1.0), "kHz/T": ("slope", 1e3),
-    "MHz/T": ("slope", 1e6), "GHz/T": ("slope", 1e9),
+
+def _n_fock(text: str) -> int | None:
+    return None if text == "adaptive" else int(text)
+
+
+def _weights(text: str) -> tuple[float, ...]:
+    tokens = text.replace(",", " ").split()
+    if len(tokens) != 3:
+        raise ValidationError("weights needs exactly three entries")
+    return tuple(_parse_fraction(t) for t in tokens)
+
+
+def _d_rule(text: str, line_no: int | None) -> str:
+    if text == "r_loop":
+        return text
+    return f"fixed:{parse_quantity(text, 'length', line_no):.17g}"
+
+
+def _products(text: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def _flag(text: str) -> bool:
+    return text.lower() in ("true", "1", "yes")
+
+
+# (section, key) -> (kind, default). The key names the field it sets in
+# ResonatorParams, LoopParams, NVParams, SolverSettings or ScanConfig. A
+# string kind is a UNIT_TABLE dimension: the value needs a unit of it, and
+# frequencies, cyclic in the config, are stored angular. A callable kind
+# parses a bare value. The default, in config units, is given only where no
+# dataclass field default applies; value-dependent defaults (zeta, Delta,
+# B_bias) are set in build_scan_config.
+KEY_TABLE: dict[tuple[str, str], tuple] = {
+    ("resonator", "omega_r"): ("frequency", 6e9),
+    ("resonator", "L_r"): ("inductance", 2e-9),
+    ("resonator", "kappa"): ("frequency", 26e3),
+    ("resonator", "Q"): (float, None),
+    ("resonator", "zeta"): ("frequency", None),
+    ("loop", "r_loop"): ("length", 0.4e-6),
+    ("loop", "I_p"): ("current", 600e-9),
+    ("loop", "Delta"): ("frequency", None),
+    ("loop", "n_turns"): (int, None),
+    ("loop", "Phi_x"): ("flux", None),
+    ("loop", "T1_pcq"): ("time", None),
+    ("loop", "T2_pcq"): ("time", None),
+    ("loop", "alpha"): (float, None),
+    ("nv", "D"): ("frequency", None),
+    ("nv", "slope"): ("slope", None),
+    ("nv", "B_bias"): ("field", None),
+    ("nv", "T1_nv"): ("time", None),
+    ("nv", "T2_nv"): ("time", None),
+    ("solver", "n_fock"): (_n_fock, None),
+    ("solver", "n_fock_start"): (int, None),
+    ("solver", "n_fock_max"): (int, None),
+    ("solver", "truncation_tol"): (float, None),
+    ("solver", "rate_convention"): (str, None),
+    ("solver", "nv_relaxation"): (str, None),
+    ("solver", "pcq_relaxation"): (str, None),
+    ("solver", "nv_mode"): (str, None),
+    ("solver", "weights"): (_weights, None),
+    ("solver", "spectrum_mode"): (str, None),
+    ("solver", "grid_points"): (int, None),
+    ("solver", "grid_span_kappa"): (float, None),
+    ("solver", "dip_fraction"): (float, None),
+    ("solver", "d_rule"): (_d_rule, None),
+    ("output", "products"): (_products, None),
+    ("output", "deterministic"): (_flag, None),
 }
 
-# (section, key) -> dimension ("none" marks dimensionless / enumerated keys)
-KEY_TABLE: dict[tuple[str, str], str] = {
-    ("resonator", "omega_r"): "frequency",
-    ("resonator", "L_r"): "inductance",
-    ("resonator", "kappa"): "frequency",
-    ("resonator", "Q"): "none",
-    ("resonator", "zeta"): "frequency",
-    ("resonator", "omega_drive"): "frequency",
-    ("loop", "r_loop"): "length",
-    ("loop", "I_p"): "current",
-    ("loop", "Delta"): "frequency",
-    ("loop", "n_turns"): "none",
-    ("loop", "Phi_x"): "flux",
-    ("loop", "T1_pcq"): "time",
-    ("loop", "T2_pcq"): "time",
-    ("loop", "alpha"): "none",
-    ("nv", "D"): "frequency",
-    ("nv", "slope"): "slope",
-    ("nv", "B_bias"): "field",
-    ("nv", "T1_nv"): "time",
-    ("nv", "T2_nv"): "time",
-    ("solver", "n_fock"): "none",
-    ("solver", "n_fock_start"): "none",
-    ("solver", "n_fock_max"): "none",
-    ("solver", "truncation_tol"): "none",
-    ("solver", "rate_convention"): "none",
-    ("solver", "nv_relaxation"): "none",
-    ("solver", "pcq_relaxation"): "none",
-    ("solver", "nv_mode"): "none",
-    ("solver", "weights"): "none",
-    ("solver", "spectrum_mode"): "none",
-    ("solver", "grid_points"): "none",
-    ("solver", "grid_span_kappa"): "none",
-    ("solver", "dip_fraction"): "none",
-    ("solver", "steady_residual_tol"): "none",
-    ("solver", "d_rule"): "length-or-rule",
-    ("output", "products"): "none",
-    ("output", "deterministic"): "none",
-}
-
+# Scan axes and the dimension of their values: the loop fields, plus three
+# that set other quantities.
 AXIS_DIMENSIONS: dict[str, str] = {
-    "r_loop": "length",
-    "I_p": "current",
+    **{key: KEY_TABLE[("loop", key)][0]
+       for key in ("r_loop", "I_p", "T1_pcq", "T2_pcq")},
     "n_turns": "none",
-    "T1_pcq": "time",
-    "T2_pcq": "time",
     "tau": "time",       # sets T1_pcq = T2_pcq = tau
     "epsilon": "none",   # sets T2_pcq = epsilon * T1_pcq
     "d": "length",       # loop-conductor distance, overrides the d rule
+}
+
+# --echo rows: section -> (key, unit); a frequency key is shown cyclic as
+# <key>/2pi, and a value without a unit as it is stored.
+_ECHO_ROWS: dict[str, tuple[tuple[str, str], ...]] = {
+    "resonator": (("omega_r", "GHz"), ("L_r", "nH"), ("kappa", "kHz"),
+                  ("zeta", "kHz")),
+    "loop": (("r_loop", "um"), ("I_p", "nA"), ("Delta", "GHz"),
+             ("n_turns", ""), ("Phi_x", "Phi0"), ("T1_pcq", "us"),
+             ("T2_pcq", "us")),
+    "nv": (("D", "MHz"), ("slope", "GHz/T"), ("B_bias", "G"),
+           ("T1_nv", "ms"), ("T2_nv", "us")),
+    "solver": tuple((key, "") for key in (
+        "n_fock", "rate_convention", "nv_relaxation", "pcq_relaxation",
+        "nv_mode", "weights", "spectrum_mode", "grid_points",
+        "grid_span_kappa", "d_rule")),
 }
 
 _NUMBER_UNIT = re.compile(
@@ -145,14 +171,11 @@ def parse_quantity(text: str, dimension: str, line_no: int | None = None) -> flo
     return value * factor
 
 
-def _parse_fraction(token: str, line_no: int | None = None) -> float:
+def _parse_fraction(token: str) -> float:
     m = _FRACTION.match(token)
     if m:
         return float(m.group(1)) / float(m.group(2))
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"cannot parse number {token!r}", line_no) from None
+    return float(token)
 
 
 @dataclass(frozen=True)
@@ -190,7 +213,6 @@ class SolverSettings:
     grid_points: int = 2001
     grid_span_kappa: float = 20.0
     dip_fraction: float = 0.1
-    steady_residual_tol: float = 1e-9
     d_rule: str = "r_loop"             # or "fixed:<meters>"
 
     def __post_init__(self):
@@ -240,49 +262,34 @@ class ScanConfig:
 
     def describe(self) -> str:
         """Echo of the resolved configuration in presentation units."""
-        r, lp, nv, s = self.resonator, self.loop, self.nv, self.solver
-        lines = [
-            "[resonator]",
-            f"  omega_r/2pi = {r.omega_r / TWO_PI / 1e9:.6g} GHz",
-            f"  L_r = {r.L_r / 1e-9:.6g} nH",
-            f"  kappa/2pi = {r.kappa / TWO_PI / 1e3:.6g} kHz",
-            f"  zeta/2pi = {r.zeta / TWO_PI / 1e3:.6g} kHz",
-            "[loop]",
-            f"  r_loop = {lp.r_loop / 1e-6:.6g} um",
-            f"  I_p = {lp.I_p / 1e-9:.6g} nA",
-            f"  Delta/2pi = {lp.Delta / TWO_PI / 1e9:.6g} GHz",
-            f"  n_turns = {lp.n_turns}",
-            f"  Phi_x = {lp.Phi_x / CONSTANTS.flux_quantum:.6g} Phi0",
-            f"  T1_pcq = {lp.T1_pcq / 1e-6:.6g} us",
-            f"  T2_pcq = {lp.T2_pcq / 1e-6:.6g} us",
-            "[nv]",
-            f"  D/2pi = {nv.D / TWO_PI / 1e6:.6g} MHz",
-            f"  slope = {nv.slope / 1e9:.6g} GHz/T",
-            f"  B_bias = {nv.B_bias / 1e-4:.6g} G",
-            f"  T1_nv = {nv.T1_nv / 1e-3:.6g} ms",
-            f"  T2_nv = {nv.T2_nv / 1e-6:.6g} us",
-            "[solver]",
-            f"  n_fock = {'adaptive' if s.n_fock is None else s.n_fock}",
-            f"  rate_convention = {s.rate_convention}",
-            f"  nv_relaxation = {s.nv_relaxation}",
-            f"  pcq_relaxation = {s.pcq_relaxation}",
-            f"  nv_mode = {s.nv_mode}",
-            f"  weights = {s.weights[0]:.6g} {s.weights[1]:.6g} {s.weights[2]:.6g}",
-            f"  spectrum_mode = {s.spectrum_mode}",
-            f"  grid_points = {s.grid_points}",
-            f"  grid_span_kappa = {s.grid_span_kappa:.6g}",
-            f"  d_rule = {s.d_rule}",
-            "[scan]",
-        ]
+        lines = []
+        for section, rows in _ECHO_ROWS.items():
+            lines.append(f"[{section}]")
+            params = getattr(self, section)
+            for key, unit in rows:
+                label, value = key, getattr(params, key)
+                if KEY_TABLE[(section, key)][0] == "frequency":
+                    label, value = f"{key}/2pi", value / TWO_PI
+                lines.append(f"  {label} = {_echo_value(value, unit)}")
+        lines.append("[scan]")
         for ax in self.axes:
-            factor = UNIT_TABLE[ax.unit][1] if ax.unit else 1.0
-            shown = ", ".join(f"{v / factor:.6g}" for v in ax.values[:6])
+            shown = ", ".join(f"{to_unit(v, ax.unit):.6g}" for v in ax.values[:6])
             if len(ax.values) > 6:
                 shown += ", ..."
             lines.append(f"  axis {ax.name} = [{shown}] {ax.unit or '(1)'}")
         lines.append("[output]")
         lines.append(f"  products = {', '.join(self.products)}")
         return "\n".join(lines)
+
+
+def _echo_value(value, unit: str) -> str:
+    if value is None:             # n_fock
+        return "adaptive"
+    if isinstance(value, tuple):  # weights
+        return " ".join(f"{v:.6g}" for v in value)
+    if isinstance(value, float):
+        return format_in(value, unit)
+    return str(value)
 
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_]+)\]$")
@@ -384,143 +391,64 @@ def _unit_of(text: str) -> str:
     return (m.group(2) or "") if m else ""
 
 
-def _get(tree: dict, section: str, key: str, default=None):
-    entry = tree.get((section, key))
-    if entry is None:
-        return default, None
-    return entry
+def _stored(kind, value):
+    """A value in config units as its field stores it: SI, with angular
+    frequencies."""
+    return TWO_PI * value if kind == "frequency" else value
 
 
-def build_scan_config(tree: dict, axis_specs: list[tuple[str, str, int]],
-                      source_text: str = "") -> ScanConfig:
-    """Second stage: defaults, unit conversion, invariant validation."""
-
-    def quantity(section, key, default=None):
-        raw, line_no = _get(tree, section, key)
-        if raw is None:
-            return default
-        return parse_quantity(raw, KEY_TABLE[(section, key)], line_no)
-
-    # --- resonator; frequencies in config are cyclic, params are angular ---
-    omega_r_hz = quantity("resonator", "omega_r", 6e9)
-    kappa_hz = quantity("resonator", "kappa", 26e3)
-    zeta_hz = quantity("resonator", "zeta")
-    q_raw, _ = _get(tree, "resonator", "Q")
+def _parse_value(section: str, key: str, raw: str, line_no: int | None):
+    kind, _ = KEY_TABLE[(section, key)]
+    if isinstance(kind, str):
+        return _stored(kind, parse_quantity(raw, kind, line_no))
+    if kind is _d_rule:       # a length, whose errors carry the line
+        return _d_rule(raw, line_no)
     try:
-        resonator = ResonatorParams(
-            omega_r=TWO_PI * omega_r_hz,
-            L_r=quantity("resonator", "L_r", 2e-9),
-            kappa=TWO_PI * kappa_hz,
-            zeta=TWO_PI * (zeta_hz if zeta_hz is not None else 2.0 * kappa_hz),
-            omega_drive=(TWO_PI * quantity("resonator", "omega_drive")
-                         if ("resonator", "omega_drive") in tree else None),
-            Q=float(q_raw) if q_raw is not None else None,
-        )
+        return kind(raw)
+    except SpinbusError as exc:
+        raise exc.in_context(f"line {line_no}") from None
+    except ValueError:
+        raise ParseError(f"cannot parse {key}={raw!r}", line_no) from None
+
+
+def _construct(cls, values: dict):
+    try:
+        return cls(**values)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
-    # --- loop -------------------------------------------------------------
-    n_turns_raw, _ = _get(tree, "loop", "n_turns")
-    alpha_raw, _ = _get(tree, "loop", "alpha")
-    t2_pcq = quantity("loop", "T2_pcq", 2e-6)
-    t1_pcq = quantity("loop", "T1_pcq", 20e-6)
-    if t2_pcq > 2.0 * t1_pcq:
-        raise ValidationError(
-            f"UnphysicalT2: T2_pcq={t2_pcq!r} exceeds 2*T1_pcq={2 * t1_pcq!r}")
-    try:
-        loop = LoopParams(
-            r_loop=quantity("loop", "r_loop", 0.4e-6),
-            I_p=quantity("loop", "I_p", 600e-9),
-            Delta=TWO_PI * quantity("loop", "Delta", omega_r_hz),
-            n_turns=int(n_turns_raw) if n_turns_raw is not None else 1,
-            Phi_x=quantity("loop", "Phi_x"),
-            T1_pcq=t1_pcq,
-            T2_pcq=t2_pcq,
-            alpha=float(alpha_raw) if alpha_raw is not None else None,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
 
-    # --- nv; B_bias defaults to the half-flux-quantum bias field -----------
-    t2_nv = quantity("nv", "T2_nv", 600e-6)
-    t1_nv = quantity("nv", "T1_nv", 4e-3)
-    if t2_nv > 2.0 * t1_nv:
-        raise ValidationError(
-            f"UnphysicalT2: T2_nv={t2_nv!r} exceeds 2*T1_nv={2 * t1_nv!r}")
-    try:
-        nv = NVParams(
-            D=TWO_PI * quantity("nv", "D", 2.87e9),
-            slope=quantity("nv", "slope", 2.8e10),
-            B_bias=quantity("nv", "B_bias", static_bias_field(loop)),
-            T1_nv=t1_nv,
-            T2_nv=t2_nv,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+def build_scan_config(tree: dict, axis_specs: list[tuple[str, str, int]]
+                      ) -> ScanConfig:
+    """Second stage: defaults, unit conversion, invariant validation.
 
-    # --- solver -------------------------------------------------------------
-    def plain(section, key, default, cast=float):
-        raw, line_no = _get(tree, section, key)
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ParseError(f"cannot parse {key}={raw!r}", line_no) from None
+    Only the keys the config sets are passed on, so every other field keeps
+    its dataclass default or its KEY_TABLE default.
+    """
+    values: dict[str, dict] = {section: {} for section, _ in KEY_TABLE}
+    for (section, key), (kind, default) in KEY_TABLE.items():
+        if default is not None:
+            values[section][key] = _stored(kind, default)
+    for (section, key), (raw, line_no) in tree.items():
+        values[section][key] = _parse_value(section, key, raw, line_no)
 
-    n_fock_raw, _ = _get(tree, "solver", "n_fock")
-    if n_fock_raw is None or n_fock_raw == "adaptive":
-        n_fock = None
-    else:
-        n_fock = int(n_fock_raw)
-    weights_raw, w_line = _get(tree, "solver", "weights")
-    if weights_raw is None:
-        weights = (1 / 3, 1 / 3, 1 / 3)
-    else:
-        tokens = weights_raw.replace(",", " ").split()
-        if len(tokens) != 3:
-            raise ValidationError("weights needs exactly three entries")
-        weights = tuple(_parse_fraction(t, w_line) for t in tokens)
-    d_rule_raw, d_line = _get(tree, "solver", "d_rule")
-    if d_rule_raw is None or d_rule_raw == "r_loop":
-        d_rule = "r_loop"
-    else:
-        d_rule = f"fixed:{parse_quantity(d_rule_raw, 'length', d_line):.17g}"
-    solver = SolverSettings(
-        n_fock=n_fock,
-        n_fock_start=plain("solver", "n_fock_start", 4, int),
-        n_fock_max=plain("solver", "n_fock_max", 30, int),
-        truncation_tol=plain("solver", "truncation_tol", 1e-3),
-        rate_convention=plain("solver", "rate_convention", "cyclic", str),
-        nv_relaxation=plain("solver", "nv_relaxation", "as_printed", str),
-        pcq_relaxation=plain("solver", "pcq_relaxation", "lowering", str),
-        nv_mode=plain("solver", "nv_mode", "sectors", str),
-        weights=weights,
-        spectrum_mode=plain("solver", "spectrum_mode", "incoherent", str),
-        grid_points=plain("solver", "grid_points", 2001, int),
-        grid_span_kappa=plain("solver", "grid_span_kappa", 20.0),
-        dip_fraction=plain("solver", "dip_fraction", 0.1),
-        steady_residual_tol=plain("solver", "steady_residual_tol", 1e-9),
-        d_rule=d_rule,
-    )
+    values["resonator"].setdefault("zeta", 2.0 * values["resonator"]["kappa"])
+    resonator = _construct(ResonatorParams, values["resonator"])
+
+    values["loop"].setdefault("Delta", resonator.omega_r)
+    loop = _construct(LoopParams, values["loop"])
+
+    # B_bias defaults to the half-flux-quantum bias field of the loop
+    values["nv"].setdefault("B_bias", static_bias_field(loop))
+    nv = _construct(NVParams, values["nv"])
 
     axes = tuple(_parse_axis_spec(name, spec, line_no)
                  for name, spec, line_no in axis_specs)
-
-    products_raw, _ = _get(tree, "output", "products")
-    if products_raw is None:
-        products = ("couplings",)
-    else:
-        products = tuple(p.strip() for p in products_raw.split(",") if p.strip())
-    det_raw, _ = _get(tree, "output", "deterministic")
-    deterministic = True if det_raw is None else det_raw.lower() in ("true", "1", "yes")
-
     canonical = _canonical_text(tree, axis_specs)
     config_hash = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
-
-    return ScanConfig(resonator=resonator, loop=loop, nv=nv, solver=solver,
-                      axes=axes, products=products, deterministic=deterministic,
-                      config_hash=config_hash)
+    return ScanConfig(resonator=resonator, loop=loop, nv=nv,
+                      solver=SolverSettings(**values["solver"]), axes=axes,
+                      config_hash=config_hash, **values["output"])
 
 
 def _canonical_text(tree: dict, axis_specs: list[tuple[str, str, int]]) -> str:
@@ -579,14 +507,11 @@ def load_config(path: str, overrides: list[str] | None = None) -> ScanConfig:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from None
-    tree, axis_specs = parse_config_text(text)
-    if overrides:
-        tree, axis_specs = apply_overrides(tree, axis_specs, overrides)
-    return build_scan_config(tree, axis_specs, text)
+    return load_config_text(text, overrides)
 
 
 def load_config_text(text: str, overrides: list[str] | None = None) -> ScanConfig:
     tree, axis_specs = parse_config_text(text)
     if overrides:
         tree, axis_specs = apply_overrides(tree, axis_specs, overrides)
-    return build_scan_config(tree, axis_specs, text)
+    return build_scan_config(tree, axis_specs)

@@ -32,9 +32,9 @@ from .units import CONSTANTS, DEFAULT_TRANSITION_SLOPE, TWO_PI, PhysicalConstant
 
 @dataclass(frozen=True)
 class ResonatorParams:
-    """CPW resonator: frequency, inductance, linewidth, drive.
+    """CPW resonator: frequency, inductance, linewidth, resonant drive.
 
-    omega_r, kappa, zeta, omega_drive are angular (rad/s). If Q is given
+    omega_r, kappa, zeta are angular (rad/s). If Q is given
     it must equal omega_r/kappa to 1 ppm.
     """
 
@@ -42,7 +42,6 @@ class ResonatorParams:
     L_r: float              # H
     kappa: float            # rad/s, energy decay rate
     zeta: float = 0.0       # rad/s, drive amplitude
-    omega_drive: float | None = None  # rad/s, defaults to omega_r
     Q: float | None = None
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class ResonatorParams:
         if self.Q is not None:
             if abs(self.kappa - self.omega_r / self.Q) > 1e-6 * self.kappa:
                 raise ValueError("Q and kappa disagree: kappa != omega_r/Q")
-        if self.omega_drive is None:
-            object.__setattr__(self, "omega_drive", self.omega_r)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,8 @@ class LoopParams:
         if self.T1_pcq <= 0.0 or self.T2_pcq <= 0.0:
             raise ValueError("coherence times must be positive")
         if self.T2_pcq > 2.0 * self.T1_pcq * (1.0 + 1e-12):
-            raise ValueError("T2_pcq exceeds 2*T1_pcq")
+            raise ValueError(f"UnphysicalT2: T2_pcq={self.T2_pcq!r} "
+                             f"exceeds 2*T1_pcq={2 * self.T1_pcq!r}")
         if self.Phi_x is None:
             object.__setattr__(self, "Phi_x", CONSTANTS.flux_quantum / 2.0)
 
@@ -129,7 +127,8 @@ class NVParams:
         if self.T1_nv <= 0.0 or self.T2_nv <= 0.0:
             raise ValueError("coherence times must be positive")
         if self.T2_nv > 2.0 * self.T1_nv * (1.0 + 1e-12):
-            raise ValueError("T2_nv exceeds 2*T1_nv")
+            raise ValueError(f"UnphysicalT2: T2_nv={self.T2_nv!r} "
+                             f"exceeds 2*T1_nv={2 * self.T1_nv!r}")
 
 
 def rms_vacuum_current(r: ResonatorParams,

@@ -173,8 +173,8 @@ def build_full_hamiltonian(p: ModelParams, nv: NVParams, layout: SpaceLayout
     Static part: omega_r*(a_dag a + 1/2) + (omega_0/2) sigma_z
                  + 2pi*slope*B_bias*S_z + D*(S_z^2 - 2/3)
                  + g*(a_dag sigma_- + a sigma_+) + (eta/2) sigma_z S_z.
-    The drive term is returned as a descriptor at frequency omega_drive
-    (resonant with the cavity in every use here).
+    The drive term is returned as a descriptor at the cavity frequency
+    omega_r: the drive is resonant.
     """
     if layout.labels != ("cavity", "pcq", "nv"):
         raise LayoutMismatch("full Hamiltonian needs the cavity/pcq/nv layout")

@@ -11,13 +11,14 @@ import csv
 import datetime
 import functools
 import io
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__, _blas
-from .config import UNIT_TABLE, ScanConfig
+from .config import ScanConfig
 from .couplings import (
     LoopParams,
     coupling_map,
@@ -35,7 +36,7 @@ from .spectrum import (
     full_liouvillian_spectrum,
     nv_sector_spectrum,
 )
-from .units import TWO_PI
+from .units import TWO_PI, format_in, to_unit
 
 
 @dataclass(frozen=True)
@@ -57,16 +58,9 @@ def _provenance(cfg: ScanConfig) -> dict:
         "created": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
         "config_hash": cfg.config_hash,
-        "solver_tolerances": (
-            f"steady_residual_tol={cfg.solver.steady_residual_tol:g} "
-            f"truncation_tol={cfg.solver.truncation_tol:g}"
-        ),
+        "solver_tolerances": f"truncation_tol={cfg.solver.truncation_tol:g}",
         "deterministic": str(cfg.deterministic).lower(),
     }
-
-
-def _to_unit(value_si: float, unit: str) -> float:
-    return value_si / UNIT_TABLE[unit][1] if unit else value_si
 
 
 def run_couplings_scan(cfg: ScanConfig) -> ResultTable:
@@ -92,7 +86,7 @@ def run_couplings_scan(cfg: ScanConfig) -> ResultTable:
     columns = (("r_loop", "um"), ("I_p", "nA"), ("g_over_2pi", "MHz"),
                ("eta_over_2pi", "kHz"), ("gbar_over_2pi", "kHz"))
     rows = tuple(zip(*(
-        (table[field] / UNIT_TABLE[unit][1]).tolist()
+        to_unit(table[field], unit).tolist()
         for field, (_, unit) in zip(table.dtype.names, columns)
     )))
     return ResultTable(columns, rows, _provenance(cfg))
@@ -206,11 +200,17 @@ def compute_point_spectrum(cfg: ScanConfig, axis_name: str, value: float
 
 
 def _point_job(args):
-    cfg, axis_name, value = args
+    cfg, axis, value = args
     try:
-        return compute_point_spectrum(cfg, axis_name, value)
+        return compute_point_spectrum(cfg, axis.name, value)
     except SpinbusError as exc:
-        raise exc.in_context(f"at scan point {axis_name}={value!r}") from exc
+        raise exc.in_context(
+            f"at scan point {axis.name}={format_in(value, axis.unit)}") from exc
+
+
+def _khz(omega):
+    """Angular frequency in the spectrum tables' cyclic kHz."""
+    return to_unit(omega / TWO_PI, "kHz")
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def run_spectrum_scan(cfg: ScanConfig, threads: int = 1) -> SpectrumScanResult:
     if len(cfg.axes) != 1:
         raise ValidationError("spectrum scan needs exactly one axis")
     axis = cfg.axes[0]
-    jobs = [(cfg, axis.name, v) for v in axis.values]
+    jobs = [(cfg, axis, v) for v in axis.values]
     workers = max(1, min(threads, len(jobs)))
     previous = _blas.pin()
     try:
@@ -254,17 +254,16 @@ def run_spectrum_scan(cfg: ScanConfig, threads: int = 1) -> SpectrumScanResult:
     rows = []
     peak_rows = []
     for value, (spec, report) in zip(axis.values, results):
-        shown = _to_unit(value, axis.unit)
-        log_vals = spec.log10_values()
-        for w, s_val, ls in zip(spec.omega_grid, spec.values, log_vals):
-            rows.append((shown, w / TWO_PI / 1e3, s_val, ls))
+        shown = to_unit(value, axis.unit)
+        rows.extend(zip(itertools.repeat(shown), _khz(spec.omega_grid),
+                        spec.values, spec.log10_values()))
         peak_rows.append((
             shown,
             len(report.peaks),
             str(report.resolved).lower(),
             report.dip_depth,
-            ";".join(f"{p / TWO_PI / 1e3:.6g}" for p, _, _ in report.peaks),
-            ";".join(f"{w / TWO_PI / 1e3:.6g}" for _, _, w in report.peaks),
+            ";".join(f"{_khz(p):.6g}" for p, _, _ in report.peaks),
+            ";".join(f"{_khz(w):.6g}" for _, _, w in report.peaks),
         ))
 
     spectra = ResultTable(

@@ -1,12 +1,17 @@
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from spinbus.cli import preset_path
+from spinbus.cli import PRESETS, preset_path
 from spinbus.config import (
+    KEY_TABLE,
     ScanAxis,
     load_config,
     load_config_text,
+    parse_config_text,
     parse_quantity,
 )
 from spinbus.errors import ParseError, ValidationError
@@ -39,12 +44,37 @@ def test_minimal_config_fills_documented_defaults():
     assert cfg.nv.B_bias == pytest.approx(expected_bias)
     assert cfg.products == ("couplings",)
     assert cfg.config_hash.startswith("sha256:")
+    # every other field keeps its dataclass default
+    value_dependent = {"Phi_x", "B_bias"}   # checked above
+    for params in (cfg.solver, cfg.loop, cfg.nv):
+        for field in dataclasses.fields(params):
+            if (field.default is not dataclasses.MISSING
+                    and field.name not in value_dependent):
+                assert getattr(params, field.name) == field.default, field.name
 
 
 def test_unphysical_t2_is_validation_error():
     text = MINIMAL + "\n[loop]\nT1_pcq = 1 us\nT2_pcq = 3 us\n"
     with pytest.raises(ValidationError, match="UnphysicalT2"):
         load_config_text(text)
+
+
+@pytest.mark.parametrize("key", ["resonator.omega_drive = 6.01 GHz",
+                                 "solver.steady_residual_tol = 1e-30"])
+def test_keys_that_nothing_reads_are_rejected(key):
+    section, _, line = key.partition(".")
+    with pytest.raises(ParseError, match="unknown key") as info:
+        load_config_text(MINIMAL + f"[{section}]\n{line}\n")
+    assert info.value.line_no == MINIMAL.count("\n") + 2
+    with pytest.raises(ValidationError, match="unknown override target"):
+        load_config_text(MINIMAL, overrides=[key.replace(" ", "")])
+
+
+def test_bad_d_rule_is_parse_error_with_its_line():
+    text = MINIMAL + "[solver]\nd_rule = 0.8 furlong\n"
+    with pytest.raises(ParseError, match="^line 7: unknown unit") as info:
+        load_config_text(text)
+    assert info.value.line_no == 7
 
 
 def test_missing_unit_rejected():
@@ -182,6 +212,22 @@ def test_fig4_preset_echoes_design_values():
     assert "omega_r/2pi = 6 GHz" in echo
     assert "kappa/2pi = 26 kHz" in echo
     assert "zeta/2pi = 52 kHz" in echo
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_echo_and_config_hash_match_golden(name):
+    cfg = load_config(preset_path(name))
+    golden = Path(__file__).parent / "data" / f"echo_{name}.txt"
+    assert (cfg.describe() + "\n" + cfg.config_hash + "\n"
+            ).encode() == golden.read_bytes()
+
+
+def test_readme_config_block_loads_and_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    load_config_text(block)
+    tree, _ = parse_config_text(block)
+    assert sorted(tree) == sorted(KEY_TABLE)
 
 
 def test_all_presets_load_and_validate():
