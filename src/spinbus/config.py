@@ -59,10 +59,6 @@ def _products(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _flag(text: str) -> bool:
-    return text.lower() in ("true", "1", "yes")
-
-
 # (section, key) -> (kind, default). The key names the field it sets in
 # ResonatorParams, LoopParams, NVParams, SolverSettings or ScanConfig. A
 # string kind is a UNIT_TABLE dimension: the value needs a unit of it, and
@@ -104,7 +100,6 @@ KEY_TABLE: dict[tuple[str, str], tuple] = {
     ("solver", "dip_fraction"): (float, None),
     ("solver", "d_rule"): (_d_rule, None),
     ("output", "products"): (_products, None),
-    ("output", "deterministic"): (_flag, None),
 }
 
 # Scan axes and the dimension of their values: the loop fields, plus three
@@ -249,7 +244,6 @@ class ScanConfig:
     solver: SolverSettings
     axes: tuple[ScanAxis, ...] = ()
     products: tuple[str, ...] = ("couplings",)
-    deterministic: bool = True
     config_hash: str = ""
 
     def __post_init__(self):

@@ -15,7 +15,8 @@ at the loop centre. Three couplings matter:
 
 All three scale linearly with the number of turns except gbar, which does
 not involve the loop at all. Functions return cyclic frequencies (Hz)
-where noted; parameter objects store angular frequencies (rad/s).
+where noted; parameter objects store angular frequencies (rad/s). Every
+formula takes its physical constants from units.CONSTANTS.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyGrid, NonpositiveDistance
-from .units import CONSTANTS, DEFAULT_TRANSITION_SLOPE, TWO_PI, PhysicalConstants
+from .units import CONSTANTS, DEFAULT_TRANSITION_SLOPE, TWO_PI
 
 
 @dataclass(frozen=True)
@@ -131,35 +132,31 @@ class NVParams:
                              f"exceeds 2*T1_nv={2 * self.T1_nv!r}")
 
 
-def rms_vacuum_current(r: ResonatorParams,
-                       constants: PhysicalConstants = CONSTANTS) -> float:
+def rms_vacuum_current(r: ResonatorParams) -> float:
     """Zero-point RMS current in the resonator, sqrt(hbar*omega_r/2L_r), A."""
-    return math.sqrt(constants.hbar * r.omega_r / (2.0 * r.L_r))
+    return math.sqrt(CONSTANTS.hbar * r.omega_r / (2.0 * r.L_r))
 
 
-def cpw_field_at(r: ResonatorParams, d: float,
-                 constants: PhysicalConstants = CONSTANTS) -> float:
+def cpw_field_at(r: ResonatorParams, d: float) -> float:
     """RMS vacuum magnetic field a distance d from the centre conductor, T.
 
     Thin-strip surface-current model: B = mu0 * I_rms / (pi * d).
     """
     if d <= 0.0:
         raise NonpositiveDistance(f"d must be positive, got {d!r}")
-    return constants.mu0 * rms_vacuum_current(r, constants) / (math.pi * d)
+    return CONSTANTS.mu0 * rms_vacuum_current(r) / (math.pi * d)
 
 
-def direct_nv_cpw_coupling(r: ResonatorParams, nv: NVParams, d: float,
-                           constants: PhysicalConstants = CONSTANTS) -> float:
+def direct_nv_cpw_coupling(r: ResonatorParams, nv: NVParams, d: float) -> float:
     """Direct spin-resonator coupling gbar/2pi in Hz at distance d.
 
     The Zeeman response of the spin transition to the vacuum field:
     independent of any loop parameters.
     """
-    return cpw_field_at(r, d, constants) * nv.slope
+    return cpw_field_at(r, d) * nv.slope
 
 
-def pcq_cpw_coupling(r: ResonatorParams, loop: LoopParams, d: float,
-                     constants: PhysicalConstants = CONSTANTS) -> float:
+def pcq_cpw_coupling(r: ResonatorParams, loop: LoopParams, d: float) -> float:
     """Loop-resonator coupling g/2pi in Hz, loop centre a distance d away.
 
     Magnetic moment n*I_p*A in the vacuum field gradient of the strip:
@@ -170,52 +167,48 @@ def pcq_cpw_coupling(r: ResonatorParams, loop: LoopParams, d: float,
         raise NonpositiveDistance(f"d must be positive, got {d!r}")
     g_angular = (
         loop.n_turns
-        * (loop.I_p * constants.mu0 / constants.hbar)
+        * (loop.I_p * CONSTANTS.mu0 / CONSTANTS.hbar)
         * (loop.r_loop**2 / d)
-        * rms_vacuum_current(r, constants)
+        * rms_vacuum_current(r)
     )
     return g_angular / TWO_PI
 
 
-def loop_center_field(loop: LoopParams,
-                      constants: PhysicalConstants = CONSTANTS) -> float:
+def loop_center_field(loop: LoopParams) -> float:
     """|B| at the loop centre from the circulating current, T.
 
     On-axis dipole field 2*mu0*A*I_p/(4pi r^3) = mu0*I_p/(2r) per turn;
     the +/- branch with the circulation direction is handled by the sigma_z
     coupling downstream, so the magnitude is returned.
     """
-    return loop.n_turns * constants.mu0 * loop.I_p / (2.0 * loop.r_loop)
+    return loop.n_turns * CONSTANTS.mu0 * loop.I_p / (2.0 * loop.r_loop)
 
 
-def nv_pcq_coupling(loop: LoopParams, nv: NVParams,
-                    constants: PhysicalConstants = CONSTANTS) -> float:
+def nv_pcq_coupling(loop: LoopParams, nv: NVParams) -> float:
     """Spin-loop coupling eta/2pi in Hz.
 
     The circulation-dependent field shifts the spin transition by
     delta_nu = |B_loop| * slope, and eta/(4pi) = delta_nu, hence
     eta/2pi = 2 * |B_loop| * slope.
     """
-    return 2.0 * loop_center_field(loop, constants) * nv.slope
+    return 2.0 * loop_center_field(loop) * nv.slope
 
 
-def static_bias_field(loop: LoopParams,
-                      constants: PhysicalConstants = CONSTANTS) -> float:
+def static_bias_field(loop: LoopParams) -> float:
     """Static field at the loop centre from the half-flux-quantum bias, T.
 
     Bias flux Phi0/2 through the single-turn area A gives B_s = Phi0/(2A).
     """
-    return constants.flux_quantum / (2.0 * loop.area)
+    return CONSTANTS.flux_quantum / (2.0 * loop.area)
 
 
-def pcq_frequency(loop: LoopParams,
-                  constants: PhysicalConstants = CONSTANTS) -> float:
+def pcq_frequency(loop: LoopParams) -> float:
     """Two-level splitting omega_0 = sqrt(Delta^2 + eps^2), rad/s.
 
     eps = (2 I_p/hbar)(Phi_x - Phi0/2); at the symmetry point omega_0 = Delta.
     """
-    eps = (2.0 * loop.I_p / constants.hbar) * (
-        loop.Phi_x - constants.flux_quantum / 2.0
+    eps = (2.0 * loop.I_p / CONSTANTS.hbar) * (
+        loop.Phi_x - CONSTANTS.flux_quantum / 2.0
     )
     return math.hypot(loop.Delta, eps)
 
@@ -237,7 +230,6 @@ def coupling_map(
     d_rule: Callable[[float], float] = d_rule_loop_radius,
     n_turns: int = 1,
     loop_template: LoopParams | None = None,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
     """Dense scan of (g/2pi, eta/2pi, gbar/2pi) over (r_loop, I_p), Hz.
 
@@ -262,7 +254,7 @@ def coupling_map(
     gbar = np.empty(r_vals.size)
     for k, r_loop in enumerate(r_vals):
         d[k] = d_k = d_rule(r_loop)
-        gbar[k] = direct_nv_cpw_coupling(r, nv, d_k, constants)
+        gbar[k] = direct_nv_cpw_coupling(r, nv, d_k)
         if k == 0:
             # The grids are nondecreasing, so the first cell is the only one
             # LoopParams can reject; it is checked after its row's d.
@@ -273,10 +265,10 @@ def coupling_map(
     # for a scalar; an array's **2 is r*r, which differs in the last bit for
     # about one r_loop in a thousand.
     r_col = r_vals[:, None]
-    g = (n * (i_vals * constants.mu0 / constants.hbar)
+    g = (n * (i_vals * CONSTANTS.mu0 / CONSTANTS.hbar)
          * (np.float_power(r_col, 2) / d[:, None])
-         * rms_vacuum_current(r, constants) / TWO_PI)
-    eta = 2.0 * (n * constants.mu0 * i_vals / (2.0 * r_col)) * nv.slope
+         * rms_vacuum_current(r) / TWO_PI)
+    eta = 2.0 * (n * CONSTANTS.mu0 * i_vals / (2.0 * r_col)) * nv.slope
 
     rows = np.empty(
         r_vals.size * i_vals.size,

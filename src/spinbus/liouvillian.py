@@ -123,31 +123,30 @@ def _null_space_dimension(matrix: sp.spmatrix, rel_tol: float = 1e-9) -> int:
     return int(np.sum(s < rel_tol * s[0]))
 
 
-def _bordered_solve(lio: Superoperator, diag_index: int) -> np.ndarray:
-    """Solve L x = 0, tr(x) = 1 with row `diag_index` replaced by the trace row.
+def _bordered_solve(lio: Superoperator, diag_index: int,
+                    rhs: np.ndarray) -> np.ndarray:
+    """Solve L x = rhs with row `diag_index` of L replaced by the trace row,
+    so that rhs[diag_index] fixes tr(x).
 
     The replaced row must sit at a diagonal position (i*D+i): those rows
     carry the one linear dependency of a trace-preserving generator, so
-    removing any other row leaves the system singular.
+    removing any other row leaves the system singular. A singular bordered
+    matrix raises RuntimeError. The steady state and the resolvent's
+    carrier solve both take this route.
     """
-    d = lio.dim
     m = lio.matrix.tolil(copy=True)
-    m[diag_index, :] = trace_row(d)
-    b = np.zeros(d * d, dtype=complex)
-    b[diag_index] = 1.0
-    lu = spla.splu(m.tocsc())
-    return lu.solve(b)
+    m[diag_index, :] = trace_row(lio.dim)
+    return spla.splu(m.tocsc()).solve(rhs)
 
 
-def steady_state(lio: Superoperator, residual_tol: float = 1e-9,
-                 verify: bool = True) -> DensityMatrix:
+def steady_state(lio: Superoperator) -> DensityMatrix:
     """Unique steady state of L, trace-normalized.
 
     Solves the bordered linear system; residual ||L vec(rho)|| per unit
-    operator norm must beat residual_tol. With verify=True a second solve
-    at a different diagonal row cross-checks uniqueness; disagreement (or a
-    singular factorization) triggers a null-space diagnosis and a
-    DegenerateSteadyState carrying the kernel dimension.
+    operator norm must beat 1e-9. A second solve at a different diagonal
+    row cross-checks uniqueness; disagreement (or a singular factorization)
+    triggers a null-space diagnosis and a DegenerateSteadyState carrying the
+    kernel dimension.
     """
     d = lio.dim
     scale = lio.norm_scale()
@@ -160,19 +159,24 @@ def steady_state(lio: Superoperator, residual_tol: float = 1e-9,
             )
         raise DegenerateSteadyState(k)
 
+    def unit_trace_solve(diag_index: int) -> np.ndarray:
+        rhs = np.zeros(d * d, dtype=complex)
+        rhs[diag_index] = 1.0
+        return _bordered_solve(lio, diag_index, rhs)
+
     try:
-        x = _bordered_solve(lio, 0)
+        x = unit_trace_solve(0)
     except RuntimeError:
         diagnose()
     if not np.all(np.isfinite(x)):
         diagnose()
     residual = float(np.linalg.norm(lio.matrix @ x)) / (scale * float(np.linalg.norm(x)))
-    if residual > residual_tol:
+    if residual > 1e-9:
         diagnose()
 
-    if verify and d >= 2:
+    if d >= 2:
         try:
-            x2 = _bordered_solve(lio, d + 1)  # diagonal position (1,1)
+            x2 = unit_trace_solve(d + 1)  # diagonal position (1,1)
         except RuntimeError:
             diagnose()
         if (not np.all(np.isfinite(x2))
@@ -185,14 +189,14 @@ def steady_state(lio: Superoperator, residual_tol: float = 1e-9,
     return DensityMatrix(rho, lio.layout)
 
 
-def propagate(lio: Superoperator, rho0: DensityMatrix, t: float,
-              trace_tol: float = 1e-8) -> DensityMatrix:
+def propagate(lio: Superoperator, rho0: DensityMatrix,
+              t: float) -> DensityMatrix:
     """Evolve rho0 for time t >= 0 by the exact action of e^{L t}.
 
     Uses scipy's expm_multiply (truncated Taylor series with scaling, after
     Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). Trace and
-    Hermiticity are checked, never silently repaired: drift beyond
-    trace_tol means the generator is wrong, and raises StepFailure.
+    Hermiticity are checked, never silently repaired: drift of either beyond
+    1e-8 means the generator is wrong, and raises StepFailure.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -205,8 +209,8 @@ def propagate(lio: Superoperator, rho0: DensityMatrix, t: float,
                                          vectorize(rho0.matrix)))
     trace_dev = abs(np.trace(rho).real - 1.0)
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if not trace_dev <= trace_tol:
-        raise StepFailure(f"trace drifted by {trace_dev:g} (> {trace_tol:g})")
+    if not trace_dev <= 1e-8:
+        raise StepFailure(f"trace drifted by {trace_dev:g} (> 1e-08)")
     if not herm_dev <= 1e-8:
         raise StepFailure(f"Hermiticity drifted by {herm_dev:g}")
     return DensityMatrix(0.5 * (rho + rho.conj().T), lio.layout)
@@ -239,9 +243,8 @@ def expm_action_grid(lio: Superoperator, v0: np.ndarray, t_max: float,
 
 
 def adaptive_truncation(metric_fn: Callable[[int], np.ndarray], start: int,
-                        tolerance: float, step: int = 2,
-                        n_max: int = 30) -> int:
-    """Smallest N with ||metric(N+step) - metric(N)||_inf < tolerance.
+                        tolerance: float, n_max: int = 30) -> int:
+    """Smallest N with ||metric(N+2) - metric(N)||_inf < tolerance.
 
     metric_fn maps a Fock truncation to a fixed-length vector of observables
     (steady-state populations, peak positions in linewidth units, ...).
@@ -253,13 +256,13 @@ def adaptive_truncation(metric_fn: Callable[[int], np.ndarray], start: int,
         raise ValueError("start must be at least 2")
     n = start
     current = np.asarray(metric_fn(n), dtype=float)
-    while n + step <= n_max:
-        nxt = np.asarray(metric_fn(n + step), dtype=float)
+    while n + 2 <= n_max:
+        nxt = np.asarray(metric_fn(n + 2), dtype=float)
         if nxt.shape != current.shape:
             raise ValueError("metric_fn must return a fixed-length vector")
         if np.max(np.abs(nxt - current)) < tolerance:
             return n
-        n += step
+        n += 2
         current = nxt
     raise TruncationNotConverged(
         f"no convergence up to N_fock={n_max} at tolerance {tolerance:g}"

@@ -27,6 +27,9 @@ probes, take one banded LU solve per frequency on the sparse L, whose
 bandwidth in column stacking is 3 D for a cavity+qubit sector of dimension
 D: O(D^4) per frequency instead of the dense LU's O(D^6), and no Schur
 form to pay for. Above DENSE_SOLVE_CAP each frequency takes a sparse LU.
+The carrier (omega = 0 in the drive frame), where (i omega I - L) is
+singular through the steady-state kernel, is solved on every route through
+the steady state's trace-bordered system (liouvillian._bordered_solve).
 
 Both nv_modes run on frozen-spin sectors (cavity+qubit problems): "sectors"
 sums them with configured weights, and "full" is exactly the one sector its
@@ -59,6 +62,7 @@ from .errors import (
 from .liouvillian import (
     DENSE_SOLVE_CAP,
     Superoperator,
+    _bordered_solve,
     build_liouvillian,
     expm_action_grid,
     steady_state,
@@ -190,23 +194,21 @@ def _carrier_solve(lio: Superoperator, b: np.ndarray,
     (i w I - L) is singular at w = 0 through the steady-state kernel, but
     the resolvent limit exists whenever b carries no stationary component
     (t.b = tr(A rho) = 0, with t the trace functional): that is the
-    incoherent case. Replacing the first diagonal row of -L by t removes
-    exactly the trace kernel; a genuine stationary component (a coherent
-    delta peak, gauged against the operator scale since |tr(A rho)| <=
-    ||A||_F) or any further kernel direction is reported instead. Returns x
-    and its residual relative to ||b||.
+    incoherent case. The steady state's bordered system, L with its first
+    diagonal row replaced by t, removes exactly the trace kernel: it is
+    solved for -b with the first entry set to 0, i.e. tr(x) = 0. A genuine
+    stationary component (a coherent delta peak, gauged against the operator
+    scale since |tr(A rho)| <= ||A||_F) or any further kernel direction is
+    reported instead. Returns x and its residual relative to ||b||.
     """
-    t = trace_row(lio.dim)
     bnorm = float(np.linalg.norm(b))
-    if abs(t @ b) > 1e-10 * op_scale:
+    if abs(trace_row(lio.dim) @ b) > 1e-10 * op_scale:
         raise SingularResolvent(
             0.0, "coherent delta peak at the carrier frequency")
-    bb = b.copy()
-    bb[0] = 0.0
-    m = (-lio.matrix).tolil()
-    m[0, :] = t
+    rhs = -b
+    rhs[0] = 0.0
     try:
-        x = spla.splu(m.tocsc()).solve(bb)
+        x = _bordered_solve(lio, 0, rhs)
     except RuntimeError:
         raise SingularResolvent(0.0) from None
     residual = float(np.linalg.norm(lio.matrix @ x + b)) / bnorm
@@ -328,7 +330,7 @@ def _resolvent_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
     """vec-form values u^dag (i w I - L)^{-1} b for each w, the route taken
     ("schur", "banded" or "sparse") and the worst residual relative to ||b||.
 
-    The carrier (w = 0) takes the deflated sparse solve, the other
+    The carrier (w = 0) takes the deflated bordered solve, the other
     frequencies the route chosen from the size of L and the grid length
     (module docstring); only the Schur route densifies L. Every solve is
     residual-checked: numerically singular frequencies (undamped poles, or
@@ -362,8 +364,7 @@ def _resolvent_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
 def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
                        rho_ss: DensityMatrix, omega_grid: Sequence[float],
                        mode: SpectrumMode = "incoherent",
-                       frame_offset: float = 0.0,
-                       metadata: dict | None = None) -> Spectrum:
+                       frame_offset: float = 0.0) -> Spectrum:
     """Spectrum via resolvent solves.
 
     omega_grid is relative to frame_offset; the resolvent is evaluated at
@@ -386,8 +387,7 @@ def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
     u = vectorize(a_fl).conj()
     raw, route, residual = _resolvent_values(lio, u, b, grid + frame_offset)
     values = np.real(raw) / np.pi
-    meta = dict(metadata or {})
-    meta.update(mode=mode, method="resolvent", frame_offset=frame_offset,
+    meta = dict(mode=mode, method="resolvent", frame_offset=frame_offset,
                 route=route, max_relative_residual=residual)
     return Spectrum(grid, values, frame_offset, meta)
 
@@ -405,9 +405,7 @@ def spectrum_fft_crosscheck(lio: Superoperator, a_op: LabeledOperator,
                             rho_ss: DensityMatrix, tmax: float, dt: float,
                             mode: SpectrumMode = "incoherent",
                             omega_grid: Sequence[float] | None = None,
-                            frame_offset: float = 0.0,
-                            decay_tol: float = 1e-3,
-                            metadata: dict | None = None) -> Spectrum:
+                            frame_offset: float = 0.0) -> Spectrum:
     """Spectrum from the propagated two-time correlation.
 
     The correlation is evaluated on a uniform tau grid with the exact
@@ -416,7 +414,7 @@ def spectrum_fft_crosscheck(lio: Superoperator, a_op: LabeledOperator,
     integral (usable for point-by-point comparison against the resolvent
     route), otherwise on the natural two-sided FFT grid.
 
-    Raises WindowTooShort when |g(tmax)| > decay_tol * |g(0)|: a truncated
+    Raises WindowTooShort when |g(tmax)| > 1e-3 |g(0)|: a truncated
     correlation aliases into spectral ringing.
     """
     if tmax <= 0.0 or dt <= 0.0 or dt >= tmax:
@@ -427,13 +425,12 @@ def spectrum_fft_crosscheck(lio: Superoperator, a_op: LabeledOperator,
     taus = np.linspace(0.0, tmax, num)
     g = two_time_correlation(lio, a_op, rho_ss, taus, mode)
     g0 = abs(g[0])
-    if g0 > 0.0 and abs(g[-1]) > decay_tol * g0:
+    if g0 > 0.0 and abs(g[-1]) > 1e-3 * g0:
         raise WindowTooShort(
-            f"|g(tmax)|/|g(0)| = {abs(g[-1]) / g0:.3e} exceeds {decay_tol:g}"
+            f"|g(tmax)|/|g(0)| = {abs(g[-1]) / g0:.3e} exceeds 0.001"
         )
     step = taus[1] - taus[0]
-    meta = dict(metadata or {})
-    meta.update(mode=mode, method="time-domain", tmax=tmax, dt=step,
+    meta = dict(mode=mode, method="time-domain", tmax=tmax, dt=step,
                 frame_offset=frame_offset)
 
     if omega_grid is not None:
@@ -490,7 +487,6 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
                        frame_offset: float = 0.0,
                        mode: SpectrumMode = "incoherent",
                        pcq_relaxation: str = "lowering",
-                       metadata: dict | None = None,
                        problems: dict | None = None) -> Spectrum:
     """Weighted sum of frozen-spin sector spectra.
 
@@ -531,8 +527,7 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
                             "route": s.metadata["route"],
                             "max_relative_residual":
                                 s.metadata["max_relative_residual"]}
-    meta = dict(metadata or {})
-    meta.update(mode=mode, method="sector-resolvent", weights=tuple(map(float, w)),
+    meta = dict(mode=mode, method="sector-resolvent", weights=tuple(map(float, w)),
                 sectors=sector_meta, eta=p.eta, g=p.g)
     return Spectrum(grid, total, frame_offset, meta)
 
@@ -543,7 +538,6 @@ def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
                               mode: SpectrumMode = "incoherent",
                               nv_relaxation: str = "as_printed",
                               pcq_relaxation: str = "lowering",
-                              metadata: dict | None = None,
                               problems: dict | None = None) -> Spectrum:
     """Spectrum of the full cavity (x) qubit (x) spin model, all five
     collapse channels active, evaluated exactly as its pinned spin sector.
@@ -562,14 +556,16 @@ def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
 
     Without spin relaxation (gamma_nv = 0) every sector is stationary and
     DegenerateSteadyState(3) is raised. `problems` is passed on to
-    nv_sector_spectrum.
+    nv_sector_spectrum; the returned metadata is that spectrum's plus
+    nv_relaxation.
     """
     if rates.gamma_nv == 0.0:
         raise DegenerateSteadyState(3)
     pinned = (1.0, 0.0, 0.0) if nv_relaxation == "as_printed" else (0.0, 0.0, 1.0)
-    meta = dict(metadata or {}, nv_relaxation=nv_relaxation)
-    return nv_sector_spectrum(p, rates, pinned, omega_grid, frame_offset,
-                              mode, pcq_relaxation, meta, problems)
+    s = nv_sector_spectrum(p, rates, pinned, omega_grid, frame_offset, mode,
+                           pcq_relaxation, problems)
+    s.metadata["nv_relaxation"] = nv_relaxation
+    return s
 
 
 def _refine_peak_position(grid: np.ndarray, vals: np.ndarray, idx: int) -> float:
@@ -633,15 +629,13 @@ def _find_peaks(x: np.ndarray, height: float, prominence: float) -> np.ndarray:
     return peaks[keep]
 
 
-def find_spectral_peaks(s: Spectrum, dip_fraction: float = 0.1,
-                        floor_fraction: float = 1e-9,
-                        prominence_fraction: float = 1e-6) -> PeakReport:
+def find_spectral_peaks(s: Spectrum, dip_fraction: float = 0.1) -> PeakReport:
     """Locate peaks and decide whether the multiplet is resolved.
 
     A pair of adjacent peaks is resolved when the valley between them drops
-    by at least dip_fraction of the lower peak. Candidate maxima below
-    floor_fraction of the global maximum, or with prominence below
-    prominence_fraction of it, are treated as noise. GridTooCoarse is
+    by at least dip_fraction of the lower peak. Candidate maxima below 1e-9
+    of the global maximum, or with prominence below 1e-6 of it, are treated
+    as noise. GridTooCoarse is
     raised when a reported peak's half-maximum width spans fewer than four
     grid steps, since its position cannot be trusted at that sampling.
     """
@@ -652,7 +646,7 @@ def find_spectral_peaks(s: Spectrum, dip_fraction: float = 0.1,
     vmax = float(vals.max(initial=0.0))
     if vmax <= 0.0:
         return PeakReport(peaks=(), resolved=False, dip_depth=0.0)
-    idx = _find_peaks(vals, floor_fraction * vmax, prominence_fraction * vmax)
+    idx = _find_peaks(vals, 1e-9 * vmax, 1e-6 * vmax)
     step = float(np.max(np.diff(grid)))
     peaks = []
     for i in idx:

@@ -230,6 +230,39 @@ def test_full_liouvillian_mode_one_override_away(tmp_path):
     assert all(abs(p) > 20.0 for p in positions)  # kHz
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--preset", "fig6a", "--override", "epsilon=2.5"],
+     "at scan point epsilon=2.5: UnphysicalT2: T2_pcq="),
+    (["spectrum", "--config", "axis n_turns = list 0"],
+     "at scan point n_turns=0: n_turns must be a positive integer"),
+    (["spectrum", "--config", "axis n_turns = list 1.5, 2.5"],
+     "at scan point n_turns=1.5: n_turns must be a positive integer"),
+    (["spectrum", "--preset", "fig7", "--override", "tau=0us"],
+     "at scan point tau=0 us: coherence times must be positive"),
+    (["couplings", "--preset", "fig3", "--override", "I_p=-5nA"],
+     "I_p must be nonnegative"),
+    (["couplings", "--config", "axis r_loop = list 1, 0.5 um"],
+     "grids must be monotone nondecreasing"),
+], ids=["epsilon", "n_turns_0", "n_turns_fraction", "tau_0", "I_p_negative",
+        "r_loop_descending"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rejected_axis_values_are_validation_errors(
+        tmp_path, capsys, argv, message, threads):
+    if argv[1] == "--config":   # fig6a with the epsilon axis replaced
+        with open(preset_path("fig6a"), encoding="utf-8") as fh:
+            text = fh.read()
+        axis = "axis epsilon = list 0.1, 0.25, 0.5, 1.0, 2.0"
+        assert axis in text
+        cfg = tmp_path / "axis.cfg"
+        cfg.write_text(text.replace(axis, argv[2]))
+        argv = [argv[0], "--config", str(cfg)]
+    rc = main(argv + ["--threads", threads, "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: category=ValidationError: " + message)
+
+
 def test_threads_env_var_honored_flag_wins(monkeypatch):
     from spinbus.cli import _threads
 

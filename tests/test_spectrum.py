@@ -15,7 +15,12 @@ from spinbus.errors import (
     WeightsInvalid,
     WindowTooShort,
 )
-from spinbus.liouvillian import build_liouvillian, steady_state, vectorize
+from spinbus.liouvillian import (
+    build_liouvillian,
+    steady_state,
+    trace_row,
+    vectorize,
+)
 from spinbus.model import (
     DecoherenceRates,
     ModelParams,
@@ -428,6 +433,14 @@ def test_long_grid_through_carrier(monkeypatch):
                               mode="incoherent")
     assert s.values[32] == pytest.approx(near.values[0], rel=1e-6)
     assert np.all(np.isfinite(s.values))
+    # Dense oracle at the carrier: the least-squares solution of -L x = b
+    # with its kernel component along vec(rho_ss) removed, so tr x = 0.
+    a = a_op.matrix - np.trace(a_op.matrix @ rho_ss.matrix) * np.eye(lio.dim)
+    b = vectorize(a @ rho_ss.matrix)
+    x = np.linalg.lstsq(-lio.matrix.toarray(), b, rcond=None)[0]
+    x -= (trace_row(lio.dim) @ x) * vectorize(rho_ss.matrix)
+    oracle = (vectorize(a).conj() @ x).real / np.pi
+    assert abs(s.values[32] - oracle) <= 1e-10 * s.values.max()
 
 
 # ---------------------------------------------------------------- sectors
