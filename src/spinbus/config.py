@@ -221,6 +221,18 @@ class SolverSettings:
             raise ValidationError(f"bad nv_mode {self.nv_mode!r}")
         if self.spectrum_mode not in ("incoherent", "full"):
             raise ValidationError(f"bad spectrum_mode {self.spectrum_mode!r}")
+        if self.n_fock is not None and self.n_fock < 2:
+            raise ValidationError("n_fock must be at least 2")
+        if self.n_fock_start < 2:
+            raise ValidationError("n_fock_start must be at least 2")
+        if self.n_fock_max < self.n_fock_start + 2:
+            # the truncation search compares N with N + 2
+            raise ValidationError(
+                "n_fock_max must be at least n_fock_start + 2")
+        if not self.truncation_tol > 0.0:
+            raise ValidationError("truncation_tol must be positive")
+        if not self.grid_span_kappa > 0.0:
+            raise ValidationError("grid_span_kappa must be positive")
         if self.grid_points < 16:
             raise ValidationError("grid_points must be at least 16")
         if not 0.0 < self.dip_fraction < 1.0:

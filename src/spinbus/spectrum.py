@@ -102,8 +102,11 @@ _SCHUR_MIN_FREQS = 64
 # Largest accepted ||(i w I - L) x - b|| / ||b|| of any resolvent solve.
 _RESIDUAL_TOL = 1e-8
 # Complex values per block of solution vectors on the Schur route. The route
-# holds a few such blocks at once; larger blocks raised peak memory.
-_CHUNK_ELEMENTS = 2**13
+# holds a few such blocks at once, so the width trades peak memory against
+# the Python loop over the rows of T, which runs once per block. 2**15
+# against 2**13 (2-core Xeon VM, benchmark medians): peak RSS +0.5 MB on
+# sectors_rloop, +1.7 MB on full_tau and +2.1 MB on strong_drive (<= 2.6%).
+_CHUNK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True, eq=False)

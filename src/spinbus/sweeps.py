@@ -292,8 +292,9 @@ def run_spectrum_scan(cfg: ScanConfig, threads: int = 1) -> SpectrumScanResult:
 # ---------------------------------------------------------------------------
 # emission
 
-# Joins a row's formatted cells so that one split recovers the csv fields.
-_FIELD_SEP = "\x1f"   # ASCII unit separator
+# Rows per %-operation: bounds the memory of the cell tuple and the text
+# that one operation builds.
+_RUN_ROWS = 4096
 
 
 @functools.lru_cache(maxsize=64)
@@ -303,18 +304,52 @@ def _row_format(types: tuple[type, ...], sep: str) -> str:
     return sep.join("%.17g" if issubclass(t, float) else "%s" for t in types)
 
 
+def _row_types(row) -> tuple[type, ...]:
+    return tuple(map(type, row))
+
+
 def _format_row(row, sep: str) -> str:
     """The row's cells formatted and joined by sep, in one %-operation."""
     row = tuple(row)
-    return _row_format(tuple(map(type, row)), sep) % row
+    return _row_format(_row_types(row), sep) % row
 
 
-def _csv_fields(row) -> list[str]:
-    """The row's formatted cells, split apart again for csv.writer."""
-    fields = _format_row(row, _FIELD_SEP).split(_FIELD_SEP)
-    if len(fields) != len(row):   # a text cell holds the separator itself
-        fields = [_format_row((x,), "") for x in row]
-    return fields
+def _write_rows(buf: io.StringIO, rows: tuple, sep: str, text_row) -> None:
+    """Write rows, one per line, their cells formatted as _format_row does
+    and joined by sep.
+
+    Consecutive rows whose cells are all numbers (float or int, bool and
+    NumPy floats included) and have the same types are written in runs of
+    at most _RUN_ROWS rows, one %-operation per run: a number never needs
+    csv quoting. A row with any other cell is passed to text_row instead.
+    """
+    k = 0
+    while k < len(rows):
+        run = rows[k:k + _RUN_ROWS]
+        types = _row_types(run[0])
+        if not all(issubclass(t, (float, int)) for t in types):
+            text_row(run[0])
+            k += 1
+            continue
+        cells = tuple(itertools.chain.from_iterable(run))
+        if tuple(map(type, cells)) != types * len(run):
+            # the cell types change within the run: end it before the change
+            run = tuple(itertools.takewhile(
+                lambda row: _row_types(row) == types, run))
+            cells = tuple(itertools.chain.from_iterable(run))
+        buf.write((_row_format(types, sep) + "\n") * len(run) % cells)
+        k += len(run)
+
+
+def _leading_blocks(rows: tuple):
+    """Slices of rows, split where a row's leading cell != the slice's."""
+    start = 0
+    for i in range(1, len(rows)):
+        if rows[i][0] != rows[start][0]:
+            yield rows[start:i]
+            start = i
+    if rows:
+        yield rows[start:]
 
 
 def _provenance_lines(t: ResultTable) -> list[str]:
@@ -328,7 +363,8 @@ def emit_csv(t: ResultTable, path: str) -> None:
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(t.header)
-    writer.writerows(map(_csv_fields, t.rows))
+    _write_rows(buf, t.rows, ",", lambda row: writer.writerow(
+        [_format_row((x,), "") for x in row]))
     _write_text(path, buf.getvalue())
 
 
@@ -339,17 +375,13 @@ def emit_plotdata(t: ResultTable, path: str) -> None:
     for line in _provenance_lines(t):
         buf.write(line + "\n")
     buf.write("# columns: " + " ".join(t.header) + "\n")
-    current = object()
-    first = True
-    for row in t.rows:
-        if row[0] != current:
-            if not first:
-                buf.write("\n\n")
-            current = row[0]
-            buf.write(f"# block {t.columns[0][0]} = "
-                      f"{_format_row((current,), '')}\n")
-            first = False
-        buf.write(_format_row(row, " ") + "\n")
+    for i, block in enumerate(_leading_blocks(t.rows)):
+        if i:
+            buf.write("\n\n")
+        buf.write(f"# block {t.columns[0][0]} = "
+                  f"{_format_row((block[0][0],), '')}\n")
+        _write_rows(buf, block, " ", lambda row: buf.write(
+            _format_row(row, " ") + "\n"))
     _write_text(path, buf.getvalue())
 
 

@@ -263,6 +263,23 @@ def test_rejected_axis_values_are_validation_errors(
     assert err[0].startswith("error: category=ValidationError: " + message)
 
 
+@pytest.mark.parametrize("override, message", [
+    ("solver.n_fock=1", "n_fock must be at least 2"),
+    ("solver.n_fock_start=1", "n_fock_start must be at least 2"),
+    ("solver.n_fock_max=1", "n_fock_max must be at least n_fock_start + 2"),
+    ("solver.truncation_tol=-1", "truncation_tol must be positive"),
+    ("solver.grid_span_kappa=0", "grid_span_kappa must be positive"),
+    ("solver.grid_span_kappa=-3", "grid_span_kappa must be positive"),
+])
+def test_rejected_solver_settings_are_validation_errors(
+        tmp_path, capsys, override, message):
+    rc = main(["spectrum", "--preset", "fig7", "--override", "tau=20us",
+               "--override", override, "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: category=ValidationError: " + message]
+
+
 def test_threads_env_var_honored_flag_wins(monkeypatch):
     from spinbus.cli import _threads
 

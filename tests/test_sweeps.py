@@ -1,3 +1,5 @@
+import csv
+import io
 import multiprocessing
 import pickle
 
@@ -228,6 +230,54 @@ def test_emit_bytes_are_locked(tmp_path):
         b'2.5e+17 -0 0 say "hi"\n'
         b"2.5e+17 0.66666666666666663 12 \n"
         b"2.5e+17 1.5 True u\x1fv\n")
+
+
+def _per_row_csv(t):
+    buf = io.StringIO()
+    buf.writelines(f"# {k} = {v}\n" for k, v in t.provenance.items())
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(t.header)
+    for row in t.rows:
+        writer.writerow(["%.17g" % x if isinstance(x, float) else str(x)
+                         for x in row])
+    return buf.getvalue()
+
+
+def _per_row_plotdata(t):
+    buf = io.StringIO()
+    buf.writelines(f"# {k} = {v}\n" for k, v in t.provenance.items())
+    buf.write("# columns: " + " ".join(t.header) + "\n")
+    current = object()
+    for i, row in enumerate(t.rows):
+        cells = ["%.17g" % x if isinstance(x, float) else str(x) for x in row]
+        if row[0] != current:
+            current = row[0]
+            buf.write(("\n\n" if i else "")
+                      + f"# block {t.columns[0][0]} = {cells[0]}\n")
+        buf.write(" ".join(cells) + "\n")
+    return buf.getvalue()
+
+
+def test_emit_runs_match_per_row_formatting(tmp_path):
+    n = sweeps_module._RUN_ROWS
+    nan = float("nan")   # one object: a leading nan still starts a block
+    specials = (nan, float("inf"), -float("inf"), -0.0, 1e-300,
+                1 / 3, 2.5e17)
+    rows = [(0.25 if i < n + n // 2 else 0.5,   # a leading value across a run
+             specials[i % 7], i * 0.125, -i) for i in range(2 * n)]
+    rows += [(0.5, np.float64(i) / 7, np.float64(-0.0), 3) for i in range(50)]
+    rows += [(0.5, 7, -2, 0), (0.75, True, False, 1),
+             (0.75, "a,b", 'say "hi"', ""),
+             (nan, 1.5, 2.5, 3), (nan, 1.5, 2.5, 3)]
+    rows += [(1.0, specials[i % 7], 1e-300, i) for i in range(10)]
+    t = ResultTable(
+        columns=(("x", "um"), ("v", "1"), ("w", "1"), ("n", "1")),
+        rows=tuple(rows), provenance={"spinbus": "0.1.0"})
+    csv_path, dat_path = tmp_path / "t.csv", tmp_path / "t.dat"
+    emit_csv(t, str(csv_path))
+    emit_plotdata(t, str(dat_path))
+    assert csv_path.read_bytes() == _per_row_csv(t).encode()
+    assert dat_path.read_bytes() == _per_row_plotdata(t).encode()
 
 
 def test_emit_csv_io_error():
