@@ -307,7 +307,10 @@ def _strip_comment(line: str) -> str:
 
 
 def parse_config_text(text: str) -> tuple[dict, list[tuple[str, str, int]]]:
-    """First stage: the raw (section, key) -> (value text, line) tree.
+    """First stage: the raw (section, key) -> (value text, source) tree.
+
+    The source is the value's line number; apply_overrides gives an
+    override's entries its text ("override key=value") instead.
 
     Returns (tree, axis specs); semantic validation happens in
     build_scan_config so CLI overrides can edit the tree in between.
@@ -412,9 +415,22 @@ def _parse_value(section: str, key: str, raw: str, line_no: int | None):
     try:
         return kind(raw)
     except SpinbusError as exc:
+        if line_no is None:
+            raise
         raise exc.in_context(f"line {line_no}") from None
     except ValueError:
         raise ParseError(f"cannot parse {key}={raw!r}", line_no) from None
+
+
+def _parse_from(source: int | str, parse, *args):
+    """parse(*args, line_no) for a value from `source`: errors of a config
+    line carry its number, errors of an override name the override."""
+    if not isinstance(source, str):
+        return parse(*args, source)
+    try:
+        return parse(*args, None)
+    except SpinbusError as exc:
+        raise exc.in_context(source) from None
 
 
 def _construct(cls, values: dict):
@@ -435,8 +451,9 @@ def build_scan_config(tree: dict, axis_specs: list[tuple[str, str, int]]
     for (section, key), (kind, default) in KEY_TABLE.items():
         if default is not None:
             values[section][key] = _stored(kind, default)
-    for (section, key), (raw, line_no) in tree.items():
-        values[section][key] = _parse_value(section, key, raw, line_no)
+    for (section, key), (raw, source) in tree.items():
+        values[section][key] = _parse_from(source, _parse_value, section, key,
+                                           raw)
 
     values["resonator"].setdefault("zeta", 2.0 * values["resonator"]["kappa"])
     resonator = _construct(ResonatorParams, values["resonator"])
@@ -448,8 +465,8 @@ def build_scan_config(tree: dict, axis_specs: list[tuple[str, str, int]]
     values["nv"].setdefault("B_bias", static_bias_field(loop))
     nv = _construct(NVParams, values["nv"])
 
-    axes = tuple(_parse_axis_spec(name, spec, line_no)
-                 for name, spec, line_no in axis_specs)
+    axes = tuple(_parse_from(source, _parse_axis_spec, name, spec)
+                 for name, spec, source in axis_specs)
     canonical = _canonical_text(tree, axis_specs)
     config_hash = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
     return ScanConfig(resonator=resonator, loop=loop, nv=nv,
@@ -482,10 +499,11 @@ def apply_overrides(tree: dict, axis_specs: list[tuple[str, str, int]],
         key, _, value = ov.partition("=")
         key = key.strip()
         value = value.strip()
+        source = f"override {key}={value}"
         axis_declared = any(n == key for n, _, _ in axis_specs)
         if key in AXIS_DIMENSIONS and axis_declared:
             axis_specs = [(n, s, ln) for n, s, ln in axis_specs if n != key]
-            axis_specs.append((key, f"list {value}", 0))
+            axis_specs.append((key, f"list {value}", source))
             continue
         if "." in key:
             section, _, k = key.partition(".")
@@ -494,7 +512,7 @@ def apply_overrides(tree: dict, axis_specs: list[tuple[str, str, int]],
             if len(matches) == 1:
                 section, k = matches[0]
             elif key in AXIS_DIMENSIONS:
-                axis_specs.append((key, f"list {value}", 0))
+                axis_specs.append((key, f"list {value}", source))
                 continue
             else:
                 raise ValidationError(
@@ -502,7 +520,7 @@ def apply_overrides(tree: dict, axis_specs: list[tuple[str, str, int]],
                     f"use section.key")
         if (section, k) not in KEY_TABLE:
             raise ValidationError(f"unknown override target {section}.{k}")
-        tree[(section, k)] = (value, 0)
+        tree[(section, k)] = (value, source)
     return tree, axis_specs
 
 

@@ -47,12 +47,35 @@ def trace_row(dim: int) -> np.ndarray:
     return t
 
 
+def hermitian_basis(dim: int) -> sp.csc_matrix:
+    """Unitary U whose columns are vec(E) of an orthonormal basis of
+    Hermitian dim x dim matrices: the diagonal units, and for each i < j
+    (E_ij + E_ji)/sqrt(2) and -i (E_ij - E_ji)/sqrt(2).
+
+    A Lindblad generator maps Hermitian matrices to Hermitian matrices, so
+    U^dag L U is real. As a map, U is the identity at the diagonal
+    positions i + D i and sends the pair P = i + D j, Q = j + D i to
+    v_P = (x_P - i x_Q)/sqrt(2), v_Q = (x_P + i x_Q)/sqrt(2).
+    """
+    i, j = np.triu_indices(dim, 1)
+    p, q = i + dim * j, j + dim * i
+    diag = np.arange(dim) * (dim + 1)
+    s = np.sqrt(0.5)
+    rows = np.concatenate([diag, p, p, q, q])
+    cols = np.concatenate([diag, p, q, p, q])
+    vals = np.concatenate([np.ones(dim), np.full(p.size, s),
+                           np.full(p.size, -1j * s), np.full(p.size, s),
+                           np.full(p.size, 1j * s)])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+
+
 class Superoperator:
     """Sparse D^2 x D^2 generator of the master equation."""
 
     def __init__(self, matrix: sp.spmatrix, layout: SpaceLayout):
         self.matrix = sp.csc_matrix(matrix, dtype=complex)
         self.layout = layout
+        self._norm_scale: float | None = None
         d = layout.total_dim
         if self.matrix.shape != (d * d, d * d):
             raise LayoutMismatch(
@@ -69,8 +92,11 @@ class Superoperator:
         return unvectorize(self.matrix @ vectorize(rho))
 
     def norm_scale(self) -> float:
-        """Max absolute row sum; used to normalize residuals."""
-        return float(abs(self.matrix).sum(axis=1).max()) or 1.0
+        """Max absolute row sum; used to normalize residuals. Computed on
+        the first call."""
+        if self._norm_scale is None:
+            self._norm_scale = float(abs(self.matrix).sum(axis=1).max()) or 1.0
+        return self._norm_scale
 
     def trace_preservation_defect(self) -> float:
         """||tr o L|| per unit operator norm; ~0 for any valid Liouvillian."""
@@ -86,10 +112,16 @@ def build_liouvillian(H: LabeledOperator,
     every operator must share H's layout. With K = -iH - (1/2) sum C_dag C
     the action is K rho + rho K_dag + sum C rho C_dag, so in column-stacking
     form L = I kron K + conj(K) kron I + sum conj(C) kron C.
+
+    The terms are assembled from the nonzeros of the dense K and C in one
+    triplet list. Entries that several terms share are summed in the order
+    the terms are written above, and exact zeros are dropped, so L equals
+    the sum of the sparse Kronecker products bit for bit.
     """
     if np.max(np.abs(H.matrix - H.matrix.conj().T)) > 1e-9 * max(
             1.0, float(np.max(np.abs(H.matrix)))):
         raise ValueError("Hamiltonian is not Hermitian")
+    d = H.layout.total_dim
     k = -1j * H.matrix
     jumps = []
     for c_op in c_list:
@@ -99,12 +131,35 @@ def build_liouvillian(H: LabeledOperator,
         if not np.any(c):
             continue
         k = k - 0.5 * (c.conj().T @ c)
-        jumps.append(sp.csr_matrix(c))
-    eye = sp.identity(H.layout.total_dim, dtype=complex, format="csr")
-    k = sp.csr_matrix(k)
-    lio = sp.kron(eye, k, format="csr") + sp.kron(k.conj(), eye, format="csr")
+        jumps.append(c)
+    # kron(A, B) puts A[r, c] B[r', c'] at (r d + r', c d + c').
+    copies = np.arange(d)[:, None]
+    kr, kc = np.nonzero(k)
+    kv = k[kr, kc]
+    rows = [copies * d + kr, kr * d + copies]
+    cols = [copies * d + kc, kc * d + copies]
+    vals = [np.broadcast_to(kv, (d, kv.size)),
+            np.broadcast_to(kv.conj(), (d, kv.size))]
     for c in jumps:
-        lio = lio + sp.kron(c.conj(), c, format="csr")
+        cr, cc = np.nonzero(c)
+        cv = c[cr, cc]
+        rows.append(cr[:, None] * d + cr)
+        cols.append(cc[:, None] * d + cc)
+        vals.append(cv.conj()[:, None] * cv)
+    n = d * d
+    key = np.concatenate([(cc * n + rr).ravel() for rr, cc in zip(rows, cols)])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.r_[True, key[1:] != key[:-1]]
+    data = np.zeros(np.count_nonzero(first), dtype=complex)
+    # np.add.at adds in index order: ((I kron K + conj(K) kron I) + ...).
+    np.add.at(data, np.cumsum(first) - 1,
+              np.concatenate([v.ravel() for v in vals])[order])
+    key = key[first]
+    keep = data != 0
+    key, data = key[keep], data[keep]
+    indptr = np.searchsorted(key // n, np.arange(n + 1))
+    lio = sp.csc_matrix((data, key % n, indptr), shape=(n, n))
     return Superoperator(lio, H.layout)
 
 
@@ -123,6 +178,23 @@ def _null_space_dimension(matrix: sp.spmatrix, rel_tol: float = 1e-9) -> int:
     return int(np.sum(s < rel_tol * s[0]))
 
 
+def _bordered_matrix(lio: Superoperator, diag_index: int) -> sp.csc_matrix:
+    """L with row `diag_index` replaced by the trace row, in CSC form.
+
+    The trace row is written into the CSR index arrays of L: its D ones sit
+    at the diagonal columns i*D+i.
+    """
+    d = lio.dim
+    m = lio.matrix.tocsr()
+    lo, hi = m.indptr[diag_index], m.indptr[diag_index + 1]
+    indices = np.concatenate([m.indices[:lo], np.arange(0, d * d, d + 1),
+                              m.indices[hi:]])
+    data = np.concatenate([m.data[:lo], np.ones(d), m.data[hi:]])
+    indptr = m.indptr.copy()
+    indptr[diag_index + 1:] += d - (hi - lo)
+    return sp.csr_matrix((data, indices, indptr), shape=m.shape).tocsc()
+
+
 def _bordered_solve(lio: Superoperator, diag_index: int,
                     rhs: np.ndarray) -> np.ndarray:
     """Solve L x = rhs with row `diag_index` of L replaced by the trace row,
@@ -134,9 +206,7 @@ def _bordered_solve(lio: Superoperator, diag_index: int,
     matrix raises RuntimeError. The steady state and the resolvent's
     carrier solve both take this route.
     """
-    m = lio.matrix.tolil(copy=True)
-    m[diag_index, :] = trace_row(lio.dim)
-    return spla.splu(m.tocsc()).solve(rhs)
+    return spla.splu(_bordered_matrix(lio, diag_index)).solve(rhs)
 
 
 def steady_state(lio: Superoperator) -> DensityMatrix:

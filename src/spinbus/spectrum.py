@@ -18,9 +18,15 @@ the tests enforce it.
 
 The resolvent has three routes. Up to DENSE_SOLVE_CAP, an L evaluated on
 _SCHUR_MIN_FREQS or more frequencies is densified and factorized once,
-L = Z T Z^dag (complex Schur), and each frequency costs two triangular
-back-substitutions: the solve and one step of iterative refinement against
-the residual of the sparse L. The refinement is required: the spectrum can
+L = Z T Z^dag with T upper triangular, and each frequency costs two
+triangular back-substitutions: the solve and one step of iterative
+refinement against the residual of the sparse L. The factorization is
+taken in a Hermitian operator basis U (liouvillian.hermitian_basis): a
+Lindblad generator maps Hermitian matrices to Hermitian matrices, so
+U^dag L U is real, and its real Schur form, turned complex triangular,
+gives T and Z = U Z_c in about half the time of a complex Schur form of L
+(Golub & Van Loan, Matrix Computations, 4th ed., sec. 7.4.1). The
+refinement is required: the spectrum can
 be a cancellation far below ||u|| ||b|| / kappa, which the unrefined Schur
 solve misses by ~1e-7 of the peak. Shorter grids, such as the truncation
 probes, take one banded LU solve per frequency on the sparse L, whose
@@ -49,7 +55,7 @@ from typing import Literal, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import get_lapack_funcs, schur
+from scipy.linalg import get_lapack_funcs, rsf2csf, schur
 
 from .errors import (
     DegenerateSteadyState,
@@ -65,6 +71,7 @@ from .liouvillian import (
     _bordered_solve,
     build_liouvillian,
     expm_action_grid,
+    hermitian_basis,
     steady_state,
     trace_row,
     vectorize,
@@ -90,14 +97,16 @@ SpectrumMode = Literal["full", "incoherent"]
 
 # A dense-size L is factorized once into Schur form for at least this many
 # frequencies. Measured against the banded LU with one BLAS thread, as scans
-# run (strong-drive sectors, 2-core Xeon VM, best to median of 7): the
-# crossover is ~64 frequencies at dimension 64. On 201 frequencies Schur
-# takes 35-41 ms against 58-71 ms at dimension 144, 104-119 against
-# 141-157 ms at 256 and 276-298 against 353-401 ms at 400, which covers
-# every strong-drive final grid; only at 576, which no final grid reaches,
-# is the banded route faster (800-835 against 1050-1166 ms). The truncation
-# probes have 33 points and no preset or perfbench workload has a final
-# grid below 201.
+# run (strong-drive sectors, 2-core Xeon VM, best of 7, two rounds whose
+# host speed differed by ~30%), with the real Schur form: on 201
+# frequencies Schur takes 10-12 against 21-27 ms at dimension 64, 31-43
+# against 69-94 ms at 144, 81-102 against 136-252 ms at 256, 144-190
+# against 468-570 ms at 400 and 329-418 against 596-774 ms at 576; on 33
+# frequencies banded wins at every size (4-5 against 7-8 ms at 64, 99-125
+# against 261-373 ms at 576). Fitting a fixed cost plus a cost per
+# frequency to each route puts the crossover at 52-102 frequencies over
+# dimensions 64-576. The truncation probes have 33 points and no preset or
+# perfbench workload has a final grid below 201.
 _SCHUR_MIN_FREQS = 64
 # Largest accepted ||(i w I - L) x - b|| / ||b|| of any resolvent solve.
 _RESIDUAL_TOL = 1e-8
@@ -107,6 +116,8 @@ _RESIDUAL_TOL = 1e-8
 # against 2**13 (2-core Xeon VM, benchmark medians): peak RSS +0.5 MB on
 # sectors_rloop, +1.7 MB on full_tau and +2.1 MB on strong_drive (<= 2.6%).
 _CHUNK_ELEMENTS = 2**15
+# Columns of Z_c taken to the standard basis per sparse product.
+_BASIS_COLUMNS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +247,23 @@ def _shifted_triangular_solve(t: np.ndarray, rhs: np.ndarray,
 
 def _schur_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
                   omegas: np.ndarray) -> tuple[np.ndarray, float]:
-    """u^dag (i w I - L)^{-1} b from one Schur form L = Z T Z^dag of the
-    densified L, and the worst residual relative to ||b||.
+    """u^dag (i w I - L)^{-1} b from one Schur form L = Z T Z^dag, and the
+    worst residual relative to ||b||.
 
-    Per frequency: a back-substitution with T, then one refinement step
-    against the residual of the sparse L.
+    L is factored in the Hermitian operator basis U of hermitian_basis,
+    where L_r = U^dag L U is real: a real Schur form of L_r, turned complex
+    triangular (rsf2csf), gives T and Z = U Z_c. Per frequency: a
+    back-substitution with T, then one refinement step against the
+    residual of the sparse L.
     """
-    t, z = schur(lio.matrix.toarray(), output="complex", overwrite_a=True)
+    basis = hermitian_basis(lio.dim)
+    l_r = (basis.conj().T.tocsc() @ lio.matrix @ basis).real.toarray(order="F")
+    t, z = rsf2csf(*schur(l_r, output="real", overwrite_a=True),
+                   check_finite=False)
+    del l_r
+    # z = U Z_c in place, a few columns at a time: no second dense copy.
+    for j in range(0, z.shape[1], _BASIS_COLUMNS):
+        z[:, j:j + _BASIS_COLUMNS] = basis @ z[:, j:j + _BASIS_COLUMNS]
     t = np.ascontiguousarray(t)
     zh = z.conj().T
     c = zh @ b

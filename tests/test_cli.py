@@ -280,6 +280,20 @@ def test_rejected_solver_settings_are_validation_errors(
     assert err == ["error: category=ValidationError: " + message]
 
 
+@pytest.mark.parametrize("override, line", [
+    ("loop.r_loop=abc", "error: category=ParseError: override loop.r_loop=abc: "
+                        "cannot parse quantity 'abc'"),
+    ("tau=xyz", "error: category=ParseError: override tau=xyz: "
+                "cannot parse axis value 'xyz'"),
+])
+def test_override_errors_name_the_override(tmp_path, capsys, override, line):
+    # An override has no line in any file: its error names the override.
+    rc = main(["spectrum", "--preset", "fig7", "--override", override,
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_threads_env_var_honored_flag_wins(monkeypatch):
     from spinbus.cli import _threads
 

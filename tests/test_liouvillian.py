@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from spinbus.cli import preset_path
+from spinbus.config import load_config
 from spinbus.errors import (
     DegenerateSteadyState,
     LayoutMismatch,
     TruncationNotConverged,
 )
 from spinbus.liouvillian import (
+    _bordered_matrix,
     adaptive_truncation,
     build_liouvillian,
     expm_action_grid,
+    hermitian_basis,
     propagate,
     steady_state,
     trace_row,
@@ -22,6 +29,7 @@ from spinbus.model import (
     build_collapse_operators,
     build_interaction_hamiltonian,
     sector_collapse_operators,
+    sector_interaction_hamiltonian,
 )
 from spinbus.operators import (
     DensityMatrix,
@@ -34,6 +42,7 @@ from spinbus.operators import (
     full_layout,
     pauli_matrices,
 )
+from spinbus.sweeps import _point_model
 from spinbus.units import TWO_PI
 
 KAPPA = TWO_PI * 26e3
@@ -105,8 +114,40 @@ def test_liouvillian_matches_brute_force_on_random_states():
         assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
 
 
+def dense_kron_liouvillian(h, cs):
+    """Textbook column-stacking form, one np.kron per pre/post product."""
+    eye = np.eye(h.shape[0])
+    out = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for c in cs:
+        cdc = c.conj().T @ c
+        out += (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
+                - 0.5 * np.kron(cdc.T, eye))
+    return out
+
+
+def sector_cases(n_focks=range(2, 13)):
+    """(label, H, collapse operators) of cavity+qubit sectors: strong-drive
+    fig7 and fig4a, whose T2 = 2 T1 gives a zero-rate dephasing channel, at
+    every N, m_s and pcq_relaxation."""
+    for preset, overrides, loop_changes in (
+            ("fig7", ["resonator.zeta=1.4 MHz"], {"T1_pcq": 11e-6,
+                                                  "T2_pcq": 11e-6}),
+            ("fig4a", [], {"r_loop": 0.6542e-6})):
+        cfg = load_config(preset_path(preset), overrides)
+        loop = replace(cfg.loop, **loop_changes)
+        for n_fock in n_focks:
+            model, rates, _ = _point_model(
+                cfg, loop, cfg.solver.distance_for(loop.r_loop), n_fock)
+            layout = cavity_qubit_layout(n_fock)
+            for pcq_relaxation in ("lowering", "as_printed"):
+                c_ops = sector_collapse_operators(rates, layout, pcq_relaxation)
+                for m_s in (1, 0, -1):
+                    h = sector_interaction_hamiltonian(model, layout, m_s)
+                    yield (f"{preset} N={n_fock} m_s={m_s} {pcq_relaxation}",
+                           h, c_ops)
+
+
 def test_liouvillian_matches_dense_kron_formula():
-    # textbook column-stacking form, one np.kron per pre/post product
     rng = np.random.default_rng(11)
     for dim, n_c in ((2, 1), (3, 2), (4, 3)):
         layout = SpaceLayout((dim,), ("cavity",))
@@ -114,17 +155,69 @@ def test_liouvillian_matches_dense_kron_formula():
         h = m + m.conj().T
         cs = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
               for _ in range(n_c)]
-        eye = np.eye(dim)
-        expected = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-        for c in cs:
-            cdc = c.conj().T @ c
-            expected += (np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc)
-                         - 0.5 * np.kron(cdc.T, eye))
+        expected = dense_kron_liouvillian(h, cs)
         lio = build_liouvillian(
             LabeledOperator(h, layout, hermitian_hint=True),
             [LabeledOperator(c, layout) for c in cs])
         got = lio.matrix.toarray()
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    zero_rate = 0
+    for label, h, c_ops in sector_cases():
+        zero_rate += sum(not np.any(c.matrix) for c in c_ops)
+        expected = dense_kron_liouvillian(h.matrix, [c.matrix for c in c_ops])
+        got = build_liouvillian(h, c_ops).matrix.toarray()
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)), label
+    assert zero_rate == 11 * 3 * 2    # fig4a's dephasing, at every N and m_s
+
+
+def test_liouvillian_equals_sparse_kron_sum_bit_for_bit():
+    # The assembly sums the terms in the order of the sparse Kronecker sum
+    # I kron K + conj(K) kron I + sum conj(C) kron C and drops exact zeros.
+    for label, h, c_ops in sector_cases():
+        cs = [sp.csr_matrix(c.matrix) for c in c_ops if np.any(c.matrix)]
+        k = -1j * h.matrix
+        for c in cs:
+            k = k - 0.5 * (c.conj().T @ c).toarray()
+        eye = sp.identity(h.layout.total_dim, dtype=complex, format="csr")
+        k = sp.csr_matrix(k)
+        ref = sp.kron(eye, k, format="csr") + sp.kron(k.conj(), eye, format="csr")
+        for c in cs:
+            ref = ref + sp.kron(c.conj(), c, format="csr")
+        ref = ref.tocsc()
+        got = build_liouvillian(h, c_ops).matrix
+        assert np.array_equal(got.indptr, ref.indptr), label
+        assert np.array_equal(got.indices, ref.indices), label
+        assert np.array_equal(got.data.view(np.uint64),
+                              ref.data.view(np.uint64)), label
+
+
+def test_bordered_matrix_matches_lil_construction():
+    # The trace row written into the CSR arrays equals a row assignment on a
+    # LIL copy of L, entry for entry, at both rows the steady state uses.
+    for label, h, c_ops in sector_cases():
+        lio = build_liouvillian(h, c_ops)
+        d = lio.dim
+        for row in (0, d + 1):
+            ref = lio.matrix.tolil(copy=True)
+            ref[row, :] = trace_row(d)
+            ref = ref.tocsc()
+            got = _bordered_matrix(lio, row)
+            assert np.array_equal(got.indptr, ref.indptr), label
+            assert np.array_equal(got.indices, ref.indices), label
+            assert np.array_equal(got.data, ref.data), label
+
+
+def test_hermitian_basis_makes_sector_liouvillians_real():
+    # U is unitary, and U^dag L U is real for both pcq_relaxation values:
+    # the Schur route factors it in real arithmetic.
+    for dim in (2, 3, 8):
+        u = hermitian_basis(dim).toarray()
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim * dim))) <= 1e-15
+    for label, h, c_ops in sector_cases((2, 5, 8, 10, 12)):
+        lio = build_liouvillian(h, c_ops)
+        u = hermitian_basis(lio.dim)
+        l_r = (u.conj().T @ lio.matrix @ u).toarray()
+        assert np.max(np.abs(l_r.imag)) <= 1e-14 * np.max(np.abs(lio.matrix)), label
 
 
 def test_single_photon_decay_example():

@@ -359,25 +359,29 @@ def test_banded_route_matches_direct_solve(case):
 
 def test_schur_blocking_is_invisible(monkeypatch):
     # One frequency per block, blocks of 64 that split the 201 frequencies
-    # 64/64/64/9, and the whole grid in one block give the same spectrum.
+    # 64/64/64/9, and the whole grid in one block give the same spectrum, on
+    # strong-drive sectors of every final size (d^2 = 144, 256 and 400;
+    # blocks of one frequency at 144 only, to bound the run time). Each
+    # Schur form is taken in real arithmetic.
     overrides, loop_changes = STRONG
-    cfg, model, rates, offset, span = preset_point("fig7", 6, overrides,
-                                                   **loop_changes)
-    lio, a_op, rho = sector_problem(model, rates, 1)
-    d2 = lio.matrix.shape[0]
-    assert d2 == 144
-    grid = np.linspace(-span, span, 201)
-    spectra = []
-    for width in (1, 64, grid.size):
-        monkeypatch.setattr(spectrum_module, "_CHUNK_ELEMENTS", width * d2)
-        s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
-        assert s.metadata["route"] == "schur"
-        spectra.append(s.values)
-    ref = dense_oracle(lio, a_op, rho, grid + offset)
-    peak = ref.max()
-    for values in spectra:
-        assert np.max(np.abs(values - spectra[0])) <= 1e-12 * peak
-        assert np.max(np.abs(values - ref)) <= 1e-10 * peak
+    for n_fock, widths in ((6, (1, 64, 201)), (8, (64, 201)), (10, (64, 201))):
+        cfg, model, rates, offset, span = preset_point("fig7", n_fock, overrides,
+                                                       **loop_changes)
+        lio, a_op, rho = sector_problem(model, rates, 1)
+        d2 = lio.matrix.shape[0]
+        assert d2 == (2 * n_fock) ** 2
+        grid = np.linspace(-span, span, 201)
+        spectra = []
+        for width in widths:
+            monkeypatch.setattr(spectrum_module, "_CHUNK_ELEMENTS", width * d2)
+            s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+            assert s.metadata["route"] == "schur"
+            spectra.append(s.values)
+        ref = dense_oracle(lio, a_op, rho, grid + offset)
+        peak = ref.max()
+        for values in spectra:
+            assert np.max(np.abs(values - spectra[0])) <= 1e-12 * peak
+            assert np.max(np.abs(values - ref)) <= 1e-10 * peak
 
 
 def test_sparse_route_above_dense_cap():
