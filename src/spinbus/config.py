@@ -306,17 +306,20 @@ def _strip_comment(line: str) -> str:
     return line if pos < 0 else line[:pos]
 
 
-def parse_config_text(text: str) -> tuple[dict, list[tuple[str, str, int]]]:
-    """First stage: the raw (section, key) -> (value text, source) tree.
+# A value's source is its line number, or the text of the override that set
+# it ("override key=value"); axis specs are (name, spec text, source).
+Source = int | str
+AxisSpecs = list[tuple[str, str, Source]]
 
-    The source is the value's line number; apply_overrides gives an
-    override's entries its text ("override key=value") instead.
+
+def parse_config_text(text: str) -> tuple[dict, AxisSpecs]:
+    """First stage: the raw (section, key) -> (value text, source) tree.
 
     Returns (tree, axis specs); semantic validation happens in
     build_scan_config so CLI overrides can edit the tree in between.
     """
-    tree: dict[tuple[str, str], tuple[str, int]] = {}
-    axes: list[tuple[str, str, int]] = []
+    tree: dict[tuple[str, str], tuple[str, Source]] = {}
+    axes: AxisSpecs = []
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -422,7 +425,7 @@ def _parse_value(section: str, key: str, raw: str, line_no: int | None):
         raise ParseError(f"cannot parse {key}={raw!r}", line_no) from None
 
 
-def _parse_from(source: int | str, parse, *args):
+def _parse_from(source: Source, parse, *args):
     """parse(*args, line_no) for a value from `source`: errors of a config
     line carry its number, errors of an override name the override."""
     if not isinstance(source, str):
@@ -440,7 +443,7 @@ def _construct(cls, values: dict):
         raise ValidationError(str(exc)) from None
 
 
-def build_scan_config(tree: dict, axis_specs: list[tuple[str, str, int]]
+def build_scan_config(tree: dict, axis_specs: AxisSpecs
                       ) -> ScanConfig:
     """Second stage: defaults, unit conversion, invariant validation.
 
@@ -474,15 +477,15 @@ def build_scan_config(tree: dict, axis_specs: list[tuple[str, str, int]]
                       config_hash=config_hash, **values["output"])
 
 
-def _canonical_text(tree: dict, axis_specs: list[tuple[str, str, int]]) -> str:
+def _canonical_text(tree: dict, axis_specs: AxisSpecs) -> str:
     entries = sorted((f"{s}.{k}", v) for (s, k), (v, _) in tree.items())
     lines = [f"{k} = {v}" for k, v in entries]
-    lines += [f"scan.axis.{name} = {spec}" for name, spec, _ in
-              sorted(axis_specs)]
+    lines += [f"scan.axis.{name} = {spec}" for name, spec in
+              sorted((name, spec) for name, spec, _ in axis_specs)]
     return "\n".join(lines)
 
 
-def apply_overrides(tree: dict, axis_specs: list[tuple[str, str, int]],
+def apply_overrides(tree: dict, axis_specs: AxisSpecs,
                     overrides: list[str]) -> tuple[dict, list]:
     """Apply CLI 'key=value' overrides to the raw tree.
 

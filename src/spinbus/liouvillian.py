@@ -113,10 +113,8 @@ def build_liouvillian(H: LabeledOperator,
     the action is K rho + rho K_dag + sum C rho C_dag, so in column-stacking
     form L = I kron K + conj(K) kron I + sum conj(C) kron C.
 
-    The terms are assembled from the nonzeros of the dense K and C in one
-    triplet list. Entries that several terms share are summed in the order
-    the terms are written above, and exact zeros are dropped, so L equals
-    the sum of the sparse Kronecker products bit for bit.
+    The terms are assembled from the nonzeros of the dense K and C as one
+    triplet list, whose shared entries the COO to CSC conversion sums.
     """
     if np.max(np.abs(H.matrix - H.matrix.conj().T)) > 1e-9 * max(
             1.0, float(np.max(np.abs(H.matrix)))):
@@ -146,20 +144,11 @@ def build_liouvillian(H: LabeledOperator,
         rows.append(cr[:, None] * d + cr)
         cols.append(cc[:, None] * d + cc)
         vals.append(cv.conj()[:, None] * cv)
-    n = d * d
-    key = np.concatenate([(cc * n + rr).ravel() for rr, cc in zip(rows, cols)])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.r_[True, key[1:] != key[:-1]]
-    data = np.zeros(np.count_nonzero(first), dtype=complex)
-    # np.add.at adds in index order: ((I kron K + conj(K) kron I) + ...).
-    np.add.at(data, np.cumsum(first) - 1,
-              np.concatenate([v.ravel() for v in vals])[order])
-    key = key[first]
-    keep = data != 0
-    key, data = key[keep], data[keep]
-    indptr = np.searchsorted(key // n, np.arange(n + 1))
-    lio = sp.csc_matrix((data, key % n, indptr), shape=(n, n))
+    lio = sp.csc_matrix(
+        (np.concatenate([v.ravel() for v in vals]),
+         (np.concatenate([r.ravel() for r in rows]),
+          np.concatenate([c.ravel() for c in cols]))), shape=(d * d, d * d))
+    lio.eliminate_zeros()
     return Superoperator(lio, H.layout)
 
 

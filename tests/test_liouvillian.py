@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from spinbus.cli import preset_path
 from spinbus.config import load_config
@@ -168,27 +167,6 @@ def test_liouvillian_matches_dense_kron_formula():
         got = build_liouvillian(h, c_ops).matrix.toarray()
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)), label
     assert zero_rate == 11 * 3 * 2    # fig4a's dephasing, at every N and m_s
-
-
-def test_liouvillian_equals_sparse_kron_sum_bit_for_bit():
-    # The assembly sums the terms in the order of the sparse Kronecker sum
-    # I kron K + conj(K) kron I + sum conj(C) kron C and drops exact zeros.
-    for label, h, c_ops in sector_cases():
-        cs = [sp.csr_matrix(c.matrix) for c in c_ops if np.any(c.matrix)]
-        k = -1j * h.matrix
-        for c in cs:
-            k = k - 0.5 * (c.conj().T @ c).toarray()
-        eye = sp.identity(h.layout.total_dim, dtype=complex, format="csr")
-        k = sp.csr_matrix(k)
-        ref = sp.kron(eye, k, format="csr") + sp.kron(k.conj(), eye, format="csr")
-        for c in cs:
-            ref = ref + sp.kron(c.conj(), c, format="csr")
-        ref = ref.tocsc()
-        got = build_liouvillian(h, c_ops).matrix
-        assert np.array_equal(got.indptr, ref.indptr), label
-        assert np.array_equal(got.indices, ref.indices), label
-        assert np.array_equal(got.data.view(np.uint64),
-                              ref.data.view(np.uint64)), label
 
 
 def test_bordered_matrix_matches_lil_construction():

@@ -1,62 +1,48 @@
 """Alternating parent/change benchmark pairs, written as a BENCH_*.json record.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W
-        [--workload W ...] --seed N [--pairs 10] [--seconds S] [--trace]
-        [--claim WORKLOAD:METRIC] [--label TEXT] --out BENCH_name.json
+        [--workload W ...] --seed N [--trace] [--claim WORKLOAD:METRIC]
+        [--label TEXT] --out BENCH_name.json
 
 DIR is the root of a source tree (a checkout or an unpacked ``git
-archive``) that holds ``perfbench/run.py``. For each workload, pair i runs
-``python3 perfbench/run.py --workload W --seed N --trace 0`` in the parent
-tree first when i is even and in the change tree first when i is odd, and
-reads the JSON object on the last line of each run. ``--trace`` adds one
-traced pair per workload (``--trace 1``) whose per-layer metrics are
-recorded side by side.
+archive``) that holds ``perfbench/run.py``. For each workload, pair i of
+the ten pairs runs ``python3 perfbench/run.py --workload W --seed N
+--trace 0`` in the parent tree first when i is even and in the change tree
+first when i is odd, and reads the JSON object on the last line of each
+run; run.py uses its own run budget. ``--trace`` adds one traced pair per
+workload (``--trace 1``) whose per-layer metrics are recorded side by side.
 
-For every end-to-end metric the record holds each run's value, the median
-and quartiles of each side (inclusive method), the number of pairs the
-change wins (ties count for neither; "better" and the regression bound are
-read from the parent's BENCHMARK.json), the ratio of the medians and
-whether the change's median is inside the bound. ``--claim`` names the
-metric a gain is claimed on: it is met when the change wins at least nine
-tenths of the pairs and the medians differ by more than the parent's
-interquartile range. An existing record at ``--out`` is updated in place,
-so workloads can be run in separate invocations. Only the standard library
-is used.
+The record holds, under ``workloads[W][N]`` for workload W and seed N, each
+run's value of every end-to-end metric, the median and quartiles of each
+side (inclusive method), the number of pairs the change wins (ties count
+for neither; "better" and the regression bound are read from the parent's
+BENCHMARK.json), the ratio of the medians and whether the change's median
+is inside the bound. ``machine`` holds the last machine line run.py printed
+in each tree, which names its commit and source digest. ``--claim`` names
+the metric a gain is claimed on, at seed N: it is met when the change wins
+at least nine of the ten pairs and the medians differ by more than the
+parent's interquartile range. An existing record at ``--out`` is updated
+in place, so workloads and seeds can be run in separate invocations. Only
+the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
 
-
-def src_digest(tree: str) -> str:
-    """Content hash of a tree's program sources, which names the code
-    without depending on where the tree lives."""
-    digest = hashlib.sha256()
-    root = os.path.join(tree, "src")
-    for base, dirs, files in os.walk(os.path.join(root, "spinbus")):
-        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
-        for name in sorted(files):
-            path = os.path.join(base, name)
-            digest.update(os.path.relpath(path, root).encode())
-            with open(path, "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
+PAIRS = 10
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float | None,
+def run_once(tree: str, workload: str, seed: int,
              trace: bool) -> tuple[dict, dict | None]:
     """One benchmark run in `tree`: its result line and machine line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", str(int(trace))]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -88,16 +74,16 @@ def compare(parent: list[float], change: list[float], spec: dict) -> dict:
     return entry
 
 
-def claim_verdict(entry: dict, pairs: int) -> dict:
-    """A gain holds when the change wins at least nine tenths of the pairs
-    and the medians differ by more than the parent's interquartile range."""
+def claim_verdict(entry: dict) -> dict:
+    """A gain holds when the change wins at least nine of the ten pairs and
+    the medians differ by more than the parent's interquartile range."""
     p, c = entry["parent"], entry["change"]
     gap = abs(p["median"] - c["median"])
     iqr = p["q3"] - p["q1"]
-    return {"change_wins": entry["change_wins"], "pairs": pairs,
+    return {"change_wins": entry["change_wins"], "pairs": PAIRS,
             "median_change": c["median"] / p["median"] - 1.0,
             "median_gap": gap, "parent_iqr": iqr,
-            "met": entry["change_wins"] >= 0.9 * pairs and gap > iqr}
+            "met": entry["change_wins"] >= 9 and gap > iqr}
 
 
 def main() -> int:
@@ -106,17 +92,12 @@ def main() -> int:
     ap.add_argument("--change", required=True, help="root of the change tree")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run budget passed to run.py (default: its own)")
     ap.add_argument("--trace", action="store_true",
                     help="add one traced pair per workload")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
     ap.add_argument("--label", default=None)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
 
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
         specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
@@ -133,20 +114,19 @@ def main() -> int:
         "change_wins counts pairs where the change reads better (ties count "
         "for neither); within_bound compares the change's median with the "
         "parent's and the BENCHMARK.json bound")
-    record["src_digest"] = {"parent": src_digest(args.parent),
-                            "change": src_digest(args.change)}
     trees = {"parent": args.parent, "change": args.change}
+    machines = record.setdefault("machine", {})
     workloads = record.setdefault("workloads", {})
+    seed = str(args.seed)
     for workload in args.workload:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                line, machine = run_once(trees[side], workload, args.seed,
-                                         args.seconds, False)
+                line, machine = run_once(trees[side], workload, args.seed, False)
                 runs[side].append(line)
                 if machine:
-                    record["machine"] = machine
+                    machines[side] = machine
             print(f"{workload} pair {i}: " + ", ".join(
                 f"{side} {runs[side][-1]['metrics']['scan_wall_s']['value']:.4f} s"
                 for side in order), file=sys.stderr)
@@ -156,38 +136,37 @@ def main() -> int:
                              for r in runs[side]] for side in runs}
             metrics[name] = compare(values["parent"], values["change"],
                                     specs.get(name, {}))
-        workloads[workload] = {
-            "seed": args.seed, "pairs": args.pairs,
+        entry = {
+            "pairs": PAIRS,
             "command": f"python3 perfbench/run.py --workload {workload} "
-                       f"--seed {args.seed} --trace 0"
-                       + (f" --seconds {args.seconds:g}" if args.seconds else ""),
+                       f"--seed {args.seed} --trace 0",
             "all_correct": all(r["correct"] and r["failed"] == 0
                                for side in runs.values() for r in side),
             "metrics": metrics,
         }
         if args.trace:
-            traced = {side: run_once(trees[side], workload, args.seed,
-                                     args.seconds, True)[0] for side in trees}
-            record.setdefault("trace", {})[workload] = {
-                "seed": args.seed,
+            traced = {side: run_once(trees[side], workload, args.seed, True)[0]
+                      for side in trees}
+            entry["trace"] = {
                 "correct": {s: traced[s]["correct"] for s in traced},
                 "failed": {s: traced[s]["failed"] for s in traced},
                 **{s: {k: v["value"] for k, v in traced[s]["metrics"].items()}
                    for s in traced},
             }
+        workloads.setdefault(workload, {})[seed] = entry
     if args.claim:
         workload, metric = args.claim.split(":", 1)
-        entry = workloads[workload]["metrics"][metric]
-        record["claim"] = {"workload": workload, "metric": metric,
-                           **claim_verdict(entry, workloads[workload]["pairs"])}
+        entry = workloads[workload][seed]["metrics"][metric]
+        record["claim"] = {"workload": workload, "seed": args.seed,
+                           "metric": metric, **claim_verdict(entry)}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     for workload in args.workload:
-        for name, entry in workloads[workload]["metrics"].items():
+        for name, entry in workloads[workload][seed]["metrics"].items():
             print(f"{workload} {name}: {entry['parent']['median']:.4f} -> "
                   f"{entry['change']['median']:.4f} "
-                  f"(wins {entry['change_wins']}/{args.pairs}, "
+                  f"(wins {entry['change_wins']}/{PAIRS}, "
                   f"within bound: {entry.get('within_bound')})")
     if "claim" in record:
         print("claim:", json.dumps(record["claim"]))
