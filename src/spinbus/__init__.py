@@ -53,11 +53,11 @@ from .spectrum import (
     spectrum_resolvent,
     two_time_correlation,
 )
-from .units import CONSTANTS, PhysicalConstants, Quantity, Unit, convert
+from .units import CONSTANTS, PhysicalConstants
 
 __all__ = [
     "__version__",
-    "CONSTANTS", "PhysicalConstants", "Quantity", "Unit", "convert",
+    "CONSTANTS", "PhysicalConstants",
     "ResonatorParams", "LoopParams", "NVParams",
     "rms_vacuum_current", "cpw_field_at", "direct_nv_cpw_coupling",
     "pcq_cpw_coupling", "loop_center_field", "nv_pcq_coupling",

@@ -47,28 +47,6 @@ def trace_row(dim: int) -> np.ndarray:
     return t
 
 
-def hermitian_basis(dim: int) -> sp.csc_matrix:
-    """Unitary U whose columns are vec(E) of an orthonormal basis of
-    Hermitian dim x dim matrices: the diagonal units, and for each i < j
-    (E_ij + E_ji)/sqrt(2) and -i (E_ij - E_ji)/sqrt(2).
-
-    A Lindblad generator maps Hermitian matrices to Hermitian matrices, so
-    U^dag L U is real. As a map, U is the identity at the diagonal
-    positions i + D i and sends the pair P = i + D j, Q = j + D i to
-    v_P = (x_P - i x_Q)/sqrt(2), v_Q = (x_P + i x_Q)/sqrt(2).
-    """
-    i, j = np.triu_indices(dim, 1)
-    p, q = i + dim * j, j + dim * i
-    diag = np.arange(dim) * (dim + 1)
-    s = np.sqrt(0.5)
-    rows = np.concatenate([diag, p, p, q, q])
-    cols = np.concatenate([diag, p, q, p, q])
-    vals = np.concatenate([np.ones(dim), np.full(p.size, s),
-                           np.full(p.size, -1j * s), np.full(p.size, s),
-                           np.full(p.size, 1j * s)])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
-
-
 class Superoperator:
     """Sparse D^2 x D^2 generator of the master equation."""
 

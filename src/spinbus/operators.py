@@ -223,14 +223,6 @@ def embed(op: np.ndarray | LabeledOperator, slot_label: str,
     return LabeledOperator(embed_matrix(matrix, slot, layout), layout)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch("commutator operands must share a shape")
-    return a @ b - b @ a
-
-
 def partial_trace(m: np.ndarray, layout: SpaceLayout,
                   keep_labels: tuple[str, ...]) -> np.ndarray:
     """Trace out every factor not in keep_labels; preserves trace/Hermiticity."""
@@ -245,14 +237,6 @@ def partial_trace(m: np.ndarray, layout: SpaceLayout,
         m = np.trace(m, axis1=ax, axis2=ax + (m.ndim // 2))
     d_keep = int(np.prod([layout.dims[k] for k in keep]))
     return m.reshape(d_keep, d_keep)
-
-
-def projector(layout: SpaceLayout, label: str, level: int) -> LabeledOperator:
-    """|level><level| on one factor, identity elsewhere."""
-    d = layout.dims[layout.slot(label)]
-    p = np.zeros((d, d), dtype=complex)
-    p[level, level] = 1.0
-    return embed(p, label, layout)
 
 
 def basis_state(layout: SpaceLayout, occupations: dict[str, int]) -> np.ndarray:

@@ -16,26 +16,22 @@ evaluation routes are provided: the resolvent identity
 and direct quadrature/FFT of the propagated correlation. They must agree;
 the tests enforce it.
 
-The resolvent has three routes. Up to DENSE_SOLVE_CAP, an L evaluated on
-_SCHUR_MIN_FREQS or more frequencies is densified and factorized once,
-L = Z T Z^dag with T upper triangular, and each frequency costs two
-triangular back-substitutions: the solve and one step of iterative
-refinement against the residual of the sparse L. The factorization is
-taken in a Hermitian operator basis U (liouvillian.hermitian_basis): a
-Lindblad generator maps Hermitian matrices to Hermitian matrices, so
-U^dag L U is real, and its real Schur form, turned complex triangular,
-gives T and Z = U Z_c in about half the time of a complex Schur form of L
-(Golub & Van Loan, Matrix Computations, 4th ed., sec. 7.4.1). The
-refinement is required: the spectrum can
-be a cancellation far below ||u|| ||b|| / kappa, which the unrefined Schur
-solve misses by ~1e-7 of the peak. Shorter grids, such as the truncation
-probes, take one banded LU solve per frequency on the sparse L, whose
-bandwidth in column stacking is 3 D for a cavity+qubit sector of dimension
-D: O(D^4) per frequency instead of the dense LU's O(D^6), and no Schur
-form to pay for. Above DENSE_SOLVE_CAP each frequency takes a sparse LU.
+The resolvent has one route, a shift-and-invert Krylov projection (Ruhe,
+Linear Algebra Appl. 58, 391 (1984); Frommer & Glaessner, SIAM J. Sci.
+Comput. 19, 15 (1998)). Every shifted system (i w I - L) x = b shares the
+Krylov space of K = (s0 I - L)^{-1} started from K b, because
+(i w I - L) = (s0 I - L)(I + mu K) with mu = i w - s0. The shift s0 sits
+half a grid span to the right of the grid centre, where a Lindblad L has
+no eigenvalue, so one sparse LU of s0 I - L serves every frequency of the
+grid. Arnoldi gives K Q_m = Q_{m+1} Hbar_m, each frequency takes the small
+pivoted solve x = beta Q_m (I + mu H_m)^{-1} e_1, and m doubles until the
+true residual of the sparse L is well below the accepted one at every
+frequency. The small systems are solved, not diagonalized: an eigen or
+Schur expansion of H_m misses the cancellation of the fig4a spectrum,
+which lies far below ||u|| ||b|| / kappa, by ~5e-10 of the peak.
 The carrier (omega = 0 in the drive frame), where (i omega I - L) is
-singular through the steady-state kernel, is solved on every route through
-the steady state's trace-bordered system (liouvillian._bordered_solve).
+singular through the steady-state kernel, is solved through the steady
+state's trace-bordered system (liouvillian._bordered_solve).
 
 Both nv_modes run on frozen-spin sectors (cavity+qubit problems): "sectors"
 sums them with configured weights, and "full" is exactly the one sector its
@@ -55,7 +51,6 @@ from typing import Literal, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import get_lapack_funcs, rsf2csf, schur
 
 from .errors import (
     DegenerateSteadyState,
@@ -66,12 +61,10 @@ from .errors import (
     WindowTooShort,
 )
 from .liouvillian import (
-    DENSE_SOLVE_CAP,
     Superoperator,
     _bordered_solve,
     build_liouvillian,
     expm_action_grid,
-    hermitian_basis,
     steady_state,
     trace_row,
     vectorize,
@@ -95,29 +88,14 @@ logger = logging.getLogger(__name__)
 
 SpectrumMode = Literal["full", "incoherent"]
 
-# A dense-size L is factorized once into Schur form for at least this many
-# frequencies. Measured against the banded LU with one BLAS thread, as scans
-# run (strong-drive sectors, 2-core Xeon VM, best of 7, two rounds whose
-# host speed differed by ~30%), with the real Schur form: on 201
-# frequencies Schur takes 10-12 against 21-27 ms at dimension 64, 31-43
-# against 69-94 ms at 144, 81-102 against 136-252 ms at 256, 144-190
-# against 468-570 ms at 400 and 329-418 against 596-774 ms at 576; on 33
-# frequencies banded wins at every size (4-5 against 7-8 ms at 64, 99-125
-# against 261-373 ms at 576). Fitting a fixed cost plus a cost per
-# frequency to each route puts the crossover at 52-102 frequencies over
-# dimensions 64-576. The truncation probes have 33 points and no preset or
-# perfbench workload has a final grid below 201.
-_SCHUR_MIN_FREQS = 64
 # Largest accepted ||(i w I - L) x - b|| / ||b|| of any resolvent solve.
 _RESIDUAL_TOL = 1e-8
-# Complex values per block of solution vectors on the Schur route. The route
-# holds a few such blocks at once, so the width trades peak memory against
-# the Python loop over the rows of T, which runs once per block. 2**15
-# against 2**13 (2-core Xeon VM, benchmark medians): peak RSS +0.5 MB on
-# sectors_rloop, +1.7 MB on full_tau and +2.1 MB on strong_drive (<= 2.6%).
+# Krylov dimension a projection starts from; it doubles from there.
+_KRYLOV_START = 8
+# Complex values per block of frequencies: a block holds its d^2-long
+# solution vectors and its m x m projected systems, so the bound caps
+# both, whatever m grows to.
 _CHUNK_ELEMENTS = 2**15
-# Columns of Z_c taken to the standard basis per sparse product.
-_BASIS_COLUMNS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,158 +209,131 @@ def _carrier_solve(lio: Superoperator, b: np.ndarray,
     return x, residual
 
 
-def _shifted_triangular_solve(t: np.ndarray, rhs: np.ndarray,
-                              iw: np.ndarray) -> np.ndarray:
-    """Solve (iw_k I - T) y_k = rhs_k by back-substitution for every k.
-
-    T is upper triangular; rhs is one vector shared by every column or a
-    matrix with one column per shift. Returns the columns y_k side by side.
-    """
-    n = t.shape[0]
-    y = np.empty((n, iw.size), dtype=complex)
-    for i in range(n - 1, -1, -1):
-        y[i] = (rhs[i] + t[i, i + 1:] @ y[i + 1:]) / (iw - t[i, i])
-    return y
-
-
-def _schur_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
-                  omegas: np.ndarray) -> tuple[np.ndarray, float]:
-    """u^dag (i w I - L)^{-1} b from one Schur form L = Z T Z^dag, and the
+def _krylov_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
+                   omegas: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """u^dag (i w I - L)^{-1} b for each w by one shift-and-invert Krylov
+    projection (module docstring), the projection's dimension m and the
     worst residual relative to ||b||.
 
-    L is factored in the Hermitian operator basis U of hermitian_basis,
-    where L_r = U^dag L U is real: a real Schur form of L_r, turned complex
-    triangular (rsf2csf), gives T and Z = U Z_c. Per frequency: a
-    back-substitution with T, then one refinement step against the
-    residual of the sparse L.
+    The shift is s0 = delta + i w_c, with w_c the grid centre and delta its
+    half-span, floored at 1e-6 of L's scale for a one-frequency grid. Arnoldi
+    with one re-orthogonalisation pass extends K Q_m = Q_{m+1} Hbar_m from
+    m = _KRYLOV_START, and m doubles until the worst true residual
+    ||(i w I - L) x - b|| / ||b|| over the grid is at most 1e-4
+    _RESIDUAL_TOL. Once it is at most _RESIDUAL_TOL / 100 everywhere, m
+    doubles once more at most: the residual bounds the spectrum only up to
+    the cancellation in u^dag x (a residual of 1e-11 left 1e-10 of the peak
+    on a fig6a sector at m = 8, against 1e-13 at m = 16), while the
+    residual's rounding floor, up to 1e-12 on the presets, would let the
+    tighter target alone grow m to the dimension of L. Growth also stops
+    when Arnoldi breaks down (the space is invariant, so the projection is
+    exact) or m reaches the dimension of L; a frequency whose residual then
+    exceeds _RESIDUAL_TOL raises SingularResolvent.
     """
-    basis = hermitian_basis(lio.dim)
-    l_r = (basis.conj().T.tocsc() @ lio.matrix @ basis).real.toarray(order="F")
-    t, z = rsf2csf(*schur(l_r, output="real", overwrite_a=True),
-                   check_finite=False)
-    del l_r
-    # z = U Z_c in place, a few columns at a time: no second dense copy.
-    for j in range(0, z.shape[1], _BASIS_COLUMNS):
-        z[:, j:j + _BASIS_COLUMNS] = basis @ z[:, j:j + _BASIS_COLUMNS]
-    t = np.ascontiguousarray(t)
-    zh = z.conj().T
-    c = zh @ b
+    n = b.size
+    lo, hi = float(omegas.min()), float(omegas.max())
+    s0 = max(0.5 * (hi - lo), 1e-6 * lio.norm_scale()) + 0.5j * (lo + hi)
+    lu = spla.splu((s0 * sp.identity(n, dtype=complex, format="csc")
+                    - lio.matrix).tocsc())
+    bnorm = float(np.linalg.norm(b))
+    kb = lu.solve(b)
+    beta = float(np.linalg.norm(kb))
+    q = np.asfortranarray((kb / beta)[:, None])
+    h = np.zeros((1, 0), dtype=complex)
+    m, target, invariant, last = 0, min(_KRYLOV_START, n), False, False
     bcol = b[:, None]
-    bnorm = float(np.linalg.norm(b))
-    out = np.empty(omegas.size, dtype=complex)
-    worst = 0.0
-    step = max(1, _CHUNK_ELEMENTS // b.size)
-    for k0 in range(0, omegas.size, step):
-        w = omegas[k0:k0 + step]
-        iw = 1j * w
-        # A pole on the grid gives inf/nan here; the residual check names it.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x = z @ _shifted_triangular_solve(t, c, iw)
-            r = bcol - (x * iw - lio.matrix @ x)
-            x += z @ _shifted_triangular_solve(t, zh @ r, iw)
-            residual = np.linalg.norm(x * iw - lio.matrix @ x - bcol,
-                                      axis=0) / bnorm
-        bad = ~(residual <= _RESIDUAL_TOL)
-        if bad.any():
-            raise SingularResolvent(float(w[np.argmax(bad)]))
-        worst = max(worst, float(residual.max()))
-        out[k0:k0 + step] = u @ x
-    return out, worst
-
-
-def _band_storage(lio: Superoperator) -> tuple[np.ndarray, int, int]:
-    """-L in LAPACK general band storage, with kl and ku read off the
-    nonzeros: -L[i, j] sits in row kl + ku + i - j of column j, and the top
-    kl rows are left free for the fill-in of the pivoted LU (gbsv)."""
-    m = lio.matrix.tocoo()
-    m.sum_duplicates()
-    offsets = m.row - m.col
-    kl = int(offsets.max(initial=0))
-    ku = int(-offsets.min(initial=0))
-    band = np.zeros((2 * kl + ku + 1, m.shape[1]), dtype=complex, order="F")
-    band[kl + ku + offsets, m.col] = -m.data
-    return band, kl, ku
-
-
-def _direct_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
-                   omegas: np.ndarray, route: str) -> tuple[np.ndarray, float]:
-    """u^dag (i w I - L)^{-1} b by one LU solve per frequency, and the
-    worst residual relative to ||b||.
-
-    Route "banded" solves with LAPACK's pivoted band LU, gbsv (Anderson et
-    al., LAPACK Users' Guide, 3rd ed., SIAM 1999, sec. 2.4.2). A
-    cavity+qubit sector of dimension D has kl = ku = 3 D in column
-    stacking, so a solve costs O(D^2 kl^2) = O(D^4) against a dense LU's
-    O(D^6). Route "sparse" takes a sparse LU. Either way the solution is
-    checked against the residual of the sparse L.
-    """
-    if route == "banded":
-        band, kl, ku = _band_storage(lio)
-        gbsv, = get_lapack_funcs(("gbsv",), (band,))
-
-        def solve(w: float) -> np.ndarray | None:
-            ab = band.copy(order="F")
-            ab[kl + ku] += 1j * w
-            _, _, x, info = gbsv(kl, ku, ab, b, overwrite_ab=True)
-            return x if info == 0 else None
-    else:
-        eye = sp.identity(b.size, dtype=complex, format="csc")
-
-        def solve(w: float) -> np.ndarray | None:
+    while True:
+        grown = np.zeros((n, target + 1), dtype=complex, order="F")
+        grown[:, :m + 1] = q[:, :m + 1]
+        q = grown
+        grown = np.zeros((target + 1, target), dtype=complex)
+        grown[:m + 1, :m] = h[:m + 1, :m]
+        h = grown
+        while m < target:
+            v = lu.solve(q[:, m])
+            scale = float(np.linalg.norm(v))
+            for _ in range(2):
+                c = q[:, :m + 1].conj().T @ v
+                v -= q[:, :m + 1] @ c
+                h[:m + 1, m] += c
+            h[m + 1, m] = np.linalg.norm(v)
+            m += 1
+            if h[m, m - 1].real <= np.finfo(float).eps * scale:
+                invariant = True
+                break
+            q[:, m] = v / h[m, m - 1]
+        final = invariant or last or m == n
+        qm, hm = q[:, :m], h[:m, :m]
+        rhs = np.zeros((m, 1), dtype=complex)
+        rhs[0] = beta
+        out = np.empty(omegas.size, dtype=complex)
+        worst, grow = 0.0, False
+        step = max(1, _CHUNK_ELEMENTS // max(n, m * m))
+        for k0 in range(0, omegas.size, step):
+            w = omegas[k0:k0 + step]
+            iw = 1j * w
+            a = np.eye(m) + (iw - s0)[:, None, None] * hm
             try:
-                return spla.splu(((1j * w) * eye - lio.matrix).tocsc()).solve(b)
-            except RuntimeError:
-                return None
+                y = np.linalg.solve(a, rhs)
+            except np.linalg.LinAlgError:
+                # An exactly singular system is a pole on the grid: its
+                # nan solution is left for the residual guard to name.
+                y = np.stack([_solve_or_nan(ak, rhs) for ak in a])
+            x = qm @ y[:, :, 0].T
+            with np.errstate(invalid="ignore", over="ignore"):
+                residual = np.linalg.norm(x * iw - lio.matrix @ x - bcol,
+                                          axis=0) / bnorm
+            if not final and not residual.max() <= _RESIDUAL_TOL * 1e-4:
+                grow = True
+                if not residual.max() <= _RESIDUAL_TOL / 100:
+                    break
+            bad = ~(residual <= _RESIDUAL_TOL)
+            if bad.any():
+                raise SingularResolvent(float(w[np.argmax(bad)]))
+            worst = max(worst, float(residual.max()))
+            out[k0:k0 + step] = u @ x
+        else:
+            if not grow:
+                return out, m, worst
+            last = True
+        target = min(2 * target, n)
 
-    bnorm = float(np.linalg.norm(b))
-    out = np.empty(omegas.size, dtype=complex)
-    worst = 0.0
-    for k, w in enumerate(omegas):
-        x = solve(w)
-        if x is None:
-            raise SingularResolvent(float(w))
-        residual = float(np.linalg.norm(1j * w * x - lio.matrix @ x - b)) / bnorm
-        if not residual <= _RESIDUAL_TOL:
-            raise SingularResolvent(float(w))
-        worst = max(worst, residual)
-        out[k] = u @ x
-    return out, worst
+
+def _solve_or_nan(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(rhs.shape, np.nan, dtype=complex)
 
 
 def _resolvent_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
-                      omegas: np.ndarray) -> tuple[np.ndarray, str, float]:
-    """vec-form values u^dag (i w I - L)^{-1} b for each w, the route taken
-    ("schur", "banded" or "sparse") and the worst residual relative to ||b||.
+                      omegas: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """vec-form values u^dag (i w I - L)^{-1} b for each w, the Krylov
+    dimension m (0 when no projection was needed) and the worst residual
+    relative to ||b||.
 
     The carrier (w = 0) takes the deflated bordered solve, the other
-    frequencies the route chosen from the size of L and the grid length
-    (module docstring); only the Schur route densifies L. Every solve is
-    residual-checked: numerically singular frequencies (undamped poles, or
-    the coherent delta peak at the carrier) raise SingularResolvent rather
-    than returning garbage.
+    frequencies one Krylov projection. Every solve is residual-checked:
+    numerically singular frequencies (undamped poles, or the coherent delta
+    peak at the carrier) raise SingularResolvent rather than returning
+    garbage.
     """
     carrier = np.abs(omegas) < 1e-12 * lio.norm_scale()
     rest = ~carrier
-    if lio.matrix.shape[0] > DENSE_SOLVE_CAP:
-        route = "sparse"
-    elif np.count_nonzero(rest) >= _SCHUR_MIN_FREQS:
-        route = "schur"
-    else:
-        route = "banded"
     out = np.zeros(omegas.size, dtype=complex)
     if not np.any(b):
-        return out, route, 0.0
+        return out, 0, 0.0
     op_scale = float(np.linalg.norm(u))
     worst = 0.0
     for k in np.flatnonzero(carrier):
         x, residual = _carrier_solve(lio, b, op_scale)
         out[k] = u @ x
         worst = max(worst, residual)
-    if route == "schur":
-        out[rest], residual = _schur_values(lio, u, b, omegas[rest])
-    else:
-        out[rest], residual = _direct_values(lio, u, b, omegas[rest], route)
-    return out, route, max(worst, residual)
+    m = 0
+    if rest.any():
+        out[rest], m, residual = _krylov_values(lio, u, b, omegas[rest])
+        worst = max(worst, residual)
+    return out, m, worst
 
 
 def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
@@ -392,16 +343,14 @@ def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
     """Spectrum via resolvent solves.
 
     omega_grid is relative to frame_offset; the resolvent is evaluated at
-    the absolute frame frequency. A dense-size Liouvillian on a grid of at
-    least _SCHUR_MIN_FREQS frequencies is factorized once into Schur form,
-    with one refinement step per frequency; shorter grids take one banded
-    LU solve per frequency, and an L above DENSE_SOLVE_CAP one sparse LU
-    solve per frequency. Every solve is residual-checked; the metadata
-    records the route ("schur", "banded" or "sparse") and the worst
-    residual relative to ||b|| as max_relative_residual. In full mode the
-    coherent component makes (i w - L) singular at the drive carrier
-    (w_abs = 0); that frequency is reported via SingularResolvent, never
-    interpolated over.
+    the absolute frame frequency. All frequencies but the carrier share one
+    shift-and-invert Krylov projection: one sparse LU of the shifted L per
+    call, never a dense copy. Every solve is residual-checked; the metadata
+    records the route ("krylov"), the projection's dimension as krylov_dim
+    and the worst residual relative to ||b|| as max_relative_residual. In
+    full mode the coherent component makes (i w - L) singular at the drive
+    carrier (w_abs = 0); that frequency is reported via SingularResolvent,
+    never interpolated over.
     """
     if a_op.layout != rho_ss.layout or a_op.layout != lio.layout:
         raise LayoutMismatch("operator, state and Liouvillian layouts differ")
@@ -409,10 +358,12 @@ def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
     a_fl = _fluctuation_operator(a_op, rho_ss, mode)
     b = vectorize(a_fl @ rho_ss.matrix)
     u = vectorize(a_fl).conj()
-    raw, route, residual = _resolvent_values(lio, u, b, grid + frame_offset)
+    raw, krylov_dim, residual = _resolvent_values(lio, u, b,
+                                                  grid + frame_offset)
     values = np.real(raw) / np.pi
     meta = dict(mode=mode, method="resolvent", frame_offset=frame_offset,
-                route=route, max_relative_residual=residual)
+                route="krylov", krylov_dim=krylov_dim,
+                max_relative_residual=residual)
     return Spectrum(grid, values, frame_offset, meta)
 
 
@@ -522,7 +473,7 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
     instead pin the spin in m_s = +1 and produce a single shifted line
     (available via full_liouvillian_spectrum). The metadata records, per
     sector used, its weight, photon number, cavity Fock populations, and
-    the resolvent route and worst relative residual.
+    the resolvent route, Krylov dimension and worst relative residual.
 
     `problems` is a dict the caller owns: a sector problem stored there
     under (p, rates, m_s, pcq_relaxation) is reused, and each one built is
@@ -549,6 +500,7 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
                                 rho_ss.expect(a_op.dag() @ a_op))),
                             "cavity_populations": np.real(np.diag(cavity)),
                             "route": s.metadata["route"],
+                            "krylov_dim": s.metadata["krylov_dim"],
                             "max_relative_residual":
                                 s.metadata["max_relative_residual"]}
     meta = dict(mode=mode, method="sector-resolvent", weights=tuple(map(float, w)),

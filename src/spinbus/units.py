@@ -1,18 +1,15 @@
-"""Physical constants and unit-tagged quantities.
+"""Physical constants and the one unit table.
 
 All internal computation is carried out in SI; presentation code converts
-to the device-friendly units (GHz, MHz, kHz, gauss, nA, um) at the edge.
-Cyclic frequency (Hz) and angular frequency (rad/s) carry distinct tags:
-the 2*pi is never implicit.
+to the device-friendly units (GHz, MHz, kHz, gauss, nA, um) at the edge,
+through UNIT_TABLE. The table's frequencies are cyclic (Hz): the 2*pi to
+angular frequency is written out as TWO_PI where it applies, never implied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-
-from .errors import DimensionMismatch
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,101 +74,6 @@ def format_in(value_si: float, unit: str) -> str:
     return f"{to_unit(value_si, unit):.6g}" + (f" {unit}" if unit else "")
 
 
-class Unit(Enum):
-    """Dimension tags for the quantities this toolkit handles."""
-
-    HZ = "Hz"                  # cyclic frequency
-    RAD_PER_S = "rad/s"        # angular frequency
-    TESLA = "T"
-    GAUSS = "G"
-    AMPERE = "A"
-    METER = "m"
-    SECOND = "s"
-    HENRY = "H"
-    WEBER = "Wb"
-    TESLA_M2 = "T*m^2"         # flux written as field times area
-    DIMENSIONLESS = "1"
-
-
-# Legal conversions: (source, target) -> multiplicative factor.
-# Hz <-> rad/s (x 2*pi) and Wb <-> T*m^2 are definitions, not unit prefixes;
-# the gauss factor is UNIT_TABLE's.
-_CONVERSIONS: dict[tuple[Unit, Unit], float] = {
-    (Unit.HZ, Unit.RAD_PER_S): TWO_PI,
-    (Unit.RAD_PER_S, Unit.HZ): 1.0 / TWO_PI,
-    (Unit.TESLA, Unit.GAUSS): 1.0 / UNIT_TABLE["G"][1],
-    (Unit.GAUSS, Unit.TESLA): UNIT_TABLE["G"][1],
-    (Unit.WEBER, Unit.TESLA_M2): 1.0,
-    (Unit.TESLA_M2, Unit.WEBER): 1.0,
-}
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A real value tagged with a dimension.
-
-    Addition, subtraction and comparison require identical tags; scaling by
-    a bare number is allowed. Cross-dimension arithmetic is rejected rather
-    than inferred -- this is not a general units library.
-    """
-
-    value: float
-    unit: Unit
-
-    def _require_same(self, other: "Quantity") -> None:
-        if not isinstance(other, Quantity) or other.unit is not self.unit:
-            raise DimensionMismatch(
-                f"operands have units {self.unit.value!r} and "
-                f"{getattr(other, 'unit', None)!r}"
-            )
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._require_same(other)
-        return Quantity(self.value + other.value, self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require_same(other)
-        return Quantity(self.value - other.value, self.unit)
-
-    def __mul__(self, factor: float) -> "Quantity":
-        if isinstance(factor, Quantity):
-            raise DimensionMismatch("multiply a Quantity by a bare number only")
-        return Quantity(self.value * float(factor), self.unit)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other: "Quantity") -> bool:
-        self._require_same(other)
-        return self.value < other.value
-
-    def to(self, target: Unit) -> "Quantity":
-        return convert(self, target)
-
-
-def convert(q: Quantity, target_unit: Unit) -> Quantity:
-    """Convert between dimensionally compatible tags; exact rescale.
-
-    Raises DimensionMismatch for every pair not in the legal table
-    (e.g. seconds to tesla, or any tag to dimensionless).
-    """
-    if q.unit is target_unit:
-        return Quantity(q.value, target_unit)
-    try:
-        factor = _CONVERSIONS[(q.unit, target_unit)]
-    except KeyError:
-        raise DimensionMismatch(
-            f"no conversion from {q.unit.value!r} to {target_unit.value!r}"
-        ) from None
-    return Quantity(q.value * factor, target_unit)
-
-
 # Default |d(nu)/dB| of the spin microwave transitions, Hz/T.
 DEFAULT_TRANSITION_SLOPE = 2.8e10
 
-
-def cyclic_to_angular(f_hz: float) -> float:
-    return TWO_PI * f_hz
-
-
-def angular_to_cyclic(w_rad_s: float) -> float:
-    return w_rad_s / TWO_PI

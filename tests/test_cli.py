@@ -143,8 +143,8 @@ def test_check_subcommand_passes(capsys):
 
 
 # A strong-drive sector problem (d^2 = 144) big enough for OpenBLAS to
-# thread its Schur and LU kernels, where results depend on the thread count
-# unless the engine pins it.
+# thread its LU and matrix-product kernels, where results depend on the
+# thread count unless the engine pins it.
 STRONG_DRIVE = FAST_SPECTRUM.replace(
     "kappa = 26 kHz", "kappa = 26 kHz\nzeta = 1.4 MHz").replace(
     "n_fock = 4\ngrid_points = 301\ngrid_span_kappa = 8",

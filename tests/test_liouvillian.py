@@ -15,7 +15,6 @@ from spinbus.liouvillian import (
     adaptive_truncation,
     build_liouvillian,
     expm_action_grid,
-    hermitian_basis,
     propagate,
     steady_state,
     trace_row,
@@ -183,19 +182,6 @@ def test_bordered_matrix_matches_lil_construction():
             assert np.array_equal(got.indptr, ref.indptr), label
             assert np.array_equal(got.indices, ref.indices), label
             assert np.array_equal(got.data, ref.data), label
-
-
-def test_hermitian_basis_makes_sector_liouvillians_real():
-    # U is unitary, and U^dag L U is real for both pcq_relaxation values:
-    # the Schur route factors it in real arithmetic.
-    for dim in (2, 3, 8):
-        u = hermitian_basis(dim).toarray()
-        assert np.max(np.abs(u.conj().T @ u - np.eye(dim * dim))) <= 1e-15
-    for label, h, c_ops in sector_cases((2, 5, 8, 10, 12)):
-        lio = build_liouvillian(h, c_ops)
-        u = hermitian_basis(lio.dim)
-        l_r = (u.conj().T @ lio.matrix @ u).toarray()
-        assert np.max(np.abs(l_r.imag)) <= 1e-14 * np.max(np.abs(lio.matrix)), label
 
 
 def test_single_photon_decay_example():

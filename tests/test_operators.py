@@ -12,7 +12,6 @@ from spinbus.operators import (
     LabeledOperator,
     SpaceLayout,
     basis_state,
-    commutator,
     embed,
     fock_annihilation,
     fock_annihilation_matrix,
@@ -20,10 +19,25 @@ from spinbus.operators import (
     partial_trace,
     pauli_matrices,
     pauli_operators,
-    projector,
     spin1_matrices,
     spin1_operators,
 )
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch("commutator operands must share a shape")
+    return a @ b - b @ a
+
+
+def projector(layout: SpaceLayout, label: str, level: int) -> LabeledOperator:
+    """|level><level| on one factor, identity elsewhere."""
+    d = layout.dims[layout.slot(label)]
+    p = np.zeros((d, d), dtype=complex)
+    p[level, level] = 1.0
+    return embed(p, label, layout)
 
 
 # ------------------------------------------------------------------ layouts

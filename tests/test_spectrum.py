@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import curve_fit
 
 import spinbus.spectrum as spectrum_module
@@ -16,6 +17,7 @@ from spinbus.errors import (
     WindowTooShort,
 )
 from spinbus.liouvillian import (
+    DENSE_SOLVE_CAP,
     build_liouvillian,
     steady_state,
     trace_row,
@@ -236,7 +238,8 @@ def preset_point(name, n_fock, overrides=(), **loop_changes):
 
 def test_schur_route_matches_direct_solve_fig4a_cancellation():
     # The peak is tiny against ||u|| ||b|| / kappa here, so the spectrum is a
-    # large cancellation: an unrefined Schur solve misses it by ~1e-7 of peak.
+    # large cancellation: diagonalizing the projected Krylov matrix instead
+    # of solving with it misses it by ~5e-10 of the peak.
     cfg, model, rates, offset, span = preset_point("fig4a", 4,
                                                    r_loop=0.6542e-6)
     grid = np.linspace(-span, span, cfg.solver.grid_points)
@@ -245,6 +248,22 @@ def test_schur_route_matches_direct_solve_fig4a_cancellation():
         s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
         ref = dense_oracle(lio, a_op, rho, grid + offset)
         assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
+
+
+def test_krylov_growth_resolves_a_fig4a_scan_point():
+    # At this fig4a scan point (r_loop = 0.187 um) the m_s = +1 and -1
+    # sectors have residuals below 1e-10 at the starting Krylov dimension,
+    # yet their spectra are 8e-11 and 1.2e-10 of the peak off there: the
+    # residual does not see the cancellation in u^dag x. The growth rule
+    # must take m past that.
+    r_loop = load_config(preset_path("fig4a")).axes[0].values[2]
+    cfg, model, rates, offset, span = preset_point("fig4a", 4, r_loop=r_loop)
+    grid = np.linspace(-span, span, cfg.solver.grid_points)
+    for m_s in (1, 0, -1):
+        lio, a_op, rho = sector_problem(model, rates, m_s)
+        s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+        ref = dense_oracle(lio, a_op, rho, grid + offset)
+        assert np.max(np.abs(s.values - ref)) <= 1e-11 * ref.max()
 
 
 @pytest.mark.parametrize("n_fock", [3, 4])
@@ -295,19 +314,12 @@ def test_full_mode_without_spin_relaxation_is_degenerate():
 
 
 def test_short_and_long_grid_routes_agree_where_they_meet(monkeypatch):
-    factorizations = []
     densified = []
-
-    def counting_schur(*args, **kwargs):
-        factorizations.append(1)
-        return schur(*args, **kwargs)
 
     def counting_toarray(self, *args, **kwargs):
         densified.append(1)
         return toarray(self, *args, **kwargs)
 
-    schur = spectrum_module.schur
-    monkeypatch.setattr(spectrum_module, "schur", counting_schur)
     g = TWO_PI * 2e6
     lio, a_op, rho_ss = jc_problem(g, zeta=2 * KAPPA, n_fock=4)
     toarray = type(lio.matrix).toarray
@@ -315,11 +327,8 @@ def test_short_and_long_grid_routes_agree_where_they_meet(monkeypatch):
     short = np.linspace(-16 * KAPPA, 16 * KAPPA, 33)
     long = np.linspace(-16 * KAPPA, 16 * KAPPA, 129)   # every 4th is in short
     s_short = spectrum_resolvent(lio, a_op, rho_ss, short, frame_offset=g)
-    assert not factorizations and not densified
-    assert s_short.metadata["route"] == "banded"
     s_long = spectrum_resolvent(lio, a_op, rho_ss, long, frame_offset=g)
-    assert len(factorizations) == 1 and len(densified) == 1
-    assert s_long.metadata["route"] == "schur"
+    assert not densified
     for s in (s_short, s_long):
         assert 0.0 < s.metadata["max_relative_residual"] <= 1e-8
     assert np.array_equal(long[::4], short)
@@ -327,11 +336,11 @@ def test_short_and_long_grid_routes_agree_where_they_meet(monkeypatch):
     assert np.max(np.abs(s_long.values[::4] - s_short.values)) <= 1e-10 * peak
 
 
-# (preset, N, overrides, loop changes, sectors): a strong-drive sector of
-# the truncation probes, and the fig4a point whose spectrum is a
-# cancellation.
+# (preset, N, overrides, loop changes, sectors) on the 33-point grid of the
+# truncation probes: strong-drive sectors, and the fig4a point whose
+# spectrum is a cancellation.
 STRONG = (["resonator.zeta=1.4 MHz"], {"T1_pcq": 11e-6, "T2_pcq": 11e-6})
-BANDED_CASES = {
+PROBE_CASES = {
     "zeta-1.4MHz-N4": ("fig7", 4, *STRONG, (1,)),
     "zeta-1.4MHz-N6": ("fig7", 6, *STRONG, (1,)),
     "zeta-1.4MHz-N10": ("fig7", 10, *STRONG, (1,)),
@@ -341,28 +350,25 @@ BANDED_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(BANDED_CASES))
+@pytest.mark.parametrize("case", list(PROBE_CASES))
 def test_banded_route_matches_direct_solve(case):
-    preset, n_fock, overrides, loop_changes, sectors = BANDED_CASES[case]
+    preset, n_fock, overrides, loop_changes, sectors = PROBE_CASES[case]
     cfg, model, rates, offset, span = preset_point(preset, n_fock, overrides,
                                                    **loop_changes)
     grid = np.linspace(-span, span, 33)
     for m_s in sectors:
         lio, a_op, rho = sector_problem(model, rates, m_s)
-        _, kl, ku = spectrum_module._band_storage(lio)
-        assert kl == ku == 3 * (2 * n_fock)   # 3 D in column stacking
         s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
-        assert s.metadata["route"] == "banded"
         ref = dense_oracle(lio, a_op, rho, grid + offset)
         assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
 
 
 def test_schur_blocking_is_invisible(monkeypatch):
-    # One frequency per block, blocks of 64 that split the 201 frequencies
-    # 64/64/64/9, and the whole grid in one block give the same spectrum, on
+    # At most one frequency per block, at most 64 (which split the 201
+    # frequencies 64/64/64/9 while m^2 <= d^2) and the whole grid in one
+    # block give the same Krylov dimension and the same spectrum, on
     # strong-drive sectors of every final size (d^2 = 144, 256 and 400;
-    # blocks of one frequency at 144 only, to bound the run time). Each
-    # Schur form is taken in real arithmetic.
+    # blocks of one frequency at 144 only, to bound the run time).
     overrides, loop_changes = STRONG
     for n_fock, widths in ((6, (1, 64, 201)), (8, (64, 201)), (10, (64, 201))):
         cfg, model, rates, offset, span = preset_point("fig7", n_fock, overrides,
@@ -371,12 +377,14 @@ def test_schur_blocking_is_invisible(monkeypatch):
         d2 = lio.matrix.shape[0]
         assert d2 == (2 * n_fock) ** 2
         grid = np.linspace(-span, span, 201)
-        spectra = []
+        spectra, dims = [], set()
         for width in widths:
             monkeypatch.setattr(spectrum_module, "_CHUNK_ELEMENTS", width * d2)
             s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
-            assert s.metadata["route"] == "schur"
+            assert s.metadata["route"] == "krylov"
+            dims.add(s.metadata["krylov_dim"])
             spectra.append(s.values)
+        assert len(dims) == 1
         ref = dense_oracle(lio, a_op, rho, grid + offset)
         peak = ref.max()
         for values in spectra:
@@ -388,12 +396,12 @@ def test_sparse_route_above_dense_cap():
     # 46 Fock levels: D^2 = 2116 > DENSE_SOLVE_CAP. The undriven cavity
     # seeded with one photon has S = (1/pi) (kappa/2) / (w^2 + kappa^2/4).
     layout, a, lio = bare_cavity(46)
-    assert lio.matrix.shape[0] > spectrum_module.DENSE_SOLVE_CAP
+    assert lio.matrix.shape[0] > DENSE_SOLVE_CAP
     ket = basis_state(layout, {"cavity": 1})
     rho = DensityMatrix(np.outer(ket, ket.conj()), layout)
     grid = np.linspace(-3 * KAPPA, 3 * KAPPA, 7)
     s = spectrum_resolvent(lio, a, rho, grid, mode="full")
-    assert s.metadata["route"] == "sparse"
+    assert s.metadata["route"] == "krylov"
     assert s.metadata["max_relative_residual"] <= 1e-8
     exact = (KAPPA / 2) / (grid**2 + KAPPA**2 / 4) / np.pi
     assert np.max(np.abs(s.values - exact)) <= 1e-10 * exact.max()
@@ -418,9 +426,9 @@ def test_schur_route_reports_undamped_pole():
 @pytest.mark.parametrize("tilt", [0.0, 0.75])
 def test_banded_route_reports_undamped_pole(tilt):
     # H = (Delta/2)(sigma_z + tilt sigma_x), undamped: a pole at
-    # Delta sqrt(1 + tilt^2) (1.25 Delta for tilt 0.75). Untilted, the band
-    # LU meets an exactly zero pivot there; tilted, it completes with a
-    # rounding-size pivot and only the residual check sees the failure.
+    # Delta sqrt(1 + tilt^2) (1.25 Delta for tilt 0.75). The projected
+    # system is singular there only to rounding, so the residual check alone
+    # sees the failure.
     delta = TWO_PI * 1e6
     layout = SpaceLayout((2,), ("pcq",))
     sz, s_plus, s_minus = pauli_matrices()
@@ -436,6 +444,72 @@ def test_banded_route_reports_undamped_pole(tilt):
     with pytest.raises(SingularResolvent) as exc:
         spectrum_resolvent(lio, sigma_minus, rho, grid, mode="full")
     assert exc.value.omega == pole
+
+
+def test_exactly_singular_projection_reports_undamped_pole():
+    # With rho diagonal, b = vec(sigma_- rho) is one coherence of the
+    # undamped qubit: the Krylov space is invariant at m = 1 and the
+    # projected system is exactly singular at the pole. The stacked small
+    # solve then fails as a whole, and the pole must still be named.
+    delta = TWO_PI * 1e6
+    layout = SpaceLayout((2,), ("pcq",))
+    sz, _, s_minus = pauli_matrices()
+    lio = build_liouvillian(
+        LabeledOperator(0.5 * delta * sz, layout, hermitian_hint=True), [])
+    rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex), layout)
+    grid = delta * np.linspace(0.5, 1.5, 33)
+    assert grid[16] == delta
+    # The one-frequency grid at the pole is the shift's floor case: with a
+    # zero half-span, s0 I - L stays nonsingular only through the floor.
+    for omegas in (grid, grid[16:17]):
+        with pytest.raises(SingularResolvent) as exc:
+            spectrum_resolvent(lio, LabeledOperator(s_minus, layout), rho,
+                               omegas, mode="full")
+        assert exc.value.omega == delta
+
+
+def test_every_grid_takes_one_krylov_projection(monkeypatch):
+    # Each call factors s0 I - L once (Re s0 > 0), on a probe grid and on
+    # final grids alike, and never densifies L. The strong-drive probe
+    # sector needs more than the starting Krylov dimension.
+    cfg, model, rates, offset, span = preset_point("fig4a", 4,
+                                                   r_loop=0.6542e-6)
+    cancellation = sector_problem(model, rates, 0)
+    overrides, loop_changes = STRONG
+    cfg, model, rates, s_offset, s_span = preset_point("fig7", 4, overrides,
+                                                       **loop_changes)
+    strong = sector_problem(model, rates, 1)
+    factored, densified = [], []
+    splu = spectrum_module.spla.splu
+    toarray = type(strong[0].matrix).toarray
+
+    def counting_splu(a, *args, **kwargs):
+        factored.append(a)
+        return splu(a, *args, **kwargs)
+
+    def counting_toarray(self, *args, **kwargs):
+        densified.append(1)
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
+    monkeypatch.setattr(type(strong[0].matrix), "toarray", counting_toarray)
+    runs = [(cancellation, np.linspace(-span, span, points), offset)
+            for points in (33, 201, 2001)]
+    runs.append((strong, np.linspace(-s_span, s_span, 33), s_offset))
+    for (lio, a_op, rho), grid, frame in runs:
+        factored.clear()
+        s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=frame)
+        assert len(factored) == 1
+        shifted = factored[0] + lio.matrix
+        s0 = shifted.diagonal()[0]
+        assert s0.real > 0.0
+        assert abs(shifted - s0 * sp.identity(lio.matrix.shape[0])).max() \
+            <= 1e-12 * abs(s0)
+        assert s.metadata["route"] == "krylov"
+        assert s.metadata["krylov_dim"] >= spectrum_module._KRYLOV_START
+        assert 0.0 < s.metadata["max_relative_residual"] <= 1e-8
+    assert not densified
+    assert s.metadata["krylov_dim"] > spectrum_module._KRYLOV_START
 
 
 def test_long_grid_through_carrier(monkeypatch):

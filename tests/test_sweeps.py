@@ -448,7 +448,7 @@ def test_point_spectrum_reuses_probe_problems(monkeypatch):
                                spec.omega_grid, offset)
     assert np.array_equal(spec.values, fresh.values)
     for sector in spec.metadata["sectors"].values():
-        assert sector["route"] == "schur"
+        assert sector["route"] == "krylov"
         assert sector["max_relative_residual"] <= 1e-8
 
 

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from spinbus.errors import DimensionMismatch
 from spinbus.units import (
     CONSTANTS,
     TWO_PI,
+    UNIT_TABLE,
     PhysicalConstants,
-    Quantity,
-    Unit,
-    angular_to_cyclic,
-    convert,
-    cyclic_to_angular,
+    to_unit,
 )
 
 
@@ -37,69 +33,28 @@ def test_bad_constants_rejected():
 
 
 def test_convert_frequency_definition():
-    q = Quantity(6e9, Unit.HZ)
-    w = convert(q, Unit.RAD_PER_S)
-    assert w.unit is Unit.RAD_PER_S
-    assert w.value == TWO_PI * 6e9
+    # Table frequencies are cyclic: GHz is 1e9 Hz, with no 2*pi.
+    assert UNIT_TABLE["GHz"] == ("frequency", 1e9)
+    assert to_unit(6e9, "GHz") == 6.0
 
 
 def test_convert_tesla_gauss():
-    b = Quantity(5.17e-4, Unit.TESLA)
-    g = convert(b, Unit.GAUSS)
-    assert g.value == pytest.approx(5.17, rel=1e-12)
+    assert to_unit(5.17e-4, "G") == pytest.approx(5.17, rel=1e-12)
 
 
 def test_convert_identity():
-    q = Quantity(1.0, Unit.HZ)
-    assert convert(q, Unit.HZ).value == 1.0
+    # SI units and the empty unit of a dimensionless value leave it unchanged.
+    for unit in ("Hz", "s", "m", "A", "H", "T", "Wb", "Hz/T", ""):
+        assert to_unit(1.25, unit) == 1.25
 
 
 def test_convert_flux_alias():
-    q = Quantity(2e-15, Unit.WEBER)
-    assert convert(q, Unit.TESLA_M2).value == 2e-15
+    assert UNIT_TABLE["Phi0"] == ("flux", CONSTANTS.flux_quantum)
+    assert to_unit(2 * CONSTANTS.flux_quantum, "Phi0") == 2.0
 
 
 def test_roundtrip_exact_machine_precision():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        v = float(rng.uniform(1e-12, 1e12))
-        back = convert(convert(Quantity(v, Unit.HZ), Unit.RAD_PER_S), Unit.HZ)
-        assert back.value == pytest.approx(v, rel=1e-15)
-        back = convert(convert(Quantity(v, Unit.TESLA), Unit.GAUSS), Unit.TESLA)
-        assert back.value == pytest.approx(v, rel=1e-15)
-
-
-def test_illegal_conversions_all_rejected():
-    legal = {(Unit.HZ, Unit.RAD_PER_S), (Unit.RAD_PER_S, Unit.HZ),
-             (Unit.TESLA, Unit.GAUSS), (Unit.GAUSS, Unit.TESLA),
-             (Unit.WEBER, Unit.TESLA_M2), (Unit.TESLA_M2, Unit.WEBER)}
-    for src in Unit:
-        for dst in Unit:
-            if src is dst or (src, dst) in legal:
-                convert(Quantity(1.0, src), dst)
-            else:
-                with pytest.raises(DimensionMismatch):
-                    convert(Quantity(1.0, src), dst)
-
-
-def test_mismatched_arithmetic_rejected():
-    with pytest.raises(DimensionMismatch):
-        Quantity(1.0, Unit.HZ) + Quantity(1.0, Unit.RAD_PER_S)
-    with pytest.raises(DimensionMismatch):
-        Quantity(1.0, Unit.TESLA) - Quantity(1.0, Unit.GAUSS)
-    with pytest.raises(DimensionMismatch):
-        Quantity(2.0, Unit.METER) * Quantity(2.0, Unit.METER)
-
-
-def test_same_tag_arithmetic():
-    a = Quantity(2.0, Unit.SECOND) + Quantity(3.0, Unit.SECOND)
-    assert a.value == 5.0 and a.unit is Unit.SECOND
-    assert (2.0 * Quantity(3.0, Unit.AMPERE)).value == 6.0
-    assert Quantity(1.0, Unit.HENRY) < Quantity(2.0, Unit.HENRY)
-
-
-def test_cyclic_angular_helpers():
-    assert cyclic_to_angular(1.0) == TWO_PI
-    assert angular_to_cyclic(TWO_PI) == 1.0
-    assert angular_to_cyclic(cyclic_to_angular(123.456)) == pytest.approx(
-        123.456, rel=1e-15)
+    for unit, (_, factor) in UNIT_TABLE.items():
+        for v in rng.uniform(1e-12, 1e12, 20):
+            assert to_unit(v * factor, unit) == pytest.approx(v, rel=1e-15)

@@ -17,13 +17,14 @@ run's value of every end-to-end metric, the median and quartiles of each
 side (inclusive method), the number of pairs the change wins (ties count
 for neither; "better" and the regression bound are read from the parent's
 BENCHMARK.json), the ratio of the medians and whether the change's median
-is inside the bound. ``machine`` holds the last machine line run.py printed
-in each tree, which names its commit and source digest. ``--claim`` names
-the metric a gain is claimed on, at seed N: it is met when the change wins
-at least nine of the ten pairs and the medians differ by more than the
-parent's interquartile range. An existing record at ``--out`` is updated
-in place, so workloads and seeds can be run in separate invocations. Only
-the standard library is used.
+is inside the bound, or "unresolved" where the parent's spread is wider
+than the bound (see ``compare``). ``machine`` holds the last machine line
+run.py printed in each tree, which names its commit and source digest.
+``--claim`` names the metric a gain is claimed on, at seed N: it is met
+when the change wins at least nine of the ten pairs and the medians differ
+by more than the parent's interquartile range. An existing record at
+``--out`` is updated in place, so workloads and seeds can be run in
+separate invocations. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -61,27 +62,40 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(parent: list[float], change: list[float], spec: dict) -> dict:
-    """Both sides of one metric, the wins of the change and its bound."""
+    """Both sides of one metric, the wins of the change and its bound.
+
+    The bound check is "unresolved" instead of a within_bound flag when the
+    parent's interquartile range is wider than bound x median, unless every
+    change run reads better than every parent run: a spread wider than the
+    bound cannot show that the change stayed inside it."""
     lower = spec.get("better", "lower") == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     p, c = summary(parent), summary(change)
     entry = {"parent": p, "change": c, "change_wins": wins,
              "median_ratio": c["median"] / p["median"] if p["median"] else None}
     if "bound" in spec:
-        limit = p["median"] * (1 + spec["bound"] if lower else 1 - spec["bound"])
-        entry["within_bound"] = (c["median"] <= limit if lower
-                                 else c["median"] >= limit)
+        bound = spec["bound"]
+        beats_all = (max(change) < min(parent) if lower
+                     else min(change) > max(parent))
+        if p["q3"] - p["q1"] > bound * abs(p["median"]) and not beats_all:
+            entry["unresolved"] = True
+        else:
+            limit = p["median"] * (1 + bound if lower else 1 - bound)
+            entry["within_bound"] = (c["median"] <= limit if lower
+                                     else c["median"] >= limit)
     return entry
 
 
 def claim_verdict(entry: dict) -> dict:
     """A gain holds when the change wins at least nine of the ten pairs and
-    the medians differ by more than the parent's interquartile range."""
+    the medians differ by more than the parent's interquartile range. The
+    relative median change is None when the parent's median is zero."""
     p, c = entry["parent"], entry["change"]
     gap = abs(p["median"] - c["median"])
     iqr = p["q3"] - p["q1"]
     return {"change_wins": entry["change_wins"], "pairs": PAIRS,
-            "median_change": c["median"] / p["median"] - 1.0,
+            "median_change": (c["median"] / p["median"] - 1.0
+                              if p["median"] else None),
             "median_gap": gap, "parent_iqr": iqr,
             "met": entry["change_wins"] >= 9 and gap > iqr}
 
@@ -113,7 +127,9 @@ def main() -> int:
         "over its repetitions; quartiles are over runs (inclusive method); "
         "change_wins counts pairs where the change reads better (ties count "
         "for neither); within_bound compares the change's median with the "
-        "parent's and the BENCHMARK.json bound")
+        "parent's and the BENCHMARK.json bound; unresolved replaces it when "
+        "the parent's interquartile range exceeds bound x median and not "
+        "every change run reads better than every parent run")
     trees = {"parent": args.parent, "change": args.change}
     machines = record.setdefault("machine", {})
     workloads = record.setdefault("workloads", {})
@@ -164,10 +180,12 @@ def main() -> int:
         fh.write("\n")
     for workload in args.workload:
         for name, entry in workloads[workload][seed]["metrics"].items():
+            bound = ("unresolved" if entry.get("unresolved")
+                     else entry.get("within_bound"))
             print(f"{workload} {name}: {entry['parent']['median']:.4f} -> "
                   f"{entry['change']['median']:.4f} "
                   f"(wins {entry['change_wins']}/{PAIRS}, "
-                  f"within bound: {entry.get('within_bound')})")
+                  f"within bound: {bound})")
     if "claim" in record:
         print("claim:", json.dumps(record["claim"]))
     return 0
