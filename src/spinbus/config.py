@@ -79,7 +79,6 @@ KEY_TABLE: dict[tuple[str, str], tuple] = {
     ("loop", "Phi_x"): ("flux", None),
     ("loop", "T1_pcq"): ("time", None),
     ("loop", "T2_pcq"): ("time", None),
-    ("loop", "alpha"): (float, None),
     ("nv", "D"): ("frequency", None),
     ("nv", "slope"): ("slope", None),
     ("nv", "B_bias"): ("field", None),

@@ -64,9 +64,7 @@ class LoopParams:
     """Persistent-current loop: geometry, current, gap, flux bias, coherence.
 
     The loop is circular with n_turns identical concentric turns; area is
-    pi*r_loop^2 per turn. alpha (junction size ratio) is metadata only and
-    must exceed 0.5 when supplied, the regime in which the loop behaves as
-    a two-level system.
+    pi*r_loop^2 per turn.
     """
 
     r_loop: float            # m
@@ -76,7 +74,6 @@ class LoopParams:
     Phi_x: float | None = None   # Wb, defaults to half a flux quantum
     T1_pcq: float = 20e-6    # s
     T2_pcq: float = 2e-6     # s
-    alpha: float | None = None
 
     def __post_init__(self):
         if self.r_loop <= 0.0:
@@ -85,8 +82,6 @@ class LoopParams:
             raise ValueError("I_p must be nonnegative")
         if self.n_turns < 1 or int(self.n_turns) != self.n_turns:
             raise ValueError("n_turns must be a positive integer")
-        if self.alpha is not None and self.alpha <= 0.5:
-            raise ValueError("alpha must exceed 0.5 (two-level regime)")
         if self.T1_pcq <= 0.0 or self.T2_pcq <= 0.0:
             raise ValueError("coherence times must be positive")
         if self.T2_pcq > 2.0 * self.T1_pcq * (1.0 + 1e-12):

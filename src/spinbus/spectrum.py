@@ -25,10 +25,11 @@ half a grid span to the right of the grid centre, where a Lindblad L has
 no eigenvalue, so one sparse LU of s0 I - L serves every frequency of the
 grid. Arnoldi gives K Q_m = Q_{m+1} Hbar_m, each frequency takes the small
 pivoted solve x = beta Q_m (I + mu H_m)^{-1} e_1, and m doubles until the
-true residual of the sparse L is well below the accepted one at every
-frequency. The small systems are solved, not diagonalized: an eigen or
-Schur expansion of H_m misses the cancellation of the fig4a spectrum,
-which lies far below ||u|| ||b|| / kappa, by ~5e-10 of the peak.
+Arnoldi residual (Saad, Math. Comp. 37, 105 (1981)) is well below the
+accepted one at every frequency; the true residual is checked once. The
+small systems are solved, not diagonalized: an eigen or Schur expansion of
+H_m misses the cancellation of the fig4a spectrum, which lies far below
+||u|| ||b|| / kappa, by ~5e-10 of the peak.
 The carrier (omega = 0 in the drive frame), where (i omega I - L) is
 singular through the steady-state kernel, is solved through the steady
 state's trace-bordered system (liouvillian._bordered_solve).
@@ -218,17 +219,16 @@ def _krylov_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
     The shift is s0 = delta + i w_c, with w_c the grid centre and delta its
     half-span, floored at 1e-6 of L's scale for a one-frequency grid. Arnoldi
     with one re-orthogonalisation pass extends K Q_m = Q_{m+1} Hbar_m from
-    m = _KRYLOV_START, and m doubles until the worst true residual
-    ||(i w I - L) x - b|| / ||b|| over the grid is at most 1e-4
-    _RESIDUAL_TOL. Once it is at most _RESIDUAL_TOL / 100 everywhere, m
-    doubles once more at most: the residual bounds the spectrum only up to
-    the cancellation in u^dag x (a residual of 1e-11 left 1e-10 of the peak
-    on a fig6a sector at m = 8, against 1e-13 at m = 16), while the
-    residual's rounding floor, up to 1e-12 on the presets, would let the
-    tighter target alone grow m to the dimension of L. Growth also stops
-    when Arnoldi breaks down (the space is invariant, so the projection is
-    exact) or m reaches the dimension of L; a frequency whose residual then
-    exceeds _RESIDUAL_TOL raises SingularResolvent.
+    m = _KRYLOV_START, and m doubles until the Arnoldi residual is at most
+    1e-4 _RESIDUAL_TOL at every frequency, Arnoldi breaks down (the space is
+    invariant, so the projection is exact) or m reaches the dimension of L.
+    The Arnoldi residual is the true one in exact arithmetic,
+    (i w I - L) x - b = mu h_{m+1,m} y_m (s0 I - L) q_{m+1} with y_m the last
+    entry of y = beta (I + mu H_m)^{-1} e_1, and costs one sparse product
+    per m. Unlike the true residual it has no rounding floor, so the tight
+    target that the cancellation in u^dag x needs cannot grow m to the
+    dimension of L. At the accepted m the true residual is checked once: a
+    frequency where it exceeds _RESIDUAL_TOL raises SingularResolvent.
     """
     n = b.size
     lo, hi = float(omegas.min()), float(omegas.max())
@@ -240,8 +240,8 @@ def _krylov_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
     beta = float(np.linalg.norm(kb))
     q = np.asfortranarray((kb / beta)[:, None])
     h = np.zeros((1, 0), dtype=complex)
-    m, target, invariant, last = 0, min(_KRYLOV_START, n), False, False
-    bcol = b[:, None]
+    m, target, invariant = 0, min(_KRYLOV_START, n), False
+    mu = 1j * omegas - s0
     while True:
         grown = np.zeros((n, target + 1), dtype=complex, order="F")
         grown[:, :m + 1] = q[:, :m + 1]
@@ -262,41 +262,38 @@ def _krylov_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
                 invariant = True
                 break
             q[:, m] = v / h[m, m - 1]
-        final = invariant or last or m == n
-        qm, hm = q[:, :m], h[:m, :m]
-        rhs = np.zeros((m, 1), dtype=complex)
-        rhs[0] = beta
-        out = np.empty(omegas.size, dtype=complex)
-        worst, grow = 0.0, False
         step = max(1, _CHUNK_ELEMENTS // max(n, m * m))
+        rhs = beta * np.eye(m, 1)
+        y = np.empty((omegas.size, m), dtype=complex)
         for k0 in range(0, omegas.size, step):
-            w = omegas[k0:k0 + step]
-            iw = 1j * w
-            a = np.eye(m) + (iw - s0)[:, None, None] * hm
+            a = np.eye(m) + mu[k0:k0 + step, None, None] * h[:m, :m]
             try:
-                y = np.linalg.solve(a, rhs)
+                y[k0:k0 + step] = np.linalg.solve(a, rhs)[:, :, 0]
             except np.linalg.LinAlgError:
                 # An exactly singular system is a pole on the grid: its
                 # nan solution is left for the residual guard to name.
-                y = np.stack([_solve_or_nan(ak, rhs) for ak in a])
-            x = qm @ y[:, :, 0].T
-            with np.errstate(invalid="ignore", over="ignore"):
-                residual = np.linalg.norm(x * iw - lio.matrix @ x - bcol,
-                                          axis=0) / bnorm
-            if not final and not residual.max() <= _RESIDUAL_TOL * 1e-4:
-                grow = True
-                if not residual.max() <= _RESIDUAL_TOL / 100:
-                    break
-            bad = ~(residual <= _RESIDUAL_TOL)
-            if bad.any():
-                raise SingularResolvent(float(w[np.argmax(bad)]))
-            worst = max(worst, float(residual.max()))
-            out[k0:k0 + step] = u @ x
-        else:
-            if not grow:
-                return out, m, worst
-            last = True
+                y[k0:k0 + step] = np.stack(
+                    [_solve_or_nan(ak, rhs) for ak in a])[:, :, 0]
+        if invariant or m == n or (
+                h[m, m - 1].real * np.max(np.abs(mu * y[:, m - 1]))
+                * np.linalg.norm(s0 * q[:, m] - lio.matrix @ q[:, m])
+                <= _RESIDUAL_TOL * 1e-4 * bnorm):
+            break
         target = min(2 * target, n)
+    out = np.empty(omegas.size, dtype=complex)
+    worst = 0.0
+    for k0 in range(0, omegas.size, step):
+        x = q[:, :m] @ y[k0:k0 + step].T
+        with np.errstate(invalid="ignore", over="ignore"):
+            residual = np.linalg.norm(x * (1j * omegas[k0:k0 + step])
+                                      - lio.matrix @ x - b[:, None],
+                                      axis=0) / bnorm
+        bad = ~(residual <= _RESIDUAL_TOL)
+        if bad.any():
+            raise SingularResolvent(float(omegas[k0 + np.argmax(bad)]))
+        worst = max(worst, float(residual.max()))
+        out[k0:k0 + step] = u @ x
+    return out, m, worst
 
 
 def _solve_or_nan(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

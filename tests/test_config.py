@@ -61,7 +61,8 @@ def test_unphysical_t2_is_validation_error():
 
 @pytest.mark.parametrize("key", ["resonator.omega_drive = 6.01 GHz",
                                  "solver.steady_residual_tol = 1e-30",
-                                 "output.deterministic = true"])
+                                 "output.deterministic = true",
+                                 "loop.alpha = 0.8"])
 def test_keys_that_nothing_reads_are_rejected(key):
     section, _, line = key.partition(".")
     with pytest.raises(ParseError, match="unknown key") as info:

@@ -197,8 +197,6 @@ def test_param_invariants():
     with pytest.raises(ValueError):
         LoopParams(r_loop=0.0, I_p=1e-9, Delta=DELTA)
     with pytest.raises(ValueError):
-        LoopParams(r_loop=1e-6, I_p=1e-9, Delta=DELTA, alpha=0.4)
-    with pytest.raises(ValueError):
         LoopParams(r_loop=1e-6, I_p=1e-9, Delta=DELTA, T1_pcq=1e-6,
                    T2_pcq=3e-6)  # T2 > 2 T1
     with pytest.raises(ValueError):

@@ -251,19 +251,22 @@ def test_schur_route_matches_direct_solve_fig4a_cancellation():
 
 
 def test_krylov_growth_resolves_a_fig4a_scan_point():
-    # At this fig4a scan point (r_loop = 0.187 um) the m_s = +1 and -1
-    # sectors have residuals below 1e-10 at the starting Krylov dimension,
-    # yet their spectra are 8e-11 and 1.2e-10 of the peak off there: the
-    # residual does not see the cancellation in u^dag x. The growth rule
-    # must take m past that.
-    r_loop = load_config(preset_path("fig4a")).axes[0].values[2]
-    cfg, model, rates, offset, span = preset_point("fig4a", 4, r_loop=r_loop)
-    grid = np.linspace(-span, span, cfg.solver.grid_points)
-    for m_s in (1, 0, -1):
-        lio, a_op, rho = sector_problem(model, rates, m_s)
-        s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
-        ref = dense_oracle(lio, a_op, rho, grid + offset)
-        assert np.max(np.abs(s.values - ref)) <= 1e-11 * ref.max()
+    # At fig4a axis index 2 (r_loop = 0.187 um) the m_s = +1 and -1 sectors
+    # have residuals below 1e-10 at the starting Krylov dimension, yet their
+    # spectra are 8e-11 and 1.2e-10 of the peak off there: the residual
+    # does not see the cancellation in u^dag x. The growth rule must take m
+    # past that. At index 16 (r_loop = 0.5645 um) the m_s = 0 sector stops
+    # at the starting dimension on the Arnoldi residual.
+    radii = load_config(preset_path("fig4a")).axes[0].values
+    for r_loop in (radii[2], radii[16]):
+        cfg, model, rates, offset, span = preset_point("fig4a", 4,
+                                                       r_loop=r_loop)
+        grid = np.linspace(-span, span, cfg.solver.grid_points)
+        for m_s in (1, 0, -1):
+            lio, a_op, rho = sector_problem(model, rates, m_s)
+            s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+            ref = dense_oracle(lio, a_op, rho, grid + offset)
+            assert np.max(np.abs(s.values - ref)) <= 1e-11 * ref.max()
 
 
 @pytest.mark.parametrize("n_fock", [3, 4])
@@ -510,6 +513,30 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
         assert 0.0 < s.metadata["max_relative_residual"] <= 1e-8
     assert not densified
     assert s.metadata["krylov_dim"] > spectrum_module._KRYLOV_START
+
+
+def test_krylov_growth_checks_the_true_residual_once(monkeypatch):
+    # The strong-drive probe sector grows m from 8 through 16 to 32. The
+    # growth test reads the Arnoldi residual, whose sparse product takes one
+    # vector, so L multiplies solution blocks in one pass over the grid:
+    # at the accepted m, where the true residual is checked.
+    overrides, loop_changes = STRONG
+    cfg, model, rates, offset, span = preset_point("fig7", 4, overrides,
+                                                   **loop_changes)
+    lio, a_op, rho = sector_problem(model, rates, 1)
+    grid = np.linspace(-span, span, 33)
+    block_columns = []
+    matmul = type(lio.matrix).__matmul__
+
+    def recording_matmul(self, other):
+        if np.ndim(other) == 2:
+            block_columns.append(np.shape(other)[1])
+        return matmul(self, other)
+
+    monkeypatch.setattr(type(lio.matrix), "__matmul__", recording_matmul)
+    s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+    assert s.metadata["krylov_dim"] == 32
+    assert sum(block_columns) == grid.size
 
 
 def test_long_grid_through_carrier(monkeypatch):
