@@ -27,6 +27,9 @@ grid. Arnoldi gives K Q_m = Q_{m+1} Hbar_m, each frequency takes the small
 pivoted solve x = beta Q_m (I + mu H_m)^{-1} e_1, and m doubles until the
 Arnoldi residual (Saad, Math. Comp. 37, 105 (1981)) is well below the
 accepted one at every frequency; the true residual is checked once. The
+projection stays on L's Superoperator, and a later grid over the same
+window with the same b (the final grid after the truncation probe's)
+continues it, factoring and extending only if it needs a larger m. The
 small systems are solved, not diagonalized: an eigen or Schur expansion of
 H_m misses the cancellation of the fig4a spectrum, which lies far below
 ||u|| ||b|| / kappa, by ~5e-10 of the peak.
@@ -210,6 +213,55 @@ def _carrier_solve(lio: Superoperator, b: np.ndarray,
     return x, residual
 
 
+@dataclass(frozen=True, eq=False)
+class _Projection:
+    """A Krylov projection kept on its Superoperator: the shift s0, the
+    vector b it started from, beta = ||K b||, Q_{m+1} and Hbar_m of
+    K Q_m = Q_{m+1} Hbar_m, and whether Arnoldi broke down at m."""
+
+    s0: complex
+    b: np.ndarray
+    beta: float
+    q: np.ndarray
+    h: np.ndarray
+    invariant: bool
+
+
+def _extend_arnoldi(lu, q: np.ndarray, h: np.ndarray, target: int
+                    ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Q_{m+1} and Hbar_m extended from m = h.shape[1] to m = target by
+    Arnoldi on K = lu^{-1} with one re-orthogonalisation pass, and whether
+    it broke down (the space is invariant) at the m it returns."""
+    n, m = q.shape[0], h.shape[1]
+    grown = np.zeros((n, target + 1), dtype=complex, order="F")
+    grown[:, :m + 1] = q
+    q = grown
+    grown = np.zeros((target + 1, target), dtype=complex)
+    grown[:m + 1, :m] = h
+    h = grown
+    while m < target:
+        v = lu.solve(q[:, m])
+        scale = float(np.linalg.norm(v))
+        for _ in range(2):
+            # Q^H v without a conjugated copy of Q.
+            c = (q[:, :m + 1].T @ v.conj()).conj()
+            v -= q[:, :m + 1] @ c
+            h[:m + 1, m] += c
+        h[m + 1, m] = np.linalg.norm(v)
+        m += 1
+        if h[m, m - 1].real <= np.finfo(float).eps * scale:
+            return q[:, :m + 1], h[:m + 1, :m], True
+        q[:, m] = v / h[m, m - 1]
+    return q, h, False
+
+
+def _shifted_lu(lio: Superoperator, s0: complex):
+    """Sparse LU of s0 I - L."""
+    n = lio.matrix.shape[0]
+    return spla.splu((s0 * sp.identity(n, dtype=complex, format="csc")
+                      - lio.matrix).tocsc())
+
+
 def _krylov_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
                    omegas: np.ndarray) -> tuple[np.ndarray, int, float]:
     """u^dag (i w I - L)^{-1} b for each w by one shift-and-invert Krylov
@@ -218,8 +270,8 @@ def _krylov_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
 
     The shift is s0 = delta + i w_c, with w_c the grid centre and delta its
     half-span, floored at 1e-6 of L's scale for a one-frequency grid. Arnoldi
-    with one re-orthogonalisation pass extends K Q_m = Q_{m+1} Hbar_m from
-    m = _KRYLOV_START, and m doubles until the Arnoldi residual is at most
+    with one re-orthogonalisation pass extends K Q_m = Q_{m+1} Hbar_m, and
+    m doubles from _KRYLOV_START until the Arnoldi residual is at most
     1e-4 _RESIDUAL_TOL at every frequency, Arnoldi breaks down (the space is
     invariant, so the projection is exact) or m reaches the dimension of L.
     The Arnoldi residual is the true one in exact arithmetic,
@@ -229,39 +281,37 @@ def _krylov_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
     target that the cancellation in u^dag x needs cannot grow m to the
     dimension of L. At the accepted m the true residual is checked once: a
     frequency where it exceeds _RESIDUAL_TOL raises SingularResolvent.
+
+    The projection (beta, Q_{m+1}, Hbar_m) is kept on lio. A later call with
+    the same s0 and b, i.e. a grid over the same window such as the final
+    grid after the truncation probe's, continues it: the growth test starts
+    at the kept m, and s0 I - L is factored and Arnoldi extended only if
+    this grid needs a larger m. Where it does, the values are a fresh
+    projection's bit for bit; a grid that a fresh projection would accept
+    at a smaller m is evaluated at the kept m.
     """
     n = b.size
     lo, hi = float(omegas.min()), float(omegas.max())
     s0 = max(0.5 * (hi - lo), 1e-6 * lio.norm_scale()) + 0.5j * (lo + hi)
-    lu = spla.splu((s0 * sp.identity(n, dtype=complex, format="csc")
-                    - lio.matrix).tocsc())
     bnorm = float(np.linalg.norm(b))
-    kb = lu.solve(b)
-    beta = float(np.linalg.norm(kb))
-    q = np.asfortranarray((kb / beta)[:, None])
-    h = np.zeros((1, 0), dtype=complex)
-    m, target, invariant = 0, min(_KRYLOV_START, n), False
+    kept, lu = lio._projection, None
+    if kept is not None and kept.s0 == s0 and np.array_equal(kept.b, b):
+        beta, q, h, invariant = kept.beta, kept.q, kept.h, kept.invariant
+    else:
+        lu = _shifted_lu(lio, s0)
+        kb = lu.solve(b)
+        beta = float(np.linalg.norm(kb))
+        q = np.asfortranarray((kb / beta)[:, None])
+        h = np.zeros((1, 0), dtype=complex)
+        invariant = False
+    m = max(min(_KRYLOV_START, n), h.shape[1])
     mu = 1j * omegas - s0
     while True:
-        grown = np.zeros((n, target + 1), dtype=complex, order="F")
-        grown[:, :m + 1] = q[:, :m + 1]
-        q = grown
-        grown = np.zeros((target + 1, target), dtype=complex)
-        grown[:m + 1, :m] = h[:m + 1, :m]
-        h = grown
-        while m < target:
-            v = lu.solve(q[:, m])
-            scale = float(np.linalg.norm(v))
-            for _ in range(2):
-                c = q[:, :m + 1].conj().T @ v
-                v -= q[:, :m + 1] @ c
-                h[:m + 1, m] += c
-            h[m + 1, m] = np.linalg.norm(v)
-            m += 1
-            if h[m, m - 1].real <= np.finfo(float).eps * scale:
-                invariant = True
-                break
-            q[:, m] = v / h[m, m - 1]
+        if m > h.shape[1] and not invariant:
+            if lu is None:
+                lu = _shifted_lu(lio, s0)
+            q, h, invariant = _extend_arnoldi(lu, q, h, m)
+        m = min(m, h.shape[1])
         step = max(1, _CHUNK_ELEMENTS // max(n, m * m))
         rhs = beta * np.eye(m, 1)
         y = np.empty((omegas.size, m), dtype=complex)
@@ -279,7 +329,8 @@ def _krylov_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
                 * np.linalg.norm(s0 * q[:, m] - lio.matrix @ q[:, m])
                 <= _RESIDUAL_TOL * 1e-4 * bnorm):
             break
-        target = min(2 * target, n)
+        m = min(2 * m, n)
+    lio._projection = _Projection(s0, b.copy(), beta, q, h, invariant)
     out = np.empty(omegas.size, dtype=complex)
     worst = 0.0
     for k0 in range(0, omegas.size, step):
@@ -341,13 +392,15 @@ def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
 
     omega_grid is relative to frame_offset; the resolvent is evaluated at
     the absolute frame frequency. All frequencies but the carrier share one
-    shift-and-invert Krylov projection: one sparse LU of the shifted L per
-    call, never a dense copy. Every solve is residual-checked; the metadata
-    records the route ("krylov"), the projection's dimension as krylov_dim
-    and the worst residual relative to ||b|| as max_relative_residual. In
-    full mode the coherent component makes (i w - L) singular at the drive
-    carrier (w_abs = 0); that frequency is reported via SingularResolvent,
-    never interpolated over.
+    shift-and-invert Krylov projection: at most one sparse LU of the shifted
+    L per call, none when the call continues the projection of an earlier
+    grid over the same window (_krylov_values), never a dense copy. Every
+    solve is residual-checked; the metadata records the route ("krylov"),
+    the projection's dimension as krylov_dim and the worst residual
+    relative to ||b|| as max_relative_residual. In full mode the coherent
+    component makes (i w - L) singular at the drive carrier (w_abs = 0);
+    that frequency is reported via SingularResolvent, never interpolated
+    over.
     """
     if a_op.layout != rho_ss.layout or a_op.layout != lio.layout:
         raise LayoutMismatch("operator, state and Liouvillian layouts differ")
@@ -475,7 +528,10 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
     `problems` is a dict the caller owns: a sector problem stored there
     under (p, rates, m_s, pcq_relaxation) is reused, and each one built is
     added, so a caller that evaluates the same model on two grids builds
-    every sector problem once.
+    every sector problem once. Each problem's Superoperator also carries
+    the Krylov projection of its last spectrum (_krylov_values), so a
+    second grid over the same window and mode continues that projection
+    instead of factoring L again.
     """
     w = validate_weights(weights)
     grid = np.asarray(omega_grid, dtype=float)

@@ -68,3 +68,28 @@ def test_changed_layout_is_reported_not_compared():
         "layout_differs": True}
     renamed = PEAKS.replace("n_peaks (1)", "count (1)")
     assert data_diff.compare_tables(PEAKS, renamed) == {"layout_differs": True}
+
+
+@pytest.mark.parametrize("change, status", [
+    ({"out.dat": "# other comment\n1 2\n3 4\n"}, 0),
+    ({"out.csv": SPECTRA.replace("5,1,2.0,", "5,1,2.001,")}, 1),
+    ({"out.csv": SPECTRA + "10,1,0.1,-1\n"}, 1),
+    ({"out.dat": "# other comment\n1 2\n3 5\n"}, 1),
+])
+def test_exit_status_is_1_when_any_data_section_differs(monkeypatch, capsys,
+                                                        change, status):
+    tables = {"out.csv": SPECTRA, "out_peaks.csv": PEAKS,
+              "out.dat": "# comment\n1 2\n3 4\n"}
+    trees = {"parent": tables, "change": {**tables, **change}}
+
+    def write_tables(tree, invocations, out_dir, threads, overrides):
+        os.makedirs(out_dir)
+        for name, text in trees[os.path.basename(tree)].items():
+            with open(os.path.join(out_dir, name), "w",
+                      encoding="utf-8") as fh:
+                fh.write(text)
+
+    monkeypatch.setattr(data_diff, "run_tree", write_tables)
+    argv = ["--parent", "parent", "--change", "change", "--preset", "fig7"]
+    assert data_diff.main(argv) == status
+    assert len(capsys.readouterr().out.splitlines()) == 3

@@ -472,19 +472,20 @@ def test_exactly_singular_projection_reports_undamped_pole():
 
 
 def test_every_grid_takes_one_krylov_projection(monkeypatch):
-    # Each call factors s0 I - L once (Re s0 > 0), on a probe grid and on
-    # final grids alike, and never densifies L. The strong-drive probe
-    # sector needs more than the starting Krylov dimension.
+    # On a freshly built problem each grid factors s0 I - L once (Re s0 > 0),
+    # on a probe grid and on final grids alike, and never densifies L. A
+    # second grid over the same L, b and window continues that projection
+    # and factors nothing. The strong-drive probe sector needs more than the
+    # starting Krylov dimension.
     cfg, model, rates, offset, span = preset_point("fig4a", 4,
                                                    r_loop=0.6542e-6)
-    cancellation = sector_problem(model, rates, 0)
     overrides, loop_changes = STRONG
-    cfg, model, rates, s_offset, s_span = preset_point("fig7", 4, overrides,
-                                                       **loop_changes)
-    strong = sector_problem(model, rates, 1)
+    cfg, s_model, s_rates, s_offset, s_span = preset_point(
+        "fig7", 4, overrides, **loop_changes)
     factored, densified = [], []
     splu = spectrum_module.spla.splu
-    toarray = type(strong[0].matrix).toarray
+    matrix_type = type(sector_problem(model, rates, 0)[0].matrix)
+    toarray = matrix_type.toarray
 
     def counting_splu(a, *args, **kwargs):
         factored.append(a)
@@ -495,11 +496,14 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
         return toarray(self, *args, **kwargs)
 
     monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
-    monkeypatch.setattr(type(strong[0].matrix), "toarray", counting_toarray)
-    runs = [(cancellation, np.linspace(-span, span, points), offset)
+    monkeypatch.setattr(matrix_type, "toarray", counting_toarray)
+    runs = [(lambda: sector_problem(model, rates, 0),
+             np.linspace(-span, span, points), offset)
             for points in (33, 201, 2001)]
-    runs.append((strong, np.linspace(-s_span, s_span, 33), s_offset))
-    for (lio, a_op, rho), grid, frame in runs:
+    runs.append((lambda: sector_problem(s_model, s_rates, 1),
+                 np.linspace(-s_span, s_span, 33), s_offset))
+    for build, grid, frame in runs:
+        lio, a_op, rho = build()
         factored.clear()
         s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=frame)
         assert len(factored) == 1
@@ -511,8 +515,63 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
         assert s.metadata["route"] == "krylov"
         assert s.metadata["krylov_dim"] >= spectrum_module._KRYLOV_START
         assert 0.0 < s.metadata["max_relative_residual"] <= 1e-8
+        factored.clear()
+        again = spectrum_resolvent(lio, a_op, rho,
+                                   np.linspace(grid[0], grid[-1], 101),
+                                   frame_offset=frame)
+        assert not factored
+        assert again.metadata["krylov_dim"] == s.metadata["krylov_dim"]
+        assert 0.0 < again.metadata["max_relative_residual"] <= 1e-8
     assert not densified
     assert s.metadata["krylov_dim"] > spectrum_module._KRYLOV_START
+
+
+def test_later_grid_continues_the_kept_projection(monkeypatch):
+    # fig4a m_s = 0 at three times the preset span: the window's two ends
+    # stop at m = 8, a 201-point grid over the same window needs m = 16. The
+    # second grid extends the first grid's projection to exactly what a
+    # fresh one gives; another window or another b on the same L starts a
+    # fresh projection.
+    cfg, model, rates, offset, span = preset_point("fig4a", 4,
+                                                   r_loop=0.6542e-6)
+    ends = np.array([-3.0 * span, 3.0 * span])
+    grid = np.linspace(-3.0 * span, 3.0 * span, 201)
+    factored = []
+    splu = spectrum_module.spla.splu
+
+    def counting_splu(a, *args, **kwargs):
+        factored.append(a)
+        return splu(a, *args, **kwargs)
+
+    def fresh(grid, mode="incoherent"):
+        return spectrum_resolvent(*sector_problem(model, rates, 0), grid,
+                                  mode, offset)
+
+    monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
+    lio, a_op, rho = sector_problem(model, rates, 0)
+    first = spectrum_resolvent(lio, a_op, rho, ends, frame_offset=offset)
+    assert first.metadata["krylov_dim"] == 8
+    factored.clear()
+    later = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+    assert len(factored) == 1     # to extend the kept projection
+    reference = fresh(grid)
+    assert later.metadata["krylov_dim"] == reference.metadata["krylov_dim"]
+    assert later.metadata["krylov_dim"] == 16
+    assert np.array_equal(later.values, reference.values)
+    # the ends again: the kept m = 16 passes, nothing is factored
+    factored.clear()
+    again = spectrum_resolvent(lio, a_op, rho, ends, frame_offset=offset)
+    assert not factored and again.metadata["krylov_dim"] == 16
+    for other, mode in ((np.linspace(-span, span, 201), "incoherent"),
+                        (grid, "full")):
+        lio, a_op, rho = sector_problem(model, rates, 0)
+        spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+        factored.clear()
+        s = spectrum_resolvent(lio, a_op, rho, other, mode, offset)
+        assert len(factored) == 1
+        reference = fresh(other, mode)
+        assert s.metadata["krylov_dim"] == reference.metadata["krylov_dim"]
+        assert np.array_equal(s.values, reference.values)
 
 
 def test_krylov_growth_checks_the_true_residual_once(monkeypatch):

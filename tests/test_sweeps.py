@@ -426,15 +426,40 @@ def test_adaptive_truncation_strong_drive_plateaus(tau_us, n_fock):
 
 
 def test_point_spectrum_reuses_probe_problems(monkeypatch):
-    builds = []
+    builds, factored, solves, finals = [], [], [], []
     sector_problem = spectrum_module.sector_problem
+    splu = spectrum_module.spla.splu
+    point_spectrum = sweeps_module._point_spectrum
 
     def counting_sector_problem(p, rates, m_s, *args):
         builds.append((p.N_fock, m_s))
         return sector_problem(p, rates, m_s, *args)
 
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    def counting_splu(a, *args, **kwargs):
+        factored.append(1)
+        return CountingLU(splu(a, *args, **kwargs))
+
+    def counting_point_spectrum(cfg, loop, d, n_fock, grid, problems):
+        before = len(factored), len(solves)
+        s = point_spectrum(cfg, loop, d, n_fock, grid, problems)
+        if grid.size == cfg.solver.grid_points:
+            finals.append((len(factored) - before[0],
+                           len(solves) - before[1]))
+        return s
+
     monkeypatch.setattr(spectrum_module, "sector_problem",
                         counting_sector_problem)
+    monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
+    monkeypatch.setattr(sweeps_module, "_point_spectrum",
+                        counting_point_spectrum)
     cfg = load_config_text(FAST_SPECTRUM.replace("n_fock = 4",
                                                  "n_fock = adaptive"))
     spec, _ = compute_point_spectrum(cfg, "tau", 20e-6)
@@ -442,6 +467,10 @@ def test_point_spectrum_reuses_probe_problems(monkeypatch):
     # every (N, m_s) problem is built once: by the probes, N and N + 2
     assert sorted(builds) == sorted({(n, m) for n in (n_fock, n_fock + 2)
                                      for m in (1, 0, -1)})
+    # the final grid continues the probe's Krylov projections at N: no
+    # factorization and no Arnoldi step
+    assert finals == [(0, 0)]
+    assert factored and solves
     model, rates, offset = _point_model(
         cfg, cfg.loop, cfg.solver.distance_for(cfg.loop.r_loop), n_fock)
     fresh = nv_sector_spectrum(model, rates, cfg.solver.weights,

@@ -19,8 +19,9 @@ with ``#``. Per CSV table the script prints the rows that changed out of
 the total; for a spectra table (one with an ``S`` column) also the largest
 |dS| relative to the peak S of its scan point (the first column); for a
 peaks table (one with an ``n_peaks`` column) the columns that changed. A
-plotdata table is reported as identical or not. Only the standard library
-is used.
+plotdata table is reported as identical or not. The exit status is 1 when
+any data section differs and 0 when all are identical. Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -123,24 +124,31 @@ def run_tree(tree: str, invocations: list[list[str]], out_dir: str,
 
 
 def diff_run(label: str, invocations: list[list[str]], args,
-             work: str) -> None:
+             work: str) -> bool:
+    """Runs the invocations in both trees, prints one line per table and
+    returns whether any data section differs."""
     dirs = []
     for side, tree, threads in (("parent", args.parent, 1),
                                 ("change", args.change, args.threads)):
         dirs.append(os.path.join(work, label, side))
         run_tree(os.path.abspath(tree), invocations, dirs[-1], threads,
                  args.override)
+    differs = False
     for name in sorted(os.listdir(dirs[0])):
         texts = []
         for d in dirs:
             with open(os.path.join(d, name), encoding="utf-8") as fh:
                 texts.append(fh.read())
         if name.endswith(".csv"):
-            print(describe(f"{label} {name}", compare_tables(*texts)))
+            result = compare_tables(*texts)
+            print(describe(f"{label} {name}", result))
+            same = not result.get("layout_differs") and not result["changed"]
         else:
             same = data_rows(texts[0]) == data_rows(texts[1])
             print(f"{label} {name}: data section "
                   + ("identical" if same else "differs"))
+        differs = differs or not same
+    return differs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,17 +162,19 @@ def main(argv: list[str] | None = None) -> int:
                     metavar="KEY=VALUE")
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
+    differs = False
     with tempfile.TemporaryDirectory() as work:
         for preset in args.preset:
-            diff_run(preset, [["scan", "--preset", preset,
-                               "--out", "out.csv"]], args, work)
+            differs |= diff_run(preset, [["scan", "--preset", preset,
+                                          "--out", "out.csv"]], args, work)
         for workload in args.workload:
             inputs = os.path.join(work, workload + "-inputs")
             os.makedirs(inputs)
             invocations = _workload_invocations(args.change, workload,
                                                 args.seed, inputs)
-            diff_run(f"{workload}:{args.seed}", invocations, args, work)
-    return 0
+            differs |= diff_run(f"{workload}:{args.seed}", invocations,
+                                args, work)
+    return int(differs)
 
 
 if __name__ == "__main__":
