@@ -676,7 +676,7 @@ def find_spectral_peaks(s: Spectrum, dip_fraction: float = 0.1) -> PeakReport:
     if vmax <= 0.0:
         return PeakReport(peaks=(), resolved=False, dip_depth=0.0)
     idx = _find_peaks(vals, 1e-9 * vmax, 1e-6 * vmax)
-    step = float(np.max(np.diff(grid)))
+    step = float(np.max(np.diff(grid))) if idx.size else 0.0
     peaks = []
     for i in idx:
         width = _half_max_width(grid, vals, int(i))

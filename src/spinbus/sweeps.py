@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime
-import functools
 import io
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -44,15 +42,24 @@ from .units import TWO_PI, format_in, to_unit
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Column-schema'd rows plus the provenance needed to reproduce them."""
+    """A table's columns plus the provenance needed to reproduce them.
+
+    `data` holds one sequence per column, all of one length: a float
+    ndarray for a numeric column, a list otherwise.
+    """
 
     columns: tuple[tuple[str, str], ...]   # (name, unit)
-    rows: tuple[tuple, ...]
+    data: tuple
     provenance: dict
 
     @property
     def header(self) -> tuple[str, ...]:
         return tuple(f"{name} ({unit})" for name, unit in self.columns)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The table row by row (a read-only view of `data`)."""
+        return tuple(zip(*self.data))
 
 
 def _provenance(cfg: ScanConfig) -> dict:
@@ -92,11 +99,9 @@ def run_couplings_scan(cfg: ScanConfig) -> ResultTable:
         raise ValidationError(str(exc)) from None
     columns = (("r_loop", "um"), ("I_p", "nA"), ("g_over_2pi", "MHz"),
                ("eta_over_2pi", "kHz"), ("gbar_over_2pi", "kHz"))
-    rows = tuple(zip(*(
-        to_unit(table[field], unit).tolist()
-        for field, (_, unit) in zip(table.dtype.names, columns)
-    )))
-    return ResultTable(columns, rows, _provenance(cfg))
+    data = tuple(to_unit(table[field], unit)
+                 for field, (_, unit) in zip(table.dtype.names, columns))
+    return ResultTable(columns, data, _provenance(cfg))
 
 
 def _loop_at(cfg: ScanConfig, axis_name: str, value: float) -> LoopParams:
@@ -258,33 +263,32 @@ def run_spectrum_scan(cfg: ScanConfig, threads: int = 1) -> SpectrumScanResult:
                       workers=workers)
 
     axis_col = (axis.name, axis.unit or "1")
-    rows = []
-    peak_rows = []
-    for value, (spec, report) in zip(axis.values, results):
-        shown = to_unit(value, axis.unit)
-        rows.extend(zip(itertools.repeat(shown), _khz(spec.omega_grid),
-                        spec.values, spec.log10_values()))
-        peak_rows.append((
-            shown,
-            len(report.peaks),
-            str(report.resolved).lower(),
-            report.dip_depth,
-            ";".join(f"{_khz(p):.6g}" for p, _, _ in report.peaks),
-            ";".join(f"{_khz(w):.6g}" for _, _, w in report.peaks),
-        ))
-
+    shown = [to_unit(value, axis.unit) for value in axis.values]
     spectra = ResultTable(
         (axis_col, ("delta_omega_over_2pi", "kHz"), ("S", "s"),
          ("log10_S", "1")),
-        tuple(rows), provenance,
+        (np.repeat(shown, [len(spec.values) for spec, _ in results]),
+         np.concatenate([_khz(spec.omega_grid) for spec, _ in results]),
+         np.concatenate([spec.values for spec, _ in results]),
+         np.concatenate([spec.log10_values() for spec, _ in results])),
+        provenance,
     )
     peaks = None
     if "peaks" in cfg.products:
+        reports = [report for _, report in results]
         peaks = ResultTable(
             (axis_col, ("n_peaks", "1"), ("resolved", "bool"),
              ("dip_depth", "1"), ("peak_positions_over_2pi", "kHz"),
              ("peak_fwhm_over_2pi", "kHz")),
-            tuple(peak_rows), provenance,
+            (shown,
+             [len(r.peaks) for r in reports],
+             [str(r.resolved).lower() for r in reports],
+             [r.dip_depth for r in reports],
+             [";".join(f"{_khz(p):.6g}" for p, _, _ in r.peaks)
+              for r in reports],
+             [";".join(f"{_khz(w):.6g}" for _, _, w in r.peaks)
+              for r in reports]),
+            provenance,
         )
     return SpectrumScanResult(spectra=spectra, peaks=peaks)
 
@@ -292,64 +296,42 @@ def run_spectrum_scan(cfg: ScanConfig, threads: int = 1) -> SpectrumScanResult:
 # ---------------------------------------------------------------------------
 # emission
 
-# Rows per %-operation: bounds the memory of the cell tuple and the text
+# Rows per %-operation: bounds the memory of the stacked run and the text
 # that one operation builds.
 _RUN_ROWS = 4096
 
 
-@functools.lru_cache(maxsize=64)
-def _row_format(types: tuple[type, ...], sep: str) -> str:
-    """One %-format for a row with these cell types: %.17g for floats, str
-    (%s) for anything else, joined by sep."""
-    return sep.join("%.17g" if issubclass(t, float) else "%s" for t in types)
+def _cell(x) -> str:
+    """The one cell rule: %.17g for a float, str for anything else."""
+    return "%.17g" % x if isinstance(x, float) else str(x)
 
 
-def _row_types(row) -> tuple[type, ...]:
-    return tuple(map(type, row))
+def _write_rows(buf: io.StringIO, data, sep: str, text_row) -> None:
+    """Write the rows of the columns in data, one per line, their cells
+    formatted by _cell and joined by sep.
 
-
-def _format_row(row, sep: str) -> str:
-    """The row's cells formatted and joined by sep, in one %-operation."""
-    row = tuple(row)
-    return _row_format(_row_types(row), sep) % row
-
-
-def _write_rows(buf: io.StringIO, rows: tuple, sep: str, text_row) -> None:
-    """Write rows, one per line, their cells formatted as _format_row does
-    and joined by sep.
-
-    Consecutive rows whose cells are all numbers (float or int, bool and
-    NumPy floats included) and have the same types are written in runs of
-    at most _RUN_ROWS rows, one %-operation per run: a number never needs
-    csv quoting. A row with any other cell is passed to text_row instead.
+    When every column is a float array, each run of at most _RUN_ROWS rows
+    is stacked and written with one %-operation: a float never needs csv
+    quoting. Any other table goes row by row, as a list of cell strings, to
+    text_row.
     """
-    k = 0
-    while k < len(rows):
-        run = rows[k:k + _RUN_ROWS]
-        types = _row_types(run[0])
-        if not all(issubclass(t, (float, int)) for t in types):
-            text_row(run[0])
-            k += 1
-            continue
-        cells = tuple(itertools.chain.from_iterable(run))
-        if tuple(map(type, cells)) != types * len(run):
-            # the cell types change within the run: end it before the change
-            run = tuple(itertools.takewhile(
-                lambda row: _row_types(row) == types, run))
-            cells = tuple(itertools.chain.from_iterable(run))
-        buf.write((_row_format(types, sep) + "\n") * len(run) % cells)
-        k += len(run)
+    if all(isinstance(c, np.ndarray) and c.dtype == float for c in data):
+        line = sep.join(["%.17g"] * len(data)) + "\n"
+        for k in range(0, len(data[0]), _RUN_ROWS):
+            run = np.column_stack([c[k:k + _RUN_ROWS] for c in data])
+            buf.write(line * len(run) % tuple(run.ravel().tolist()))
+    else:
+        for row in zip(*data):
+            text_row([_cell(x) for x in row])
 
 
-def _leading_blocks(rows: tuple):
-    """Slices of rows, split where a row's leading cell != the slice's."""
-    start = 0
-    for i in range(1, len(rows)):
-        if rows[i][0] != rows[start][0]:
-            yield rows[start:i]
-            start = i
-    if rows:
-        yield rows[start:]
+def _block_starts(lead) -> list[int]:
+    """Rows whose leading cell differs from the previous row's; row 0 too."""
+    if isinstance(lead, np.ndarray):
+        changes = (np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist()
+    else:
+        changes = [i for i in range(1, len(lead)) if lead[i] != lead[i - 1]]
+    return [0, *changes] if len(lead) else []
 
 
 def _provenance_lines(t: ResultTable) -> list[str]:
@@ -363,25 +345,26 @@ def emit_csv(t: ResultTable, path: str) -> None:
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(t.header)
-    _write_rows(buf, t.rows, ",", lambda row: writer.writerow(
-        [_format_row((x,), "") for x in row]))
+    _write_rows(buf, t.data, ",", writer.writerow)
     _write_text(path, buf.getvalue())
 
 
 def emit_plotdata(t: ResultTable, path: str) -> None:
-    """Gnuplot-style whitespace-delimited blocks, one per leading-axis value
-    (blocks separated by two blank lines for `index` addressing)."""
+    """Gnuplot-style whitespace-delimited blocks, one per run of equal
+    leading-axis values (blocks separated by two blank lines for `index`
+    addressing)."""
     buf = io.StringIO()
     for line in _provenance_lines(t):
         buf.write(line + "\n")
     buf.write("# columns: " + " ".join(t.header) + "\n")
-    for i, block in enumerate(_leading_blocks(t.rows)):
+    lead = t.data[0]
+    starts = _block_starts(lead)
+    for i, (start, stop) in enumerate(zip(starts, starts[1:] + [len(lead)])):
         if i:
             buf.write("\n\n")
-        buf.write(f"# block {t.columns[0][0]} = "
-                  f"{_format_row((block[0][0],), '')}\n")
-        _write_rows(buf, block, " ", lambda row: buf.write(
-            _format_row(row, " ") + "\n"))
+        buf.write(f"# block {t.columns[0][0]} = {_cell(lead[start])}\n")
+        _write_rows(buf, [c[start:stop] for c in t.data], " ",
+                    lambda cells: buf.write(" ".join(cells) + "\n"))
     _write_text(path, buf.getvalue())
 
 

@@ -1,13 +1,15 @@
 """The verdicts of tools/bench_pairs.py on synthetic run lists: the bound
-check of one metric (compare) and the gain claim (claim_verdict)."""
+check of one metric (compare), the gain claim (claim_verdict) and the
+check of --claim before any run."""
 
+import json
 import os
 import types
 
 import pytest
 
-TOOL_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "tools", "bench_pairs.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL_PATH = os.path.join(ROOT, "tools", "bench_pairs.py")
 
 
 def _tool():
@@ -82,3 +84,40 @@ def test_claim_on_a_zero_parent_median():
     verdict = bench_pairs.claim_verdict(entry)
     assert verdict["median_change"] is None
     assert verdict["met"] is True
+
+
+def test_bad_claim_exits_2_before_any_run(monkeypatch, tmp_path):
+    runs = []
+
+    def run_once(tree, workload, seed, trace):
+        runs.append(tree)
+        metrics = {name: {"value": 1.0} for name in
+                   ("scan_wall_s", "setup_s", "peak_rss_mb")}
+        return {"metrics": metrics, "correct": True, "failed": 0}, None
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_t.json"
+    recorded = {"metrics": {"setup_s": bench_pairs.compare(TIGHT, TIGHT,
+                                                           LOWER)}}
+    out.write_text(json.dumps({"workloads": {"full_tau": {"3": recorded}}}))
+
+    def main(claim, seed=3):
+        return bench_pairs.main(["--parent", ROOT, "--change", ROOT,
+                                 "--workload", "design_map", "--seed",
+                                 str(seed), "--claim", claim,
+                                 "--out", str(out)])
+
+    for claim, seed in (("design_map", 3),              # no metric
+                        ("design_map:scan_wall", 3),    # not a metric
+                        ("design_map:sweeps.emit.s", 3),  # per-layer only
+                        ("strong_drive:scan_wall_s", 3),  # never run
+                        ("full_tau:scan_wall_s", 4)):     # other seed
+        with pytest.raises(SystemExit) as exc:
+            main(claim, seed)
+        assert exc.value.code == 2
+    assert runs == []
+    # A workload already in the record at this seed may be claimed.
+    assert main("full_tau:setup_s") == 0
+    assert len(runs) == 2 * bench_pairs.PAIRS
+    record = json.loads(out.read_text())
+    assert record["claim"]["workload"] == "full_tau"

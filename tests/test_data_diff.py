@@ -81,8 +81,10 @@ def test_exit_status_is_1_when_any_data_section_differs(monkeypatch, capsys,
     tables = {"out.csv": SPECTRA, "out_peaks.csv": PEAKS,
               "out.dat": "# comment\n1 2\n3 4\n"}
     trees = {"parent": tables, "change": {**tables, **change}}
+    calls = []
 
     def write_tables(tree, invocations, out_dir, threads, overrides):
+        calls.append(invocations)
         os.makedirs(out_dir)
         for name, text in trees[os.path.basename(tree)].items():
             with open(os.path.join(out_dir, name), "w",
@@ -93,3 +95,7 @@ def test_exit_status_is_1_when_any_data_section_differs(monkeypatch, capsys,
     argv = ["--parent", "parent", "--change", "change", "--preset", "fig7"]
     assert data_diff.main(argv) == status
     assert len(capsys.readouterr().out.splitlines()) == 3
+    # each tree runs the preset once per format
+    scan = ["scan", "--preset", "fig7"]
+    assert calls == 2 * [[scan + ["--out", "out.csv"],
+                          scan + ["--format", "plotdata", "--out", "out.dat"]]]

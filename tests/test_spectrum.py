@@ -40,6 +40,7 @@ from spinbus.operators import (
     pauli_matrices,
 )
 from spinbus.spectrum import (
+    PeakReport,
     Spectrum,
     find_spectral_peaks,
     full_liouvillian_spectrum,
@@ -822,6 +823,9 @@ def test_find_peaks_empty_spectrum():
     report = find_spectral_peaks(Spectrum(grid, np.zeros(51)), 0.1)
     assert report.peaks == ()
     assert not report.resolved
+    # one sample, as spectrum_resolvent returns for a one-frequency grid
+    report = find_spectral_peaks(Spectrum([0.0], [1.0]), 0.1)
+    assert report == PeakReport(peaks=(), resolved=False, dip_depth=0.0)
 
 
 def _peak_finder_cases():

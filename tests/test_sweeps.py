@@ -2,6 +2,7 @@ import csv
 import io
 import multiprocessing
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,7 +153,8 @@ axis tau = list 1 us
 def _tiny_table():
     return ResultTable(
         columns=(("x", "um"), ("y", "kHz"), ("note", "1")),
-        rows=((0.1, 1234.5678901234567, "a,b"), (0.2, 8.75e-3, 'say "hi"')),
+        data=(np.array([0.1, 0.2]), np.array([1234.5678901234567, 8.75e-3]),
+              ["a,b", 'say "hi"']),
         provenance={"spinbus": "0.1.0", "config_hash": "sha256:abc",
                     "created": "2026-08-08T00:00:00+00:00"},
     )
@@ -173,20 +175,10 @@ def test_emit_csv_roundtrip_and_quoting(tmp_path):
     assert float(rows[1][1]) == 8.75e-3
 
 
-def test_emit_csv_empty_table(tmp_path):
-    t = ResultTable(columns=(("x", "um"),), rows=(),
-                    provenance={"spinbus": "0.1.0"})
-    path = tmp_path / "empty.csv"
-    emit_csv(t, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[-1] == "x (um)"
-
-
 def test_emit_plotdata_blocks_per_axis_value(tmp_path):
     t = ResultTable(
         columns=(("axis", "um"), ("v", "1")),
-        rows=((0.1, 1.0), (0.1, 2.0), (0.2, 3.0), (0.3, 4.0)),
+        data=(np.array([0.1, 0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0, 4.0])),
         provenance={},
     )
     path = tmp_path / "t.dat"
@@ -202,11 +194,10 @@ def test_emit_bytes_are_locked(tmp_path):
     # 'say "hi"'. A text cell may hold any character, U+001F included.
     t = ResultTable(
         columns=(("x", "um"), ("v", "1"), ("n", "1"), ("note", "1")),
-        rows=((0.1, 1 / 3, 7, "a,b"),
-              (0.1, 1e-300, -2, "plain"),
-              (2.5e17, -0.0, 0, 'say "hi"'),
-              (2.5e17, np.float64(2 / 3), 12, ""),
-              (2.5e17, 1.5, True, "u\x1fv")),
+        data=(np.array([0.1, 0.1, 2.5e17, 2.5e17, 2.5e17]),
+              [1 / 3, 1e-300, -0.0, np.float64(2 / 3), 1.5],
+              [7, -2, 0, 12, True],
+              ["a,b", "plain", 'say "hi"', "", "u\x1fv"]),
         provenance={"spinbus": "0.1.0", "config_hash": "sha256:abc"},
     )
     csv_path, dat_path = tmp_path / "t.csv", tmp_path / "t.dat"
@@ -258,26 +249,66 @@ def _per_row_plotdata(t):
     return buf.getvalue()
 
 
-def test_emit_runs_match_per_row_formatting(tmp_path):
-    n = sweeps_module._RUN_ROWS
-    nan = float("nan")   # one object: a leading nan still starts a block
-    specials = (nan, float("inf"), -float("inf"), -0.0, 1e-300,
-                1 / 3, 2.5e17)
-    rows = [(0.25 if i < n + n // 2 else 0.5,   # a leading value across a run
-             specials[i % 7], i * 0.125, -i) for i in range(2 * n)]
-    rows += [(0.5, np.float64(i) / 7, np.float64(-0.0), 3) for i in range(50)]
-    rows += [(0.5, 7, -2, 0), (0.75, True, False, 1),
-             (0.75, "a,b", 'say "hi"', ""),
-             (nan, 1.5, 2.5, 3), (nan, 1.5, 2.5, 3)]
-    rows += [(1.0, specials[i % 7], 1e-300, i) for i in range(10)]
-    t = ResultTable(
-        columns=(("x", "um"), ("v", "1"), ("w", "1"), ("n", "1")),
-        rows=tuple(rows), provenance={"spinbus": "0.1.0"})
+def _assert_matches_per_row(t, tmp_path):
     csv_path, dat_path = tmp_path / "t.csv", tmp_path / "t.dat"
     emit_csv(t, str(csv_path))
     emit_plotdata(t, str(dat_path))
     assert csv_path.read_bytes() == _per_row_csv(t).encode()
     assert dat_path.read_bytes() == _per_row_plotdata(t).encode()
+
+
+NAN = float("nan")
+SPECIALS = (NAN, float("inf"), -float("inf"), -0.0, 1e-300, 1 / 3, 2.5e17)
+
+
+def test_float_array_runs_match_per_row_formatting(tmp_path):
+    n = sweeps_module._RUN_ROWS
+    k = np.arange(2 * n + 40)
+    lead = np.where(k < n + n // 2, 0.25, 0.5)   # a change inside a run
+    lead[2 * n:2 * n + 3] = NAN                  # each nan starts a block
+    lead[2 * n + 3:] = 1.0
+    t = ResultTable(
+        columns=(("x", "um"), ("v", "1"), ("w", "1"), ("n", "1")),
+        data=(lead, np.array(SPECIALS)[k % 7], k * 0.125, -k.astype(float)),
+        provenance={"spinbus": "0.1.0"})
+    _assert_matches_per_row(t, tmp_path)
+    assert (tmp_path / "t.dat").read_text().count("# block") == 6
+
+
+def test_mixed_columns_match_per_row_formatting(tmp_path):
+    t = ResultTable(
+        columns=(("x", "um"), ("v", "1"), ("w", "1"), ("n", "1")),
+        data=(np.array([0.5, 0.5, 0.75, 0.75, NAN, NAN, 1.0]),
+              [np.float64(1) / 7, 7, True, "a,b", 1.5, SPECIALS[0], -0.0],
+              [np.float64(-0.0), -2, False, 'say "hi"', 2.5, 1e-300, ""],
+              [3, 0, 1, "", 3, np.int64(4), "u\x1fv"]),
+        provenance={"spinbus": "0.1.0"})
+    _assert_matches_per_row(t, tmp_path)
+    lead_list = replace(t, data=(list(t.data[0]), *t.data[1:]))
+    _assert_matches_per_row(lead_list, tmp_path)
+
+
+EMPTY_COLUMNS = (np.array([]), [])
+
+
+def test_emit_csv_empty_table(tmp_path):
+    for column in EMPTY_COLUMNS:
+        t = ResultTable(columns=(("x", "um"),), data=(column,),
+                        provenance={"spinbus": "0.1.0"})
+        path = tmp_path / "empty.csv"
+        emit_csv(t, str(path))
+        assert path.read_bytes() == _per_row_csv(t).encode()
+        assert path.read_text().splitlines()[-1] == "x (um)"
+
+
+def test_emit_plotdata_empty_table(tmp_path):
+    for column in EMPTY_COLUMNS:
+        t = ResultTable(columns=(("x", "um"),), data=(column,),
+                        provenance={"spinbus": "0.1.0"})
+        path = tmp_path / "empty.dat"
+        emit_plotdata(t, str(path))
+        assert path.read_bytes() == _per_row_plotdata(t).encode()
+        assert path.read_text().splitlines()[-1] == "# columns: x (um)"
 
 
 def test_emit_csv_io_error():
@@ -294,14 +325,12 @@ def test_spectrum_scan_single_point_structure():
     t = result.spectra
     assert [c[0] for c in t.columns] == ["tau", "delta_omega_over_2pi", "S",
                                          "log10_S"]
-    assert len(t.rows) == 301
+    axis, dws, svals, logs = t.data
+    assert len(axis) == 301 and np.all(axis == 20.0)
     # frame: detuning column spans +/- 8 kappa in cyclic kHz
-    dws = np.array([r[1] for r in t.rows])
     assert dws[0] == pytest.approx(-8 * 26.0, rel=1e-9)
     assert dws[-1] == pytest.approx(8 * 26.0, rel=1e-9)
-    svals = np.array([r[2] for r in t.rows])
     assert np.all(svals >= 0.0)
-    logs = np.array([r[3] for r in t.rows])
     assert np.all(logs >= -30.0)
     assert result.peaks is not None
     peak_row = result.peaks.rows[0]
@@ -347,7 +376,7 @@ products = spectrum
 """
     cfg = load_config_text(text)
     result = run_spectrum_scan(cfg)
-    svals = np.array([r[2] for r in result.spectra.rows])
+    svals = result.spectra.data[2]
     # coherent drive only: fluctuation spectrum is numerically nothing
     assert np.max(svals) < 1e-18
     assert result.peaks is None

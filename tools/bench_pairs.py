@@ -22,7 +22,10 @@ than the bound (see ``compare``). ``machine`` holds the last machine line
 run.py printed in each tree, which names its commit and source digest.
 ``--claim`` names the metric a gain is claimed on, at seed N: it is met
 when the change wins at least nine of the ten pairs and the medians differ
-by more than the parent's interquartile range. An existing record at
+by more than the parent's interquartile range. A claim whose workload is
+neither a ``--workload`` nor in the record at seed N, or whose metric is
+not an end-to-end metric of BENCHMARK.json, exits 2 before any run. An
+existing record at
 ``--out`` is updated in place, so workloads and seeds can be run in
 separate invocations. Only the standard library is used.
 """
@@ -100,7 +103,26 @@ def claim_verdict(entry: dict) -> dict:
             "met": entry["change_wins"] >= 9 and gap > iqr}
 
 
-def main() -> int:
+def check_claim(claim: str, workloads: list[str], record: dict, seed: str,
+                specs: dict) -> tuple[str, str]:
+    """(workload, metric) of a --claim, or ValueError saying what is wrong:
+    the workload must be run now or be in the record at this seed, and the
+    metric must be an end-to-end metric of BENCHMARK.json."""
+    workload, colon, metric = claim.partition(":")
+    if not colon:
+        raise ValueError(f"--claim {claim!r} is not WORKLOAD:METRIC")
+    recorded = [w for w, seeds in record.get("workloads", {}).items()
+                if seed in seeds]
+    if workload not in workloads + recorded:
+        raise ValueError(f"--claim workload {workload!r} is neither a "
+                         f"--workload nor in the record at seed {seed}")
+    if metric not in specs:
+        raise ValueError(f"--claim metric {metric!r} is not an end-to-end "
+                         f"metric: {sorted(specs)}")
+    return workload, metric
+
+
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="root of the parent tree")
     ap.add_argument("--change", required=True, help="root of the change tree")
@@ -111,7 +133,7 @@ def main() -> int:
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
     ap.add_argument("--label", default=None)
     ap.add_argument("--out", required=True)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
         specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
@@ -119,6 +141,12 @@ def main() -> int:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             record = json.load(fh)
+    seed = str(args.seed)
+    if args.claim:
+        try:
+            claimed = check_claim(args.claim, args.workload, record, seed, specs)
+        except ValueError as exc:
+            ap.error(str(exc))
     if args.label:
         record["label"] = args.label
     record["method"] = (
@@ -133,7 +161,6 @@ def main() -> int:
     trees = {"parent": args.parent, "change": args.change}
     machines = record.setdefault("machine", {})
     workloads = record.setdefault("workloads", {})
-    seed = str(args.seed)
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         for i in range(PAIRS):
@@ -171,7 +198,7 @@ def main() -> int:
             }
         workloads.setdefault(workload, {})[seed] = entry
     if args.claim:
-        workload, metric = args.claim.split(":", 1)
+        workload, metric = claimed
         entry = workloads[workload][seed]["metrics"][metric]
         record["claim"] = {"workload": workload, "seed": args.seed,
                            "metric": metric, **claim_verdict(entry)}

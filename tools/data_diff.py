@@ -6,8 +6,9 @@
 
 DIR is the root of a source tree (a checkout or an unpacked ``git
 archive``). Each ``--preset`` is run as ``python3 -m spinbus.cli scan
---preset P --threads 1`` in both trees, with ``PYTHONPATH=DIR/src`` and the
-tables written to a temporary directory. Each ``--workload`` runs the CLI
+--preset P --threads 1``, once writing CSV and once plotdata, in both
+trees, with ``PYTHONPATH=DIR/src`` and the tables written to a temporary
+directory. Each ``--workload`` runs the CLI
 invocations of one repetition of that ``perfbench`` workload, generated at
 ``--seed`` by the change tree's ``perfbench/workloads.py``, in both trees.
 ``--override`` is passed to every run; ``--threads`` sets the thread count
@@ -165,8 +166,11 @@ def main(argv: list[str] | None = None) -> int:
     differs = False
     with tempfile.TemporaryDirectory() as work:
         for preset in args.preset:
-            differs |= diff_run(preset, [["scan", "--preset", preset,
-                                          "--out", "out.csv"]], args, work)
+            scan = ["scan", "--preset", preset]
+            differs |= diff_run(preset, [
+                scan + ["--out", "out.csv"],
+                scan + ["--format", "plotdata", "--out", "out.dat"],
+            ], args, work)
         for workload in args.workload:
             inputs = os.path.join(work, workload + "-inputs")
             os.makedirs(inputs)
