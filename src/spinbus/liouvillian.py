@@ -54,8 +54,6 @@ class Superoperator:
         self.matrix = sp.csc_matrix(matrix, dtype=complex)
         self.layout = layout
         self._norm_scale: float | None = None
-        # The last Krylov projection of a resolvent (spectrum._krylov_values).
-        self._projection = None
         d = layout.total_dim
         if self.matrix.shape != (d * d, d * d):
             raise LayoutMismatch(

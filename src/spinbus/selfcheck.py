@@ -126,7 +126,8 @@ def check_steady_state() -> tuple[bool, str]:
     p = ModelParams(omega_r=TWO_PI * 6e9, omega_0=TWO_PI * 6e9,
                     g=TWO_PI * 14e6, eta=0.0, zeta=2 * kappa, N_fock=4)
     rates = DecoherenceRates(kappa=kappa)
-    lio, a_op, rho_ss = sector_problem(p, rates, 0)
+    problem = sector_problem(p, rates, 0)
+    lio, rho_ss = problem.lio, problem.rho_ss
     residual = np.linalg.norm(lio.matrix @ vectorize(rho_ss.matrix)) \
         / lio.norm_scale()
     trace_dev = abs(np.trace(rho_ss.matrix).real - 1.0)
@@ -184,13 +185,12 @@ def check_rabi_doublet() -> tuple[bool, str]:
     # weak drive: the doublet criterion assumes the single-excitation regime
     p = ModelParams(omega_r=TWO_PI * 6e9, omega_0=TWO_PI * 6e9,
                     g=g, eta=0.0, zeta=kappa / 5, N_fock=4)
-    lio, a_op, rho_ss = sector_problem(p, DecoherenceRates(kappa=kappa), 0)
+    problem = sector_problem(p, DecoherenceRates(kappa=kappa), 0)
     span = 20 * kappa
     errors = []
     for sign in (+1.0, -1.0):
         grid = np.linspace(-span, span, 801)
-        s = spectrum_resolvent(lio, a_op, rho_ss, grid,
-                               frame_offset=sign * g)
+        s = problem.spectrum(grid, frame_offset=sign * g)
         peak = s.omega_grid[np.argmax(s.values)] + sign * g
         errors.append(abs(peak - sign * g))
     step = 2 * span / 800

@@ -27,7 +27,7 @@ grid. Arnoldi gives K Q_m = Q_{m+1} Hbar_m, each frequency takes the small
 pivoted solve x = beta Q_m (I + mu H_m)^{-1} e_1, and m doubles until the
 Arnoldi residual (Saad, Math. Comp. 37, 105 (1981)) is well below the
 accepted one at every frequency; the true residual is checked once. The
-projection stays on L's Superoperator, and a later grid over the same
+projection stays on its SectorProblem, and a later grid over the same
 window with the same b (the final grid after the truncation probe's)
 continues it, factoring and extending only if it needs a larger m. The
 small systems are solved, not diagonalized: an eigen or Schur expansion of
@@ -213,20 +213,6 @@ def _carrier_solve(lio: Superoperator, b: np.ndarray,
     return x, residual
 
 
-@dataclass(frozen=True, eq=False)
-class _Projection:
-    """A Krylov projection kept on its Superoperator: the shift s0, the
-    vector b it started from, beta = ||K b||, Q_{m+1} and Hbar_m of
-    K Q_m = Q_{m+1} Hbar_m, and whether Arnoldi broke down at m."""
-
-    s0: complex
-    b: np.ndarray
-    beta: float
-    q: np.ndarray
-    h: np.ndarray
-    invariant: bool
-
-
 def _extend_arnoldi(lu, q: np.ndarray, h: np.ndarray, target: int
                     ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Q_{m+1} and Hbar_m extended from m = h.shape[1] to m = target by
@@ -262,91 +248,6 @@ def _shifted_lu(lio: Superoperator, s0: complex):
                       - lio.matrix).tocsc())
 
 
-def _krylov_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
-                   omegas: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """u^dag (i w I - L)^{-1} b for each w by one shift-and-invert Krylov
-    projection (module docstring), the projection's dimension m and the
-    worst residual relative to ||b||.
-
-    The shift is s0 = delta + i w_c, with w_c the grid centre and delta its
-    half-span, floored at 1e-6 of L's scale for a one-frequency grid. Arnoldi
-    with one re-orthogonalisation pass extends K Q_m = Q_{m+1} Hbar_m, and
-    m doubles from _KRYLOV_START until the Arnoldi residual is at most
-    1e-4 _RESIDUAL_TOL at every frequency, Arnoldi breaks down (the space is
-    invariant, so the projection is exact) or m reaches the dimension of L.
-    The Arnoldi residual is the true one in exact arithmetic,
-    (i w I - L) x - b = mu h_{m+1,m} y_m (s0 I - L) q_{m+1} with y_m the last
-    entry of y = beta (I + mu H_m)^{-1} e_1, and costs one sparse product
-    per m. Unlike the true residual it has no rounding floor, so the tight
-    target that the cancellation in u^dag x needs cannot grow m to the
-    dimension of L. At the accepted m the true residual is checked once: a
-    frequency where it exceeds _RESIDUAL_TOL raises SingularResolvent.
-
-    The projection (beta, Q_{m+1}, Hbar_m) is kept on lio. A later call with
-    the same s0 and b, i.e. a grid over the same window such as the final
-    grid after the truncation probe's, continues it: the growth test starts
-    at the kept m, and s0 I - L is factored and Arnoldi extended only if
-    this grid needs a larger m. Where it does, the values are a fresh
-    projection's bit for bit; a grid that a fresh projection would accept
-    at a smaller m is evaluated at the kept m.
-    """
-    n = b.size
-    lo, hi = float(omegas.min()), float(omegas.max())
-    s0 = max(0.5 * (hi - lo), 1e-6 * lio.norm_scale()) + 0.5j * (lo + hi)
-    bnorm = float(np.linalg.norm(b))
-    kept, lu = lio._projection, None
-    if kept is not None and kept.s0 == s0 and np.array_equal(kept.b, b):
-        beta, q, h, invariant = kept.beta, kept.q, kept.h, kept.invariant
-    else:
-        lu = _shifted_lu(lio, s0)
-        kb = lu.solve(b)
-        beta = float(np.linalg.norm(kb))
-        q = np.asfortranarray((kb / beta)[:, None])
-        h = np.zeros((1, 0), dtype=complex)
-        invariant = False
-    m = max(min(_KRYLOV_START, n), h.shape[1])
-    mu = 1j * omegas - s0
-    while True:
-        if m > h.shape[1] and not invariant:
-            if lu is None:
-                lu = _shifted_lu(lio, s0)
-            q, h, invariant = _extend_arnoldi(lu, q, h, m)
-        m = min(m, h.shape[1])
-        step = max(1, _CHUNK_ELEMENTS // max(n, m * m))
-        rhs = beta * np.eye(m, 1)
-        y = np.empty((omegas.size, m), dtype=complex)
-        for k0 in range(0, omegas.size, step):
-            a = np.eye(m) + mu[k0:k0 + step, None, None] * h[:m, :m]
-            try:
-                y[k0:k0 + step] = np.linalg.solve(a, rhs)[:, :, 0]
-            except np.linalg.LinAlgError:
-                # An exactly singular system is a pole on the grid: its
-                # nan solution is left for the residual guard to name.
-                y[k0:k0 + step] = np.stack(
-                    [_solve_or_nan(ak, rhs) for ak in a])[:, :, 0]
-        if invariant or m == n or (
-                h[m, m - 1].real * np.max(np.abs(mu * y[:, m - 1]))
-                * np.linalg.norm(s0 * q[:, m] - lio.matrix @ q[:, m])
-                <= _RESIDUAL_TOL * 1e-4 * bnorm):
-            break
-        m = min(2 * m, n)
-    lio._projection = _Projection(s0, b.copy(), beta, q, h, invariant)
-    out = np.empty(omegas.size, dtype=complex)
-    worst = 0.0
-    for k0 in range(0, omegas.size, step):
-        x = q[:, :m] @ y[k0:k0 + step].T
-        with np.errstate(invalid="ignore", over="ignore"):
-            residual = np.linalg.norm(x * (1j * omegas[k0:k0 + step])
-                                      - lio.matrix @ x - b[:, None],
-                                      axis=0) / bnorm
-        bad = ~(residual <= _RESIDUAL_TOL)
-        if bad.any():
-            raise SingularResolvent(float(omegas[k0 + np.argmax(bad)]))
-        worst = max(worst, float(residual.max()))
-        out[k0:k0 + step] = u @ x
-    return out, m, worst
-
-
 def _solve_or_nan(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(a, rhs)
@@ -354,67 +255,165 @@ def _solve_or_nan(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.full(rhs.shape, np.nan, dtype=complex)
 
 
-def _resolvent_values(lio: Superoperator, u: np.ndarray, b: np.ndarray,
-                      omegas: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """vec-form values u^dag (i w I - L)^{-1} b for each w, the Krylov
-    dimension m (0 when no projection was needed) and the worst residual
-    relative to ||b||.
+class SectorProblem:
+    """The resolvent problem of one spectrum: the Liouvillian L, the operator
+    a whose emission it gives, the steady state rho_ss, and the Krylov
+    projection of its last spectrum.
 
-    The carrier (w = 0) takes the deflated bordered solve, the other
-    frequencies one Krylov projection. Every solve is residual-checked:
-    numerically singular frequencies (undamped poles, or the coherent delta
-    peak at the carrier) raise SingularResolvent rather than returning
-    garbage.
+    A later spectrum over the same window with the same b (the final grid
+    after the truncation probe's) continues that projection
+    (_krylov_values); spectrum_resolvent evaluates a fresh problem.
     """
-    carrier = np.abs(omegas) < 1e-12 * lio.norm_scale()
-    rest = ~carrier
-    out = np.zeros(omegas.size, dtype=complex)
-    if not np.any(b):
-        return out, 0, 0.0
-    op_scale = float(np.linalg.norm(u))
-    worst = 0.0
-    for k in np.flatnonzero(carrier):
-        x, residual = _carrier_solve(lio, b, op_scale)
-        out[k] = u @ x
-        worst = max(worst, residual)
-    m = 0
-    if rest.any():
-        out[rest], m, residual = _krylov_values(lio, u, b, omegas[rest])
-        worst = max(worst, residual)
-    return out, m, worst
+
+    def __init__(self, lio: Superoperator, a_op: LabeledOperator,
+                 rho_ss: DensityMatrix):
+        if a_op.layout != rho_ss.layout or a_op.layout != lio.layout:
+            raise LayoutMismatch(
+                "operator, state and Liouvillian layouts differ")
+        self.lio, self.a_op, self.rho_ss = lio, a_op, rho_ss
+        # The last projection: the shift s0, the vector b it started from,
+        # beta = ||K b||, Q_{m+1} and Hbar_m of K Q_m = Q_{m+1} Hbar_m, and
+        # whether Arnoldi broke down (the space is invariant) at m.
+        self._projection = None
+
+    def spectrum(self, omega_grid: Sequence[float],
+                 mode: SpectrumMode = "incoherent",
+                 frame_offset: float = 0.0) -> Spectrum:
+        """Spectrum via resolvent solves of vec(A)^dag (i w I - L)^{-1} b.
+
+        omega_grid is relative to frame_offset; the resolvent is evaluated
+        at the absolute frame frequency w. The carrier (w = 0) takes the
+        deflated bordered solve (_carrier_solve), and all other frequencies
+        share one shift-and-invert Krylov projection: at most one sparse LU
+        of the shifted L per call, none when the call continues the kept
+        projection (_krylov_values), never a dense copy. Every solve is
+        residual-checked: numerically singular frequencies (undamped poles,
+        or in full mode the coherent delta peak at the carrier) raise
+        SingularResolvent rather than returning garbage. The metadata
+        records the route ("krylov"), the projection's dimension as
+        krylov_dim (0 when no projection was needed) and the worst residual
+        relative to ||b|| as max_relative_residual.
+        """
+        grid = np.asarray(omega_grid, dtype=float)
+        omegas = grid + frame_offset
+        a_fl = _fluctuation_operator(self.a_op, self.rho_ss, mode)
+        b = vectorize(a_fl @ self.rho_ss.matrix)
+        u = vectorize(a_fl).conj()
+        raw = np.zeros(omegas.size, dtype=complex)
+        krylov_dim, worst = 0, 0.0
+        if np.any(b):
+            carrier = np.abs(omegas) < 1e-12 * self.lio.norm_scale()
+            for k in np.flatnonzero(carrier):
+                x, residual = _carrier_solve(self.lio, b,
+                                             float(np.linalg.norm(u)))
+                raw[k] = u @ x
+                worst = max(worst, residual)
+            if not carrier.all():
+                raw[~carrier], krylov_dim, residual = self._krylov_values(
+                    u, b, omegas[~carrier])
+                worst = max(worst, residual)
+        meta = dict(mode=mode, method="resolvent", frame_offset=frame_offset,
+                    route="krylov", krylov_dim=krylov_dim,
+                    max_relative_residual=worst)
+        return Spectrum(grid, np.real(raw) / np.pi, frame_offset, meta)
+
+    def _krylov_values(self, u: np.ndarray, b: np.ndarray, omegas: np.ndarray
+                       ) -> tuple[np.ndarray, int, float]:
+        """u^dag (i w I - L)^{-1} b for each w by one shift-and-invert Krylov
+        projection (module docstring), the projection's dimension m and the
+        worst residual relative to ||b||.
+
+        The shift is s0 = delta + i w_c, with w_c the grid centre and delta
+        its half-span, floored at 1e-6 of L's scale for a one-frequency grid.
+        Arnoldi with one re-orthogonalisation pass extends
+        K Q_m = Q_{m+1} Hbar_m, and m doubles from _KRYLOV_START until the
+        Arnoldi residual is at most 1e-4 _RESIDUAL_TOL at every frequency,
+        Arnoldi breaks down (the space is invariant, so the projection is
+        exact) or m reaches the dimension of L. The Arnoldi residual is the
+        true one in exact arithmetic,
+        (i w I - L) x - b = mu h_{m+1,m} y_m (s0 I - L) q_{m+1} with y_m the
+        last entry of y = beta (I + mu H_m)^{-1} e_1, and costs one sparse
+        product per m. Unlike the true residual it has no rounding floor, so
+        the tight target that the cancellation in u^dag x needs cannot grow
+        m to the dimension of L. At the accepted m the true residual is
+        checked once: a frequency where it exceeds _RESIDUAL_TOL raises
+        SingularResolvent.
+
+        The projection is kept on the problem. A later call with the same s0
+        and b, i.e. a grid over the same window such as the final grid after
+        the truncation probe's, continues it: the growth test starts at the
+        kept m, and s0 I - L is factored and Arnoldi extended only if this
+        grid needs a larger m. Where it does, the values are a fresh
+        projection's bit for bit; a grid that a fresh projection would
+        accept at a smaller m is evaluated at the kept m.
+        """
+        lio = self.lio
+        n = b.size
+        lo, hi = float(omegas.min()), float(omegas.max())
+        s0 = max(0.5 * (hi - lo), 1e-6 * lio.norm_scale()) + 0.5j * (lo + hi)
+        bnorm = float(np.linalg.norm(b))
+        kept, lu = self._projection, None
+        if kept is not None and kept[0] == s0 and np.array_equal(kept[1], b):
+            beta, q, h, invariant = kept[2:]
+        else:
+            lu = _shifted_lu(lio, s0)
+            kb = lu.solve(b)
+            beta = float(np.linalg.norm(kb))
+            q = np.asfortranarray((kb / beta)[:, None])
+            h = np.zeros((1, 0), dtype=complex)
+            invariant = False
+        m = max(min(_KRYLOV_START, n), h.shape[1])
+        mu = 1j * omegas - s0
+        while True:
+            if m > h.shape[1] and not invariant:
+                if lu is None:
+                    lu = _shifted_lu(lio, s0)
+                q, h, invariant = _extend_arnoldi(lu, q, h, m)
+            m = min(m, h.shape[1])
+            step = max(1, _CHUNK_ELEMENTS // max(n, m * m))
+            rhs = beta * np.eye(m, 1)
+            y = np.empty((omegas.size, m), dtype=complex)
+            for k0 in range(0, omegas.size, step):
+                a = np.eye(m) + mu[k0:k0 + step, None, None] * h[:m, :m]
+                try:
+                    y[k0:k0 + step] = np.linalg.solve(a, rhs)[:, :, 0]
+                except np.linalg.LinAlgError:
+                    # An exactly singular system is a pole on the grid: its
+                    # nan solution is left for the residual guard to name.
+                    y[k0:k0 + step] = np.stack(
+                        [_solve_or_nan(ak, rhs) for ak in a])[:, :, 0]
+            if invariant or m == n or (
+                    h[m, m - 1].real * np.max(np.abs(mu * y[:, m - 1]))
+                    * np.linalg.norm(s0 * q[:, m] - lio.matrix @ q[:, m])
+                    <= _RESIDUAL_TOL * 1e-4 * bnorm):
+                break
+            m = min(2 * m, n)
+        self._projection = (s0, b, beta, q, h, invariant)
+        out = np.empty(omegas.size, dtype=complex)
+        worst = 0.0
+        for k0 in range(0, omegas.size, step):
+            x = q[:, :m] @ y[k0:k0 + step].T
+            with np.errstate(invalid="ignore", over="ignore"):
+                residual = np.linalg.norm(x * (1j * omegas[k0:k0 + step])
+                                          - lio.matrix @ x - b[:, None],
+                                          axis=0) / bnorm
+            bad = ~(residual <= _RESIDUAL_TOL)
+            if bad.any():
+                raise SingularResolvent(float(omegas[k0 + np.argmax(bad)]))
+            worst = max(worst, float(residual.max()))
+            out[k0:k0 + step] = u @ x
+        return out, m, worst
 
 
 def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
                        rho_ss: DensityMatrix, omega_grid: Sequence[float],
                        mode: SpectrumMode = "incoherent",
                        frame_offset: float = 0.0) -> Spectrum:
-    """Spectrum via resolvent solves.
-
-    omega_grid is relative to frame_offset; the resolvent is evaluated at
-    the absolute frame frequency. All frequencies but the carrier share one
-    shift-and-invert Krylov projection: at most one sparse LU of the shifted
-    L per call, none when the call continues the projection of an earlier
-    grid over the same window (_krylov_values), never a dense copy. Every
-    solve is residual-checked; the metadata records the route ("krylov"),
-    the projection's dimension as krylov_dim and the worst residual
-    relative to ||b|| as max_relative_residual. In full mode the coherent
-    component makes (i w - L) singular at the drive carrier (w_abs = 0);
-    that frequency is reported via SingularResolvent, never interpolated
-    over.
+    """Spectrum via resolvent solves: SectorProblem.spectrum of a fresh
+    problem, so equal inputs always take equal work and give equal values.
     """
-    if a_op.layout != rho_ss.layout or a_op.layout != lio.layout:
-        raise LayoutMismatch("operator, state and Liouvillian layouts differ")
-    grid = np.asarray(omega_grid, dtype=float)
-    a_fl = _fluctuation_operator(a_op, rho_ss, mode)
-    b = vectorize(a_fl @ rho_ss.matrix)
-    u = vectorize(a_fl).conj()
-    raw, krylov_dim, residual = _resolvent_values(lio, u, b,
-                                                  grid + frame_offset)
-    values = np.real(raw) / np.pi
-    meta = dict(mode=mode, method="resolvent", frame_offset=frame_offset,
-                route="krylov", krylov_dim=krylov_dim,
-                max_relative_residual=residual)
-    return Spectrum(grid, values, frame_offset, meta)
+    return SectorProblem(lio, a_op, rho_ss).spectrum(omega_grid, mode,
+                                                     frame_offset)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -494,16 +493,16 @@ def validate_weights(weights: Sequence[float]) -> np.ndarray:
 
 
 def sector_problem(p: ModelParams, rates: DecoherenceRates, m_s: int,
-                   pcq_relaxation: str = "lowering"
-                   ) -> tuple[Superoperator, LabeledOperator, DensityMatrix]:
-    """Cavity+qubit Liouvillian, annihilation operator and steady state for
-    the spin frozen in sector m_s (spin decay channels do not act)."""
+                   pcq_relaxation: str = "lowering") -> SectorProblem:
+    """The problem of the spin frozen in sector m_s (spin decay channels do
+    not act): cavity+qubit Liouvillian, annihilation operator and steady
+    state."""
     layout = cavity_qubit_layout(p.N_fock)
     h = sector_interaction_hamiltonian(p, layout, m_s)
     c_ops = sector_collapse_operators(rates, layout, pcq_relaxation)
     lio = build_liouvillian(h, c_ops)
     a_op = embed(fock_annihilation_matrix(p.N_fock), "cavity", layout)
-    return lio, a_op, steady_state(lio)
+    return SectorProblem(lio, a_op, steady_state(lio))
 
 
 def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
@@ -525,13 +524,13 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
     sector used, its weight, photon number, cavity Fock populations, and
     the resolvent route, Krylov dimension and worst relative residual.
 
-    `problems` is a dict the caller owns: a sector problem stored there
+    `problems` is a dict the caller owns: a SectorProblem stored there
     under (p, rates, m_s, pcq_relaxation) is reused, and each one built is
     added, so a caller that evaluates the same model on two grids builds
-    every sector problem once. Each problem's Superoperator also carries
-    the Krylov projection of its last spectrum (_krylov_values), so a
-    second grid over the same window and mode continues that projection
-    instead of factoring L again.
+    every sector problem once. Each problem keeps the Krylov projection of
+    its last spectrum (SectorProblem._krylov_values), so a second grid over
+    the same window and mode continues that projection instead of factoring
+    L again.
     """
     w = validate_weights(weights)
     grid = np.asarray(omega_grid, dtype=float)
@@ -544,9 +543,10 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
         key = (p, rates, m_s, pcq_relaxation)
         if key not in problems:
             problems[key] = sector_problem(p, rates, m_s, pcq_relaxation)
-        lio, a_op, rho_ss = problems[key]
-        s = spectrum_resolvent(lio, a_op, rho_ss, grid, mode, frame_offset)
+        problem = problems[key]
+        s = problem.spectrum(grid, mode, frame_offset)
         total += weight * s.values
+        a_op, rho_ss = problem.a_op, problem.rho_ss
         cavity = partial_trace(rho_ss.matrix, rho_ss.layout, ("cavity",))
         sector_meta[m_s] = {"weight": float(weight),
                             "photon_number": float(np.real(
@@ -584,9 +584,9 @@ def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
     (2N)^2 cavity+qubit space instead of the 9 (2N)^2 full one.
 
     Without spin relaxation (gamma_nv = 0) every sector is stationary and
-    DegenerateSteadyState(3) is raised. `problems` is passed on to
-    nv_sector_spectrum; the returned metadata is that spectrum's plus
-    nv_relaxation.
+    DegenerateSteadyState(3) is raised. `problems`, a dict of
+    SectorProblems, is passed on to nv_sector_spectrum; the returned
+    metadata is that spectrum's plus nv_relaxation.
     """
     if rates.gamma_nv == 0.0:
         raise DegenerateSteadyState(3)

@@ -40,6 +40,7 @@ from spinbus.operators import (
     full_layout,
 )
 from spinbus.spectrum import (
+    SectorProblem,
     find_spectral_peaks,
     nv_sector_spectrum,
     sector_problem,
@@ -155,14 +156,13 @@ def test_criterion_2b_rabi_doublet_vs_oracle():
     p = ModelParams(omega_r=WR, omega_0=WR, g=g, eta=0.0, zeta=KAPPA / 5,
                     N_fock=4)
     rates = DecoherenceRates(kappa=KAPPA)
-    lio, a_op, rho_ss = sector_problem(p, rates, 0)
+    problem = sector_problem(p, rates, 0)
     span = 20 * KAPPA
     t0 = time.perf_counter()
     measured = []
     for sign in (+1.0, -1.0):
         grid = np.linspace(-span, span, 2001)
-        s = spectrum_resolvent(lio, a_op, rho_ss, grid, "incoherent",
-                               frame_offset=sign * g)
+        s = problem.spectrum(grid, "incoherent", frame_offset=sign * g)
         rep = find_spectral_peaks(s, 0.1)
         measured.append(rep.peaks[int(np.argmax([h for _, h, _ in rep.peaks]))])
     elapsed = time.perf_counter() - t0
@@ -197,10 +197,10 @@ def test_criterion_3a_resolvent_vs_time_domain_fig4_base():
     total_res = np.zeros(grid.size)
     total_td = np.zeros(grid.size)
     for m_s in (1, 0, -1):
-        lio, a_op, rho_ss = sector_problem(model, rates, m_s)
-        s_res = spectrum_resolvent(lio, a_op, rho_ss, grid, "incoherent",
-                                   offset)
-        s_td = spectrum_fft_crosscheck(lio, a_op, rho_ss, tmax=180e-6,
+        problem = sector_problem(model, rates, m_s)
+        s_res = problem.spectrum(grid, "incoherent", offset)
+        s_td = spectrum_fft_crosscheck(problem.lio, problem.a_op,
+                                       problem.rho_ss, tmax=180e-6,
                                        dt=2e-9, mode="incoherent",
                                        omega_grid=grid, frame_offset=offset)
         total_res += s_res.values / 3
@@ -257,8 +257,10 @@ def test_criterion_4_steady_state_invariants_every_preset():
             c_ops = build_collapse_operators(rates, layout)
             lio_full = build_liouvillian(h, c_ops)
             a_full = embed(fock_annihilation_matrix(4), "cavity", layout)
-            problems.append((lio_full, a_full, steady_state(lio_full)))
-        for lio, _a, rho in problems:
+            problems.append(SectorProblem(lio_full, a_full,
+                                          steady_state(lio_full)))
+        for problem in problems:
+            lio, rho = problem.lio, problem.rho_ss
             checked += 1
             worst["trace"] = max(worst["trace"],
                                  abs(np.trace(rho.matrix).real - 1.0))

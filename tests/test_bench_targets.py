@@ -34,6 +34,7 @@ def test_every_trace_target_exists(module_name, attr):
 
 
 @pytest.mark.parametrize("module_name, attr, position, name", [
+    ("spinbus.spectrum", "spectrum_resolvent", 0, "lio"),
     ("spinbus.spectrum", "spectrum_resolvent", 3, "omega_grid"),
     ("spinbus.sweeps", "adaptive_truncation", 0, "metric_fn"),
     ("spinbus.cli", "emit_csv", 1, "path"),

@@ -17,7 +17,6 @@ from spinbus.errors import (
     WindowTooShort,
 )
 from spinbus.liouvillian import (
-    DENSE_SOLVE_CAP,
     build_liouvillian,
     steady_state,
     trace_row,
@@ -41,6 +40,7 @@ from spinbus.operators import (
 )
 from spinbus.spectrum import (
     PeakReport,
+    SectorProblem,
     Spectrum,
     find_spectral_peaks,
     full_liouvillian_spectrum,
@@ -76,7 +76,8 @@ def jc_problem(g, kappa=KAPPA, zeta=2 * KAPPA, n_fock=3, delta=0.0,
                     N_fock=n_fock)
     rates = DecoherenceRates(kappa=kappa, gamma_pcq=gamma,
                              gamma_phi_pcq=gamma_phi)
-    return sector_problem(p, rates, 0)
+    problem = sector_problem(p, rates, 0)
+    return problem.lio, problem.a_op, problem.rho_ss
 
 
 # ---------------------------------------------------------------- lorentzian
@@ -215,14 +216,14 @@ def test_window_too_short_raises():
 
 # ------------------------------------------------- factor-once resolvent
 
-def dense_oracle(lio, a_op, rho, omegas, mode="incoherent"):
+def dense_oracle(problem, omegas, mode="incoherent"):
     """S at absolute frame frequencies by one np.linalg.solve per frequency."""
-    a = a_op.matrix
+    a, rho = problem.a_op.matrix, problem.rho_ss.matrix
     if mode == "incoherent":
-        a = a - np.trace(a @ rho.matrix) * np.eye(a.shape[0])
-    b = vectorize(a @ rho.matrix)
+        a = a - np.trace(a @ rho) * np.eye(a.shape[0])
+    b = vectorize(a @ rho)
     u = vectorize(a).conj()
-    lmat = lio.matrix.toarray()
+    lmat = problem.lio.matrix.toarray()
     eye = np.eye(lmat.shape[0])
     raw = np.array([u @ np.linalg.solve(1j * w * eye - lmat, b) for w in omegas])
     return np.clip(raw.real / np.pi, 0.0, None)
@@ -245,9 +246,9 @@ def test_schur_route_matches_direct_solve_fig4a_cancellation():
                                                    r_loop=0.6542e-6)
     grid = np.linspace(-span, span, cfg.solver.grid_points)
     for m_s in (1, 0, -1):
-        lio, a_op, rho = sector_problem(model, rates, m_s)
-        s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
-        ref = dense_oracle(lio, a_op, rho, grid + offset)
+        problem = sector_problem(model, rates, m_s)
+        s = problem.spectrum(grid, frame_offset=offset)
+        ref = dense_oracle(problem, grid + offset)
         assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
 
 
@@ -264,9 +265,9 @@ def test_krylov_growth_resolves_a_fig4a_scan_point():
                                                        r_loop=r_loop)
         grid = np.linspace(-span, span, cfg.solver.grid_points)
         for m_s in (1, 0, -1):
-            lio, a_op, rho = sector_problem(model, rates, m_s)
-            s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
-            ref = dense_oracle(lio, a_op, rho, grid + offset)
+            problem = sector_problem(model, rates, m_s)
+            s = problem.spectrum(grid, frame_offset=offset)
+            ref = dense_oracle(problem, grid + offset)
             assert np.max(np.abs(s.values - ref)) <= 1e-11 * ref.max()
 
 
@@ -285,14 +286,13 @@ def test_schur_route_matches_direct_solve_fig7_full_mode(
     grid = np.linspace(-span, span, 101)
     solver = cfg.solver
     dims = []
-    resolvent = spectrum_module.spectrum_resolvent
+    spectrum = SectorProblem.spectrum
 
-    def recording_resolvent(lio, *args, **kwargs):
-        dims.append(lio.matrix.shape[0])
-        return resolvent(lio, *args, **kwargs)
+    def recording_spectrum(problem, *args, **kwargs):
+        dims.append(problem.lio.matrix.shape[0])
+        return spectrum(problem, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum_module, "spectrum_resolvent",
-                        recording_resolvent)
+    monkeypatch.setattr(SectorProblem, "spectrum", recording_spectrum)
     s = full_liouvillian_spectrum(model, rates, grid, offset,
                                   solver.spectrum_mode, solver.nv_relaxation,
                                   solver.pcq_relaxation)
@@ -303,8 +303,8 @@ def test_schur_route_matches_direct_solve_fig7_full_mode(
         build_collapse_operators(rates, layout, solver.nv_relaxation,
                                  solver.pcq_relaxation))
     a_op = embed(fock_annihilation_matrix(n_fock), "cavity", layout)
-    ref = dense_oracle(lio, a_op, steady_state(lio), grid + offset,
-                       solver.spectrum_mode)
+    ref = dense_oracle(SectorProblem(lio, a_op, steady_state(lio)),
+                       grid + offset, solver.spectrum_mode)
     assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
 
 
@@ -361,46 +361,58 @@ def test_banded_route_matches_direct_solve(case):
                                                    **loop_changes)
     grid = np.linspace(-span, span, 33)
     for m_s in sectors:
-        lio, a_op, rho = sector_problem(model, rates, m_s)
-        s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
-        ref = dense_oracle(lio, a_op, rho, grid + offset)
+        problem = sector_problem(model, rates, m_s)
+        s = problem.spectrum(grid, frame_offset=offset)
+        ref = dense_oracle(problem, grid + offset)
         assert np.max(np.abs(s.values - ref)) <= 1e-10 * ref.max()
 
 
-def test_schur_blocking_is_invisible(monkeypatch):
+def test_krylov_block_width_is_invisible(monkeypatch):
     # At most one frequency per block, at most 64 (which split the 201
     # frequencies 64/64/64/9 while m^2 <= d^2) and the whole grid in one
     # block give the same Krylov dimension and the same spectrum, on
     # strong-drive sectors of every final size (d^2 = 144, 256 and 400;
-    # blocks of one frequency at 144 only, to bound the run time).
+    # blocks of one frequency at 144 only, to bound the run time). Each
+    # width grows its own projection: spectrum_resolvent continues none.
     overrides, loop_changes = STRONG
+    factored = []
+    splu = spectrum_module.spla.splu
+
+    def counting_splu(a, *args, **kwargs):
+        factored.append(a)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
     for n_fock, widths in ((6, (1, 64, 201)), (8, (64, 201)), (10, (64, 201))):
         cfg, model, rates, offset, span = preset_point("fig7", n_fock, overrides,
                                                        **loop_changes)
-        lio, a_op, rho = sector_problem(model, rates, 1)
-        d2 = lio.matrix.shape[0]
+        problem = sector_problem(model, rates, 1)
+        d2 = problem.lio.matrix.shape[0]
         assert d2 == (2 * n_fock) ** 2
         grid = np.linspace(-span, span, 201)
         spectra, dims = [], set()
         for width in widths:
             monkeypatch.setattr(spectrum_module, "_CHUNK_ELEMENTS", width * d2)
-            s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+            factored.clear()
+            s = spectrum_resolvent(problem.lio, problem.a_op, problem.rho_ss,
+                                   grid, frame_offset=offset)
+            assert len(factored) == 1
             assert s.metadata["route"] == "krylov"
             dims.add(s.metadata["krylov_dim"])
             spectra.append(s.values)
         assert len(dims) == 1
-        ref = dense_oracle(lio, a_op, rho, grid + offset)
+        ref = dense_oracle(problem, grid + offset)
         peak = ref.max()
         for values in spectra:
             assert np.max(np.abs(values - spectra[0])) <= 1e-12 * peak
             assert np.max(np.abs(values - ref)) <= 1e-10 * peak
 
 
-def test_sparse_route_above_dense_cap():
-    # 46 Fock levels: D^2 = 2116 > DENSE_SOLVE_CAP. The undriven cavity
-    # seeded with one photon has S = (1/pi) (kappa/2) / (w^2 + kappa^2/4).
+def test_krylov_on_a_large_liouvillian_gives_the_lorentzian():
+    # 46 Fock levels: D^2 = 2116. The undriven cavity seeded with one photon
+    # has S = (1/pi) (kappa/2) / (w^2 + kappa^2/4).
     layout, a, lio = bare_cavity(46)
-    assert lio.matrix.shape[0] > DENSE_SOLVE_CAP
+    assert lio.matrix.shape[0] == 2116
     ket = basis_state(layout, {"cavity": 1})
     rho = DensityMatrix(np.outer(ket, ket.conj()), layout)
     grid = np.linspace(-3 * KAPPA, 3 * KAPPA, 7)
@@ -411,28 +423,16 @@ def test_sparse_route_above_dense_cap():
     assert np.max(np.abs(s.values - exact)) <= 1e-10 * exact.max()
 
 
-def test_schur_route_reports_undamped_pole():
-    delta = TWO_PI * 1e6
-    layout = SpaceLayout((2,), ("pcq",))
-    sz, _, _ = pauli_matrices()
-    h = LabeledOperator(0.5 * delta * sz, layout, hermitian_hint=True)
-    lio = build_liouvillian(h, [])
-    sigma_minus = LabeledOperator(np.array([[0.0, 0.0], [1.0, 0.0]]), layout)
-    rho = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-                        layout)
-    grid = delta * np.linspace(0.5, 1.5, 65)
-    assert grid[32] == delta
-    with pytest.raises(SingularResolvent) as exc:
-        spectrum_resolvent(lio, sigma_minus, rho, grid, mode="full")
-    assert exc.value.omega == delta
-
-
-@pytest.mark.parametrize("tilt", [0.0, 0.75])
-def test_banded_route_reports_undamped_pole(tilt):
+@pytest.mark.parametrize("tilt, points", [
+    pytest.param(0.0, 33, id="0.0"),
+    pytest.param(0.75, 33, id="0.75"),
+    pytest.param(0.0, 65, id="0.0-65points"),
+])
+def test_banded_route_reports_undamped_pole(tilt, points):
     # H = (Delta/2)(sigma_z + tilt sigma_x), undamped: a pole at
-    # Delta sqrt(1 + tilt^2) (1.25 Delta for tilt 0.75). The projected
-    # system is singular there only to rounding, so the residual check alone
-    # sees the failure.
+    # Delta sqrt(1 + tilt^2) (1.25 Delta for tilt 0.75), on the middle
+    # sample of the grid. The projected system is singular there only to
+    # rounding, so the residual check alone sees the failure.
     delta = TWO_PI * 1e6
     layout = SpaceLayout((2,), ("pcq",))
     sz, s_plus, s_minus = pauli_matrices()
@@ -443,8 +443,8 @@ def test_banded_route_reports_undamped_pole(tilt):
     rho = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
                         layout)
     pole = delta * np.sqrt(1.0 + tilt**2)
-    grid = pole * np.linspace(0.5, 1.5, 33)
-    assert grid[16] == pole
+    grid = pole * np.linspace(0.5, 1.5, points)
+    assert grid[points // 2] == pole
     with pytest.raises(SingularResolvent) as exc:
         spectrum_resolvent(lio, sigma_minus, rho, grid, mode="full")
     assert exc.value.omega == pole
@@ -485,7 +485,7 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
         "fig7", 4, overrides, **loop_changes)
     factored, densified = [], []
     splu = spectrum_module.spla.splu
-    matrix_type = type(sector_problem(model, rates, 0)[0].matrix)
+    matrix_type = type(sector_problem(model, rates, 0).lio.matrix)
     toarray = matrix_type.toarray
 
     def counting_splu(a, *args, **kwargs):
@@ -504,22 +504,21 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
     runs.append((lambda: sector_problem(s_model, s_rates, 1),
                  np.linspace(-s_span, s_span, 33), s_offset))
     for build, grid, frame in runs:
-        lio, a_op, rho = build()
+        problem = build()
         factored.clear()
-        s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=frame)
+        s = problem.spectrum(grid, frame_offset=frame)
         assert len(factored) == 1
-        shifted = factored[0] + lio.matrix
+        shifted = factored[0] + problem.lio.matrix
         s0 = shifted.diagonal()[0]
         assert s0.real > 0.0
-        assert abs(shifted - s0 * sp.identity(lio.matrix.shape[0])).max() \
+        assert abs(shifted - s0 * sp.identity(problem.lio.matrix.shape[0])).max() \
             <= 1e-12 * abs(s0)
         assert s.metadata["route"] == "krylov"
         assert s.metadata["krylov_dim"] >= spectrum_module._KRYLOV_START
         assert 0.0 < s.metadata["max_relative_residual"] <= 1e-8
         factored.clear()
-        again = spectrum_resolvent(lio, a_op, rho,
-                                   np.linspace(grid[0], grid[-1], 101),
-                                   frame_offset=frame)
+        again = problem.spectrum(np.linspace(grid[0], grid[-1], 101),
+                                 frame_offset=frame)
         assert not factored
         assert again.metadata["krylov_dim"] == s.metadata["krylov_dim"]
         assert 0.0 < again.metadata["max_relative_residual"] <= 1e-8
@@ -545,15 +544,14 @@ def test_later_grid_continues_the_kept_projection(monkeypatch):
         return splu(a, *args, **kwargs)
 
     def fresh(grid, mode="incoherent"):
-        return spectrum_resolvent(*sector_problem(model, rates, 0), grid,
-                                  mode, offset)
+        return sector_problem(model, rates, 0).spectrum(grid, mode, offset)
 
     monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
-    lio, a_op, rho = sector_problem(model, rates, 0)
-    first = spectrum_resolvent(lio, a_op, rho, ends, frame_offset=offset)
+    problem = sector_problem(model, rates, 0)
+    first = problem.spectrum(ends, frame_offset=offset)
     assert first.metadata["krylov_dim"] == 8
     factored.clear()
-    later = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+    later = problem.spectrum(grid, frame_offset=offset)
     assert len(factored) == 1     # to extend the kept projection
     reference = fresh(grid)
     assert later.metadata["krylov_dim"] == reference.metadata["krylov_dim"]
@@ -561,14 +559,14 @@ def test_later_grid_continues_the_kept_projection(monkeypatch):
     assert np.array_equal(later.values, reference.values)
     # the ends again: the kept m = 16 passes, nothing is factored
     factored.clear()
-    again = spectrum_resolvent(lio, a_op, rho, ends, frame_offset=offset)
+    again = problem.spectrum(ends, frame_offset=offset)
     assert not factored and again.metadata["krylov_dim"] == 16
     for other, mode in ((np.linspace(-span, span, 201), "incoherent"),
                         (grid, "full")):
-        lio, a_op, rho = sector_problem(model, rates, 0)
-        spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+        problem = sector_problem(model, rates, 0)
+        problem.spectrum(grid, frame_offset=offset)
         factored.clear()
-        s = spectrum_resolvent(lio, a_op, rho, other, mode, offset)
+        s = problem.spectrum(other, mode, offset)
         assert len(factored) == 1
         reference = fresh(other, mode)
         assert s.metadata["krylov_dim"] == reference.metadata["krylov_dim"]
@@ -583,18 +581,19 @@ def test_krylov_growth_checks_the_true_residual_once(monkeypatch):
     overrides, loop_changes = STRONG
     cfg, model, rates, offset, span = preset_point("fig7", 4, overrides,
                                                    **loop_changes)
-    lio, a_op, rho = sector_problem(model, rates, 1)
+    problem = sector_problem(model, rates, 1)
     grid = np.linspace(-span, span, 33)
     block_columns = []
-    matmul = type(lio.matrix).__matmul__
+    matmul = type(problem.lio.matrix).__matmul__
 
     def recording_matmul(self, other):
         if np.ndim(other) == 2:
             block_columns.append(np.shape(other)[1])
         return matmul(self, other)
 
-    monkeypatch.setattr(type(lio.matrix), "__matmul__", recording_matmul)
-    s = spectrum_resolvent(lio, a_op, rho, grid, frame_offset=offset)
+    monkeypatch.setattr(type(problem.lio.matrix), "__matmul__",
+                        recording_matmul)
+    s = problem.spectrum(grid, frame_offset=offset)
     assert s.metadata["krylov_dim"] == 32
     assert sum(block_columns) == grid.size
 
@@ -661,9 +660,8 @@ def test_sector_spectrum_ms0_equals_two_body():
     rates = quiet_rates()
     grid = np.linspace(-20 * KAPPA, 20 * KAPPA, 801)
     s = nv_sector_spectrum(p, rates, (0.0, 1.0, 0.0), grid, frame_offset=p.g)
-    lio, a_op, rho_ss = sector_problem(p, rates, 0)
-    s2 = spectrum_resolvent(lio, a_op, rho_ss, grid, "incoherent",
-                            frame_offset=p.g)
+    s2 = sector_problem(p, rates, 0).spectrum(grid, "incoherent",
+                                              frame_offset=p.g)
     assert np.allclose(s.values, s2.values, rtol=1e-12)
     report = find_spectral_peaks(s, 0.1)
     assert len(report.peaks) == 1
@@ -707,9 +705,8 @@ def test_sector_spectrum_label_swap_symmetry():
                            frame_offset=p.g)
     total = np.zeros_like(grid)
     for m_s in (-1, 0, 1):  # swapped iteration order, same content
-        lio, a_op, rho_ss = sector_problem(p, rates, m_s)
-        total += spectrum_resolvent(lio, a_op, rho_ss, grid, "incoherent",
-                                    frame_offset=p.g).values / 3
+        total += sector_problem(p, rates, m_s).spectrum(
+            grid, "incoherent", frame_offset=p.g).values / 3
     assert np.allclose(s.values, total, rtol=1e-12)
 
 
