@@ -211,14 +211,14 @@ def steady_state(lio: Superoperator) -> DensityMatrix:
     if residual > 1e-9:
         diagnose()
 
-    if d >= 2:
-        try:
-            x2 = unit_trace_solve(d + 1)  # diagonal position (1,1)
-        except RuntimeError:
-            diagnose()
-        if (not np.all(np.isfinite(x2))
-                or np.linalg.norm(x - x2) > 1e-6 * np.linalg.norm(x)):
-            diagnose()
+    # SpaceLayout factors have at least 2 levels, so (1,1) always exists.
+    try:
+        x2 = unit_trace_solve(d + 1)  # diagonal position (1,1)
+    except RuntimeError:
+        diagnose()
+    if (not np.all(np.isfinite(x2))
+            or np.linalg.norm(x - x2) > 1e-6 * np.linalg.norm(x)):
+        diagnose()
 
     rho = unvectorize(x)
     rho = 0.5 * (rho + rho.conj().T)      # scrub solver-level asymmetry
@@ -228,12 +228,11 @@ def steady_state(lio: Superoperator) -> DensityMatrix:
 
 def propagate(lio: Superoperator, rho0: DensityMatrix,
               t: float) -> DensityMatrix:
-    """Evolve rho0 for time t >= 0 by the exact action of e^{L t}.
+    """Evolve rho0 for time t >= 0 by the exact action of e^{L t}: the last
+    row of expm_action_grid on the two-point grid (0, t).
 
-    Uses scipy's expm_multiply (truncated Taylor series with scaling, after
-    Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). Trace and
-    Hermiticity are checked, never silently repaired: drift of either beyond
-    1e-8 means the generator is wrong, and raises StepFailure.
+    Trace and Hermiticity are checked, never silently repaired: drift of
+    either beyond 1e-8 means the generator is wrong, and raises StepFailure.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -242,8 +241,7 @@ def propagate(lio: Superoperator, rho0: DensityMatrix,
     if t == 0.0:
         return rho0
 
-    rho = unvectorize(spla.expm_multiply(lio.matrix * t,
-                                         vectorize(rho0.matrix)))
+    rho = unvectorize(expm_action_grid(lio, vectorize(rho0.matrix), t, 2)[-1])
     trace_dev = abs(np.trace(rho).real - 1.0)
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
     if not trace_dev <= 1e-8:
@@ -257,10 +255,11 @@ def expm_action_grid(lio: Superoperator, v0: np.ndarray, t_max: float,
                      num: int) -> np.ndarray:
     """e^{L t_k} v0 on the uniform grid t_k = k*t_max/(num-1); rows are t_k.
 
-    Exact matrix-exponential action, used by the two-time correlation
-    machinery where v0 need not be a state. Small systems step with a
-    dense one-interval propagator (one expm, then repeated products);
-    larger ones use the sparse Krylov/Taylor grid evaluation.
+    Exact matrix-exponential action, used by propagate and by the two-time
+    correlation machinery, where v0 need not be a state. Small systems step
+    with a dense one-interval propagator (one expm, then repeated products);
+    larger ones use scipy's sparse truncated Taylor series with scaling
+    (after Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
     """
     if num < 2:
         raise ValueError("need at least two grid points")

@@ -13,8 +13,9 @@ evaluation routes are provided: the resolvent identity
 
     S(omega) = (1/pi) * Re  vec(A)^dag (i omega I - L)^{-1} vec(A rho_ss)
 
-and direct quadrature/FFT of the propagated correlation. They must agree;
-the tests enforce it.
+and one FFT of the propagated two-sided correlation on the grid
+k pi / tmax (spectrum_fft_crosscheck). They must agree; the tests enforce
+it.
 
 The resolvent has one route, a shift-and-invert Krylov projection (Ruhe,
 Linear Algebra Appl. 58, 391 (1984); Frommer & Glaessner, SIAM J. Sci.
@@ -28,11 +29,11 @@ pivoted solve x = beta Q_m (I + mu H_m)^{-1} e_1, and m doubles until the
 Arnoldi residual (Saad, Math. Comp. 37, 105 (1981)) is well below the
 accepted one at every frequency; the true residual is checked once. The
 projection stays on its SectorProblem, and a later grid over the same
-window with the same b (the final grid after the truncation probe's)
-continues it, factoring and extending only if it needs a larger m. The
-small systems are solved, not diagonalized: an eigen or Schur expansion of
-H_m misses the cancellation of the fig4a spectrum, which lies far below
-||u|| ||b|| / kappa, by ~5e-10 of the peak.
+window in the same mode, hence with the same b (the final grid after the
+truncation probe's), continues it, factoring and extending only if it
+needs a larger m. The small systems are solved, not diagonalized: an eigen
+or Schur expansion of H_m misses the cancellation of the fig4a spectrum,
+which lies far below ||u|| ||b|| / kappa, by ~5e-10 of the peak.
 The carrier (omega = 0 in the drive frame), where (i omega I - L) is
 singular through the steady-state kernel, is solved through the steady
 state's trace-bordered system (liouvillian._bordered_solve).
@@ -260,7 +261,7 @@ class SectorProblem:
     a whose emission it gives, the steady state rho_ss, and the Krylov
     projection of its last spectrum.
 
-    A later spectrum over the same window with the same b (the final grid
+    A later spectrum over the same window in the same mode (the final grid
     after the truncation probe's) continues that projection
     (_krylov_values); spectrum_resolvent evaluates a fresh problem.
     """
@@ -271,9 +272,10 @@ class SectorProblem:
             raise LayoutMismatch(
                 "operator, state and Liouvillian layouts differ")
         self.lio, self.a_op, self.rho_ss = lio, a_op, rho_ss
-        # The last projection: the shift s0, the vector b it started from,
-        # beta = ||K b||, Q_{m+1} and Hbar_m of K Q_m = Q_{m+1} Hbar_m, and
-        # whether Arnoldi broke down (the space is invariant) at m.
+        # The last projection: the shift s0, the mode that fixes the vector
+        # b = vec(A rho_ss) it started from, beta = ||K b||, Q_{m+1} and
+        # Hbar_m of K Q_m = Q_{m+1} Hbar_m, and whether Arnoldi broke down
+        # (the space is invariant) at m.
         self._projection = None
 
     def spectrum(self, omega_grid: Sequence[float],
@@ -310,15 +312,15 @@ class SectorProblem:
                 worst = max(worst, residual)
             if not carrier.all():
                 raw[~carrier], krylov_dim, residual = self._krylov_values(
-                    u, b, omegas[~carrier])
+                    u, b, mode, omegas[~carrier])
                 worst = max(worst, residual)
         meta = dict(mode=mode, method="resolvent", frame_offset=frame_offset,
                     route="krylov", krylov_dim=krylov_dim,
                     max_relative_residual=worst)
         return Spectrum(grid, np.real(raw) / np.pi, frame_offset, meta)
 
-    def _krylov_values(self, u: np.ndarray, b: np.ndarray, omegas: np.ndarray
-                       ) -> tuple[np.ndarray, int, float]:
+    def _krylov_values(self, u: np.ndarray, b: np.ndarray, mode: SpectrumMode,
+                       omegas: np.ndarray) -> tuple[np.ndarray, int, float]:
         """u^dag (i w I - L)^{-1} b for each w by one shift-and-invert Krylov
         projection (module docstring), the projection's dimension m and the
         worst residual relative to ||b||.
@@ -340,8 +342,9 @@ class SectorProblem:
         SingularResolvent.
 
         The projection is kept on the problem. A later call with the same s0
-        and b, i.e. a grid over the same window such as the final grid after
-        the truncation probe's, continues it: the growth test starts at the
+        and mode (b = vec(A rho_ss) is fixed by the problem and the mode),
+        i.e. a grid over the same window such as the final grid after the
+        truncation probe's, continues it: the growth test starts at the
         kept m, and s0 I - L is factored and Arnoldi extended only if this
         grid needs a larger m. Where it does, the values are a fresh
         projection's bit for bit; a grid that a fresh projection would
@@ -353,7 +356,7 @@ class SectorProblem:
         s0 = max(0.5 * (hi - lo), 1e-6 * lio.norm_scale()) + 0.5j * (lo + hi)
         bnorm = float(np.linalg.norm(b))
         kept, lu = self._projection, None
-        if kept is not None and kept[0] == s0 and np.array_equal(kept[1], b):
+        if kept is not None and kept[:2] == (s0, mode):
             beta, q, h, invariant = kept[2:]
         else:
             lu = _shifted_lu(lio, s0)
@@ -388,7 +391,7 @@ class SectorProblem:
                     <= _RESIDUAL_TOL * 1e-4 * bnorm):
                 break
             m = min(2 * m, n)
-        self._projection = (s0, b, beta, q, h, invariant)
+        self._projection = (s0, mode, beta, q, h, invariant)
         out = np.empty(omegas.size, dtype=complex)
         worst = 0.0
         for k0 in range(0, omegas.size, step):
@@ -416,27 +419,21 @@ def spectrum_resolvent(lio: Superoperator, a_op: LabeledOperator,
                                                      frame_offset)
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson rule needs an odd number of points >= 3")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
 def spectrum_fft_crosscheck(lio: Superoperator, a_op: LabeledOperator,
                             rho_ss: DensityMatrix, tmax: float, dt: float,
                             mode: SpectrumMode = "incoherent",
-                            omega_grid: Sequence[float] | None = None,
                             frame_offset: float = 0.0) -> Spectrum:
-    """Spectrum from the propagated two-time correlation.
+    """Spectrum from the propagated two-time correlation, on the FFT grid
+    w_k = k pi / tmax (absolute frame frequencies; the returned grid is
+    relative to frame_offset).
 
     The correlation is evaluated on a uniform tau grid with the exact
-    exponential propagator, symmetrized by stationarity and transformed:
-    on an explicit omega_grid via Simpson quadrature of the one-sided
-    integral (usable for point-by-point comparison against the resolvent
-    route), otherwise on the natural two-sided FFT grid.
+    exponential propagator and extended to negative tau by stationarity,
+    g(-tau) = conj(g(tau)). One FFT of the two-sided signal over the period
+    2 tmax is the trapezoidal rule for (1/2pi) Int e^{-i w tau} g(tau) dtau
+    on [-tmax, tmax]: at w_k the end samples tau = +tmax and -tmax carry the
+    same phase, so their half weights share the middle sample,
+    (g(tmax) + g(-tmax)) / 2 = Re g(tmax).
 
     Raises WindowTooShort when |g(tmax)| > 1e-3 |g(0)|: a truncated
     correlation aliases into spectral ringing.
@@ -444,8 +441,6 @@ def spectrum_fft_crosscheck(lio: Superoperator, a_op: LabeledOperator,
     if tmax <= 0.0 or dt <= 0.0 or dt >= tmax:
         raise ValueError("need 0 < dt < tmax")
     num = int(round(tmax / dt)) + 1
-    if num % 2 == 0:
-        num += 1
     taus = np.linspace(0.0, tmax, num)
     g = two_time_correlation(lio, a_op, rho_ss, taus, mode)
     g0 = abs(g[0])
@@ -456,26 +451,11 @@ def spectrum_fft_crosscheck(lio: Superoperator, a_op: LabeledOperator,
     step = taus[1] - taus[0]
     meta = dict(mode=mode, method="time-domain", tmax=tmax, dt=step,
                 frame_offset=frame_offset)
-
-    if omega_grid is not None:
-        grid = np.asarray(omega_grid, dtype=float)
-        wg = _simpson_weights(num) * step * g
-        omegas = grid + frame_offset
-        values = np.empty(grid.size)
-        chunk = max(1, int(2**22 // num))
-        for k0 in range(0, omegas.size, chunk):
-            block = omegas[k0:k0 + chunk]
-            phases = np.exp(-1j * np.outer(block, taus))
-            values[k0:k0 + chunk] = np.real(phases @ wg) / np.pi
-        return Spectrum(grid, values, frame_offset, meta)
-
-    # FFT route: two-sided signal g(-tau) = conj(g(tau)) in wrap-around order.
-    m = 2 * num - 1
-    y = np.zeros(m, dtype=complex)
-    y[:num] = g
-    y[num:] = np.conj(g[1:][::-1])
+    # Two-sided signal in wrap-around order: g(0) ... g(tmax - dt), the
+    # shared end sample, then g(-tmax + dt) ... g(-dt).
+    y = np.concatenate([g[:-1], [g[-1].real], np.conj(g[-2:0:-1])])
     s_fft = np.fft.fft(y) * step / (2.0 * np.pi)
-    freqs = np.fft.fftfreq(m, d=step) * 2.0 * np.pi
+    freqs = np.fft.fftfreq(y.size, d=step) * 2.0 * np.pi
     order = np.argsort(freqs)
     return Spectrum(freqs[order] - frame_offset, np.real(s_fft[order]),
                     frame_offset, meta)
@@ -529,8 +509,8 @@ def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
     added, so a caller that evaluates the same model on two grids builds
     every sector problem once. Each problem keeps the Krylov projection of
     its last spectrum (SectorProblem._krylov_values), so a second grid over
-    the same window and mode continues that projection instead of factoring
-    L again.
+    the same window in the same mode continues that projection instead of
+    factoring L again.
     """
     w = validate_weights(weights)
     grid = np.asarray(omega_grid, dtype=float)

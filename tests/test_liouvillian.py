@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from spinbus.cli import preset_path
 from spinbus.config import load_config
@@ -393,15 +394,17 @@ def test_propagate_rejects_negative_time():
         propagate(lio, rho0, -1.0)
 
 
-def test_expm_action_grid_matches_propagate():
+def test_expm_action_grid_matches_scipy_expm_multiply():
+    # The dense stepping branch against scipy's Taylor grid evaluation.
     zeta = KAPPA / 5
     layout, a, lio = bare_cavity(5, zeta=zeta)
     ket = basis_state(layout, {})
-    rho0 = np.outer(ket, ket.conj())
+    v0 = vectorize(np.outer(ket, ket.conj()))
     t_max = 3.0 / KAPPA
-    states = expm_action_grid(lio, vectorize(rho0), t_max, 7)
-    rho_prop = propagate(lio, DensityMatrix(rho0, layout), t_max)
-    assert np.max(np.abs(unvectorize(states[-1]) - rho_prop.matrix)) < 1e-8
+    states = expm_action_grid(lio, v0, t_max, 7)
+    reference = spla.expm_multiply(lio.matrix, v0, start=0.0, stop=t_max,
+                                   num=7, endpoint=True)
+    assert np.max(np.abs(states - reference)) < 1e-8
 
 
 # ------------------------------------------------------------- truncation

@@ -17,6 +17,7 @@ from spinbus.errors import (
     WindowTooShort,
 )
 from spinbus.liouvillian import (
+    DENSE_SOLVE_CAP,
     build_liouvillian,
     steady_state,
     trace_row,
@@ -86,27 +87,31 @@ def test_damped_cavity_lorentzian_both_routes():
     layout, a, lio = bare_cavity(3)
     ket = basis_state(layout, {"cavity": 1})
     rho = DensityMatrix(np.outer(ket, ket.conj()), layout)
-    grid = np.linspace(-6 * KAPPA, 6 * KAPPA, 1201)
 
-    s_res = spectrum_resolvent(lio, a, rho, grid, mode="full")
     s_fft = spectrum_fft_crosscheck(lio, a, rho, tmax=16 / KAPPA,
-                                    dt=0.004 / KAPPA, mode="full",
-                                    omega_grid=grid)
-    for s in (s_res, s_fft):
-        popt, _ = curve_fit(lorentzian, s.omega_grid, s.values,
-                            p0=[s.values.max(), 0.0, KAPPA])
+                                    dt=0.004 / KAPPA, mode="full")
+    inside = np.abs(s_fft.omega_grid) <= 6 * KAPPA
+    grid = s_fft.omega_grid[inside]
+    s_res = spectrum_resolvent(lio, a, rho, grid, mode="full")
+    for values in (s_res.values, s_fft.values[inside]):
+        popt, _ = curve_fit(lorentzian, grid, values,
+                            p0=[values.max(), 0.0, KAPPA])
         assert popt[2] == pytest.approx(KAPPA, rel=0.02)
         assert popt[1] == pytest.approx(0.0, abs=KAPPA / 100)
 
 
 def test_analytic_correlation_of_seeded_cavity():
-    # g(tau) = exp(-kappa tau / 2) * <n> for the undriven cavity
-    layout, a, lio = bare_cavity(3)
-    ket = basis_state(layout, {"cavity": 1})
-    rho = DensityMatrix(np.outer(ket, ket.conj()), layout)
-    taus = np.linspace(0.0, 4 / KAPPA, 41)
-    g = two_time_correlation(lio, a, rho, taus, mode="full")
-    assert np.allclose(g, np.exp(-KAPPA * taus / 2), rtol=1e-8, atol=1e-10)
+    # g(tau) = exp(-kappa tau / 2) * <n> for the undriven cavity; 46 levels
+    # (d^2 = 2116) take the sparse branch of expm_action_grid.
+    for n_fock in (3, 46):
+        layout, a, lio = bare_cavity(n_fock)
+        assert (lio.matrix.shape[0] > DENSE_SOLVE_CAP) == (n_fock == 46)
+        ket = basis_state(layout, {"cavity": 1})
+        rho = DensityMatrix(np.outer(ket, ket.conj()), layout)
+        taus = np.linspace(0.0, 4 / KAPPA, 41)
+        g = two_time_correlation(lio, a, rho, taus, mode="full")
+        assert np.allclose(g, np.exp(-KAPPA * taus / 2), rtol=1e-8,
+                           atol=1e-10)
 
 
 # ---------------------------------------------------------------- modes
@@ -172,25 +177,30 @@ def test_vacuum_rabi_doublet_positions_and_oracle():
 def test_resolvent_and_quadrature_routes_agree():
     g = TWO_PI * 2e6
     lio, a_op, rho_ss = jc_problem(g, zeta=2 * KAPPA, n_fock=3)
-    grid = np.linspace(-15 * KAPPA, 15 * KAPPA, 401)
-    s_res = spectrum_resolvent(lio, a_op, rho_ss, grid, "incoherent",
-                               frame_offset=g)
     tmax = 400e-6  # slowest coherences decay at kappa/4
     s_td = spectrum_fft_crosscheck(lio, a_op, rho_ss, tmax=tmax, dt=10e-9,
-                                   mode="incoherent", omega_grid=grid,
-                                   frame_offset=g)
+                                   mode="incoherent", frame_offset=g)
+    inside = np.abs(s_td.omega_grid) <= 15 * KAPPA
+    s_res = spectrum_resolvent(lio, a_op, rho_ss, s_td.omega_grid[inside],
+                               "incoherent", frame_offset=g)
     scale = s_res.values.max()
-    assert np.max(np.abs(s_td.values - s_res.values)) / scale < 1e-4
+    assert np.max(np.abs(s_td.values[inside] - s_res.values)) / scale < 1e-4
 
 
 def test_quadrature_stable_under_dt_halving():
     g = TWO_PI * 2e6
     lio, a_op, rho_ss = jc_problem(g, zeta=2 * KAPPA, n_fock=3)
-    grid = np.linspace(-10 * KAPPA, 10 * KAPPA, 101)
-    kwargs = dict(mode="incoherent", omega_grid=grid, frame_offset=g)
+    kwargs = dict(mode="incoherent", frame_offset=g)
     s1 = spectrum_fft_crosscheck(lio, a_op, rho_ss, 260e-6, 16e-9, **kwargs)
     s2 = spectrum_fft_crosscheck(lio, a_op, rho_ss, 260e-6, 8e-9, **kwargs)
-    assert np.max(np.abs(s1.values - s2.values)) / s1.values.max() < 1e-6
+    # The bin spacing pi / tmax does not depend on dt: both grids hold the
+    # same bins inside the window.
+    in1 = np.abs(s1.omega_grid) <= 10 * KAPPA
+    in2 = np.abs(s2.omega_grid) <= 10 * KAPPA
+    assert np.allclose(s1.omega_grid[in1], s2.omega_grid[in2], rtol=0.0,
+                       atol=1e-9 * g)
+    assert np.max(np.abs(s1.values[in1] - s2.values[in2])) \
+        / s1.values[in1].max() < 1e-6
 
 
 def test_fft_grid_route_matches_resolvent_at_peak():
