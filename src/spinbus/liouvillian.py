@@ -252,8 +252,9 @@ def propagate(lio: Superoperator, rho0: DensityMatrix,
 
 
 def expm_action_grid(lio: Superoperator, v0: np.ndarray, t_max: float,
-                     num: int) -> np.ndarray:
+                     num: int, u: np.ndarray | None = None) -> np.ndarray:
     """e^{L t_k} v0 on the uniform grid t_k = k*t_max/(num-1); rows are t_k.
+    With u, the scalars u @ e^{L t_k} v0; the dense branch keeps O(d^2).
 
     Exact matrix-exponential action, used by propagate and by the two-time
     correlation machinery, where v0 need not be a state. Small systems step
@@ -269,34 +270,56 @@ def expm_action_grid(lio: Superoperator, v0: np.ndarray, t_max: float,
         from scipy.linalg import expm
 
         step = expm(lio.matrix.toarray() * (t_max / (num - 1)))
-        out = np.empty((num, d2), dtype=complex)
-        out[0] = v0
-        for k in range(1, num):
-            out[k] = step @ out[k - 1]
+        out = np.empty((num, d2) if u is None else num, dtype=complex)
+        for k in range(num):
+            if k:
+                v0 = step @ v0
+            out[k] = v0 if u is None else u @ v0
         return out
-    return spla.expm_multiply(lio.matrix, v0, start=0.0, stop=t_max,
-                              num=num, endpoint=True)
+    states = spla.expm_multiply(lio.matrix, v0, start=0.0, stop=t_max,
+                                num=num, endpoint=True)
+    return states if u is None else states @ u
 
 
-def adaptive_truncation(metric_fn: Callable[[int], np.ndarray], start: int,
-                        tolerance: float, n_max: int = 30) -> int:
+def adaptive_truncation(metric_fn: Callable[[int], np.ndarray | tuple],
+                        start: int, tolerance: float, n_max: int = 30) -> int:
     """Smallest N with ||metric(N+2) - metric(N)||_inf < tolerance.
 
     metric_fn maps a Fock truncation to a fixed-length vector of observables
-    (steady-state populations, peak positions in linewidth units, ...).
+    (steady-state populations, ...), or to a tuple of parts, each a vector
+    or a zero-argument callable returning one, that concatenate to it. Parts
+    are compared in order; a callable part is evaluated at most once per N,
+    and only when every earlier part agrees between N and N+2. A nan
+    difference is a disagreement.
     Raises TruncationNotConverged past n_max.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
     if start < 2:
         raise ValueError("start must be at least 2")
+
+    def parts(n: int) -> list:
+        metric = metric_fn(n)
+        return list(metric) if isinstance(metric, tuple) else [metric]
+
+    def part(metric: list, i: int) -> np.ndarray:
+        if callable(metric[i]):
+            metric[i] = metric[i]()
+        return np.asarray(metric[i], dtype=float)
+
     n = start
-    current = np.asarray(metric_fn(n), dtype=float)
+    current = parts(n)
     while n + 2 <= n_max:
-        nxt = np.asarray(metric_fn(n + 2), dtype=float)
-        if nxt.shape != current.shape:
+        nxt = parts(n + 2)
+        if len(nxt) != len(current):
             raise ValueError("metric_fn must return a fixed-length vector")
-        if np.max(np.abs(nxt - current)) < tolerance:
+        for i in range(len(current)):
+            a, b = part(current, i), part(nxt, i)
+            if a.shape != b.shape:
+                raise ValueError("metric_fn must return a fixed-length vector")
+            if not np.max(np.abs(b - a)) < tolerance:
+                break
+        else:
             return n
         n += 2
         current = nxt

@@ -180,8 +180,7 @@ def two_time_correlation(lio: Superoperator, a_op: LabeledOperator,
     a_fl = _fluctuation_operator(a_op, rho, mode)
     b = vectorize(a_fl @ rho.matrix)
     u = vectorize(a_fl).conj()
-    states = expm_action_grid(lio, b, float(taus[-1]), taus.size)
-    return states @ u
+    return expm_action_grid(lio, b, float(taus[-1]), taus.size, u)
 
 
 def _carrier_solve(lio: Superoperator, b: np.ndarray,

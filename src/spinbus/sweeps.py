@@ -162,21 +162,29 @@ def _point_spectrum(cfg: ScanConfig, loop: LoopParams, d: float, n_fock: int,
 
 def _truncation_metric(cfg: ScanConfig, loop: LoopParams, d: float,
                        problems: dict | None):
-    """Metric for adaptive truncation: weighted steady-state cavity
-    populations (padded to n_fock_max) plus the normalized shape of a
-    coarse spectrum. The probes' sector problems are kept in `problems`."""
+    """Metric for adaptive truncation, as the parts (populations, shape):
+    the weighted steady-state cavity populations (padded to n_fock_max),
+    and a callable for the normalized shape of a coarse spectrum, evaluated
+    only where the populations agree. The populations come from
+    _point_spectrum on an empty grid, which builds the sector problems of
+    the nv_mode and weights and projects nothing. The probes' problems are
+    kept in `problems`; the final grid continues their shape projection."""
     solver = cfg.solver
     span = solver.grid_span_kappa * cfg.resonator.kappa
     coarse = np.linspace(-span, span, 33)
 
-    def metric(n_fock: int) -> np.ndarray:
-        s = _point_spectrum(cfg, loop, d, n_fock, coarse, problems)
+    def metric(n_fock: int) -> tuple:
+        s = _point_spectrum(cfg, loop, d, n_fock, coarse[:0], problems)
         pops = np.zeros(solver.n_fock_max + 1)
         for sector in s.metadata["sectors"].values():
             pops[:n_fock] += sector["weight"] * sector["cavity_populations"]
-        peak = s.values.max()
-        shape = s.values / peak if peak > 0 else s.values
-        return np.concatenate([pops, shape])
+
+        def shape() -> np.ndarray:
+            s = _point_spectrum(cfg, loop, d, n_fock, coarse, problems)
+            peak = s.values.max()
+            return s.values / peak if peak > 0 else s.values
+
+        return pops, shape
 
     return metric
 

@@ -1,6 +1,6 @@
 """The verdicts of tools/bench_pairs.py on synthetic run lists: the bound
-check of one metric (compare), the gain claim (claim_verdict) and the
-check of --claim before any run."""
+check of one metric (compare), the gain claim (claim_verdict), the
+check of --claim before any run and the per-run attempted counts."""
 
 import json
 import os
@@ -93,7 +93,8 @@ def test_bad_claim_exits_2_before_any_run(monkeypatch, tmp_path):
         runs.append(tree)
         metrics = {name: {"value": 1.0} for name in
                    ("scan_wall_s", "setup_s", "peak_rss_mb")}
-        return {"metrics": metrics, "correct": True, "failed": 0}, None
+        return {"metrics": metrics, "correct": True, "attempted": 1,
+                "failed": 0}, None
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "BENCH_t.json"
@@ -121,3 +122,29 @@ def test_bad_claim_exits_2_before_any_run(monkeypatch, tmp_path):
     assert len(runs) == 2 * bench_pairs.PAIRS
     record = json.loads(out.read_text())
     assert record["claim"]["workload"] == "full_tau"
+
+
+def test_record_keeps_each_runs_attempted_count(monkeypatch, tmp_path):
+    # A run's attempted count is its points per repetition times the
+    # repetitions it fitted in its budget; the record keeps it per run, in
+    # run order, for each side.
+    served = {"parent": 0, "change": 0}
+
+    def run_once(tree, workload, seed, trace):
+        side = "parent" if tree == ROOT else "change"
+        served[side] += 1
+        repetitions = 8 if side == "parent" else 8 + served[side] % 2
+        metrics = {name: {"value": 1.0} for name in
+                   ("scan_wall_s", "setup_s", "peak_rss_mb")}
+        return {"metrics": metrics, "correct": True, "failed": 0,
+                "attempted": 2 * repetitions}, None
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_t.json"
+    assert bench_pairs.main(["--parent", ROOT, "--change", str(tmp_path),
+                             "--workload", "design_map",
+                             "--seed", "3", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["design_map"]["3"]
+    assert entry["attempted"] == {
+        "parent": [16] * bench_pairs.PAIRS,
+        "change": [18, 16] * (bench_pairs.PAIRS // 2)}

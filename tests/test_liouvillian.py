@@ -407,6 +407,21 @@ def test_expm_action_grid_matches_scipy_expm_multiply():
     assert np.max(np.abs(states - reference)) < 1e-8
 
 
+def test_expm_action_grid_contracts_each_step_with_u():
+    # The dense branch contracts every step with u instead of returning the
+    # (num, d^2) states; the scalars are those states' contraction.
+    layout, a, lio = bare_cavity(5, zeta=KAPPA / 5)
+    rng = np.random.default_rng(5)
+    d2 = lio.matrix.shape[0]
+    v0 = rng.normal(size=d2) + 1j * rng.normal(size=d2)
+    u = rng.normal(size=d2) + 1j * rng.normal(size=d2)
+    states = expm_action_grid(lio, v0, 3.0 / KAPPA, 41)
+    g = expm_action_grid(lio, v0, 3.0 / KAPPA, 41, u)
+    assert g.shape == (41,)
+    reference = states @ u
+    assert np.max(np.abs(g - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 # ------------------------------------------------------------- truncation
 
 def test_adaptive_truncation_trivial_at_zero_drive():
@@ -440,3 +455,74 @@ def test_adaptive_truncation_cap_raises():
 
     with pytest.raises(TruncationNotConverged):
         adaptive_truncation(metric, start=2, tolerance=1e-12, n_max=10)
+
+
+def _random_parts(rng, n_max):
+    """Seeded random metric levels: per N a cheap part and a costly part.
+    Each part moves from the previous level by about 1e-5 (agreeing at a
+    tolerance of 1e-3) or by 0.5 in one entry (disagreeing), and now and
+    then holds a nan."""
+    levels, pieces = {}, [np.zeros(3), np.zeros(5)]
+    for n in range(2, n_max + 1, 2):
+        pieces = [v + 1e-5 * rng.random(v.size) for v in pieces]
+        for v in pieces:
+            if rng.random() < 0.4:
+                v[rng.integers(v.size)] += 0.5
+            if rng.random() < 0.05:
+                v[rng.integers(v.size)] = np.nan
+        levels[n] = [v.copy() for v in pieces]
+    return levels
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_adaptive_truncation_parts_match_the_concatenated_vector(seed):
+    # A tuple of parts chooses the N, or raises, as their concatenation
+    # does; a callable part runs at most once per N, and never at a level
+    # whose cheap part disagrees with both neighbours.
+    rng = np.random.default_rng(seed)
+    n_max = int(rng.choice([6, 10, 14]))
+    levels = _random_parts(rng, n_max)
+    calls = []
+
+    def parts(n):
+        cheap, costly = levels[n]
+
+        def lazy():
+            calls.append(n)
+            return costly
+
+        return cheap, lazy
+
+    def concatenated(n):
+        return np.concatenate(levels[n])
+
+    def outcome(metric):
+        try:
+            return adaptive_truncation(metric, start=2, tolerance=1e-3,
+                                       n_max=n_max)
+        except TruncationNotConverged:
+            return "not converged"
+
+    expected = outcome(concatenated)
+    assert outcome(parts) == expected
+    assert len(calls) == len(set(calls))
+
+    def agree(n, m):
+        return np.max(np.abs(levels[n][0] - levels[m][0])) < 1e-3
+
+    last = n_max if expected == "not converged" else expected + 2
+    for n in range(2, last + 1, 2):
+        if not any(agree(n, m) for m in (n - 2, n + 2) if 2 <= m <= last):
+            assert n not in calls
+
+
+def test_adaptive_truncation_bare_vector_is_one_part():
+    # A bare vector and the one-part tuple of it choose the same N.
+    def metric(n):
+        return np.array([1.0 / n ** 4, 0.5])
+
+    n = adaptive_truncation(metric, start=2, tolerance=1e-3)
+    assert n == adaptive_truncation(lambda n: (metric(n),), start=2,
+                                    tolerance=1e-3)
+    assert n == adaptive_truncation(lambda n: (lambda: metric(n),), start=2,
+                                    tolerance=1e-3)

@@ -454,6 +454,21 @@ def test_adaptive_truncation_strong_drive_plateaus(tau_us, n_fock):
     assert resolve_n_fock(cfg, cfg.loop, d) == n_fock
 
 
+def test_truncation_probes_project_only_where_populations_agree():
+    # At tau = 8.5 us the populations disagree at (4, 6) and (6, 8) and
+    # (8, 10), so only N = 10 and 12 compute the coarse spectrum's shape.
+    cfg = load_config_text(STRONG_DRIVE.format(tau=8.5))
+    d = cfg.solver.distance_for(cfg.loop.r_loop)
+    problems = {}
+    assert resolve_n_fock(cfg, cfg.loop, d, problems) == 10
+    projected = {}
+    for (p, _, _, _), problem in problems.items():
+        projected.setdefault(p.N_fock, set()).add(
+            problem._projection is not None)
+    assert projected == {4: {False}, 6: {False}, 8: {False}, 10: {True},
+                         12: {True}}
+
+
 def test_point_spectrum_reuses_probe_problems(monkeypatch):
     builds, factored, solves, finals = [], [], [], []
     sector_problem = spectrum_module.sector_problem

@@ -13,7 +13,9 @@ run; run.py uses its own run budget. ``--trace`` adds one traced pair per
 workload (``--trace 1``) whose per-layer metrics are recorded side by side.
 
 The record holds, under ``workloads[W][N]`` for workload W and seed N, each
-run's value of every end-to-end metric, the median and quartiles of each
+run's ``attempted`` count (scan points or map cells over all repetitions,
+so the number of repetitions a run fitted in its budget can be read off)
+and its value of every end-to-end metric, the median and quartiles of each
 side (inclusive method), the number of pairs the change wins (ties count
 for neither; "better" and the regression bound are read from the parent's
 BENCHMARK.json), the ratio of the medians and whether the change's median
@@ -185,6 +187,8 @@ def main(argv: list[str] | None = None) -> int:
                        f"--seed {args.seed} --trace 0",
             "all_correct": all(r["correct"] and r["failed"] == 0
                                for side in runs.values() for r in side),
+            "attempted": {side: [r["attempted"] for r in runs[side]]
+                          for side in runs},
             "metrics": metrics,
         }
         if args.trace:
