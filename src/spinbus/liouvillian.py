@@ -26,6 +26,9 @@ from .operators import DensityMatrix, LabeledOperator, SpaceLayout
 
 # Superoperator dimension up to which L is handled as a dense matrix.
 DENSE_SOLVE_CAP = 2048
+# Complex values of the states one expm_multiply call of expm_action_grid's
+# sparse branch returns: the grid is stepped in blocks of this many.
+_EXPM_BLOCK_ELEMENTS = 2**20
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -254,31 +257,41 @@ def propagate(lio: Superoperator, rho0: DensityMatrix,
 def expm_action_grid(lio: Superoperator, v0: np.ndarray, t_max: float,
                      num: int, u: np.ndarray | None = None) -> np.ndarray:
     """e^{L t_k} v0 on the uniform grid t_k = k*t_max/(num-1); rows are t_k.
-    With u, the scalars u @ e^{L t_k} v0; the dense branch keeps O(d^2).
+    With u, the scalars u @ e^{L t_k} v0, in O(d^2) memory on the dense
+    branch and O(block d^2) on the sparse one.
 
     Exact matrix-exponential action, used by propagate and by the two-time
     correlation machinery, where v0 need not be a state. Small systems step
     with a dense one-interval propagator (one expm, then repeated products);
     larger ones use scipy's sparse truncated Taylor series with scaling
-    (after Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+    (after Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), one call
+    per block of the grid, each started from the last state of the one
+    before and contracted with u before the next.
     """
     if num < 2:
         raise ValueError("need at least two grid points")
     v0 = np.asarray(v0, dtype=complex)
     d2 = lio.matrix.shape[0]
+    out = np.empty((num, d2) if u is None else num, dtype=complex)
     if d2 <= DENSE_SOLVE_CAP:
         from scipy.linalg import expm
 
         step = expm(lio.matrix.toarray() * (t_max / (num - 1)))
-        out = np.empty((num, d2) if u is None else num, dtype=complex)
         for k in range(num):
             if k:
                 v0 = step @ v0
             out[k] = v0 if u is None else u @ v0
         return out
-    states = spla.expm_multiply(lio.matrix, v0, start=0.0, stop=t_max,
-                                num=num, endpoint=True)
-    return states if u is None else states @ u
+    out[0] = v0 if u is None else u @ v0
+    block = max(1, _EXPM_BLOCK_ELEMENTS // d2)
+    for k0 in range(0, num - 1, block):
+        k1 = min(k0 + block, num - 1)
+        states = spla.expm_multiply(lio.matrix, v0, start=0.0,
+                                    stop=(k1 - k0) * t_max / (num - 1),
+                                    num=k1 - k0 + 1, endpoint=True)
+        out[k0 + 1:k1 + 1] = states[1:] if u is None else states[1:] @ u
+        v0 = states[-1]
+    return out
 
 
 def adaptive_truncation(metric_fn: Callable[[int], np.ndarray | tuple],

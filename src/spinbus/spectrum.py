@@ -24,10 +24,12 @@ Krylov space of K = (s0 I - L)^{-1} started from K b, because
 (i w I - L) = (s0 I - L)(I + mu K) with mu = i w - s0. The shift s0 sits
 half a grid span to the right of the grid centre, where a Lindblad L has
 no eigenvalue, so one sparse LU of s0 I - L serves every frequency of the
-grid. Arnoldi gives K Q_m = Q_{m+1} Hbar_m, each frequency takes the small
-pivoted solve x = beta Q_m (I + mu H_m)^{-1} e_1, and m doubles until the
-Arnoldi residual (Saad, Math. Comp. 37, 105 (1981)) is well below the
-accepted one at every frequency; the true residual is checked once. The
+grid. Arnoldi gives K Q_m = Q_{m+1} Hbar_m, and x = Q_m y with
+y = beta (I + mu H_m)^{-1} e_1: a pivoted elimination on the Hessenberg
+H_m, O(m^2) per frequency and vectorised over the grid. m doubles until
+the Arnoldi residual (Saad, Math. Comp. 37, 105 (1981)) is well below the
+accepted one at every frequency; the true residual is checked once, with
+L Q_m and u^dag Q_m formed once, so x itself is never formed. The
 projection stays on its SectorProblem, and a later grid over the same
 window in the same mode, hence with the same b (the final grid after the
 truncation probe's), continues it, factoring and extending only if it
@@ -97,9 +99,9 @@ SpectrumMode = Literal["full", "incoherent"]
 _RESIDUAL_TOL = 1e-8
 # Krylov dimension a projection starts from; it doubles from there.
 _KRYLOV_START = 8
-# Complex values per block of frequencies: a block holds its d^2-long
-# solution vectors and its m x m projected systems, so the bound caps
-# both, whatever m grows to.
+# Complex values per block of frequencies: a block holds one d^2-long
+# residual column per frequency, so the bound caps it whatever the grid
+# length; the block's small solves hold O(m) values per frequency.
 _CHUNK_ELEMENTS = 2**15
 
 
@@ -248,11 +250,46 @@ def _shifted_lu(lio: Superoperator, s0: complex):
                       - lio.matrix).tocsc())
 
 
-def _solve_or_nan(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        return np.full(rhs.shape, np.nan, dtype=complex)
+def _hessenberg_solve(h: np.ndarray, mu: np.ndarray,
+                      beta: float) -> np.ndarray:
+    """y_k = beta (I + mu_k H)^{-1} e_1 for an upper Hessenberg m x m H,
+    returned as the columns of an (m, len(mu)) array.
+
+    Gaussian elimination with partial pivoting on the Hessenberg structure:
+    one loop over the subdiagonal, vectorised over the frequencies. Column
+    operations zero the subdiagonal from the bottom row up. At row r only
+    column r - 1 of I + mu H and the column carried down from r compete for
+    the pivot; the other one, minus the multiplier times the pivot, is
+    carried on. This gives (I + mu H) M = T with T upper triangular, so
+    y = beta M e_1 / T_11 needs no back substitution. M e_1 is a running
+    product of the weights: row r's operation maps unit vector r - 1
+    (counting from 0) to its left weight times itself plus its own weight
+    times unit vector r. Each frequency holds O(m) numbers, and the
+    pivoting is partial pivoting on the reversed transpose of I + mu H. An
+    exactly singular pivot leaves y non-finite at that frequency only.
+    """
+    m = h.shape[0]
+    carried = np.multiply.outer(h[:, m - 1], mu)
+    carried[m - 1] += 1.0
+    subdiagonal = np.multiply.outer(np.diagonal(h, -1), mu)
+    # Row r's weights of the carried column and of column r - 1 in the
+    # column carried on; row 0 holds beta / T_11.
+    own_weight = np.empty_like(carried)
+    left_weight = np.empty_like(carried)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for r in range(m - 1, 0, -1):
+            left, own = subdiagonal[r - 1], carried[r]
+            swap = np.abs(left) > np.abs(own)
+            ratio = -(np.where(swap, own, left) / np.where(swap, left, own))
+            own_weight[r] = np.where(swap, 1.0, ratio)
+            left_weight[r] = np.where(swap, ratio, 1.0)
+            carried[:r] *= own_weight[r]
+            carried[:r] += np.multiply.outer(h[:r, r - 1], left_weight[r] * mu)
+            carried[r - 1] += left_weight[r]
+        own_weight[0] = beta / carried[0]
+        y = np.cumprod(own_weight, axis=0)
+        y[:-1] *= left_weight[1:]
+    return y
 
 
 class SectorProblem:
@@ -327,7 +364,9 @@ class SectorProblem:
         The shift is s0 = delta + i w_c, with w_c the grid centre and delta
         its half-span, floored at 1e-6 of L's scale for a one-frequency grid.
         Arnoldi with one re-orthogonalisation pass extends
-        K Q_m = Q_{m+1} Hbar_m, and m doubles from _KRYLOV_START until the
+        K Q_m = Q_{m+1} Hbar_m. Each block of frequencies (_CHUNK_ELEMENTS)
+        takes y = beta (I + mu H_m)^{-1} e_1 by _hessenberg_solve, O(m^2)
+        per frequency, and m doubles from _KRYLOV_START until the
         Arnoldi residual is at most 1e-4 _RESIDUAL_TOL at every frequency,
         Arnoldi breaks down (the space is invariant, so the projection is
         exact) or m reaches the dimension of L. The Arnoldi residual is the
@@ -336,8 +375,12 @@ class SectorProblem:
         last entry of y = beta (I + mu H_m)^{-1} e_1, and costs one sparse
         product per m. Unlike the true residual it has no rounding floor, so
         the tight target that the cancellation in u^dag x needs cannot grow
-        m to the dimension of L. At the accepted m the true residual is
-        checked once: a frequency where it exceeds _RESIDUAL_TOL raises
+        m to the dimension of L. At the accepted m the true residual of
+        x = Q_m y is checked once, with L acting on the basis:
+        r = Q_m (i w y) - (L Q_m) y - b, then the value is (u^dag Q_m) y.
+        L Q_m and u^dag Q_m are formed once per call, so a frequency costs
+        one column of an m-column product and x is never formed. A
+        frequency where the residual exceeds _RESIDUAL_TOL raises
         SingularResolvent.
 
         The projection is kept on the problem. A later call with the same s0
@@ -366,44 +409,38 @@ class SectorProblem:
             invariant = False
         m = max(min(_KRYLOV_START, n), h.shape[1])
         mu = 1j * omegas - s0
+        step = max(1, _CHUNK_ELEMENTS // n)
+        blocks = [slice(k0, k0 + step) for k0 in range(0, omegas.size, step)]
         while True:
             if m > h.shape[1] and not invariant:
                 if lu is None:
                     lu = _shifted_lu(lio, s0)
                 q, h, invariant = _extend_arnoldi(lu, q, h, m)
             m = min(m, h.shape[1])
-            step = max(1, _CHUNK_ELEMENTS // max(n, m * m))
-            rhs = beta * np.eye(m, 1)
-            y = np.empty((omegas.size, m), dtype=complex)
-            for k0 in range(0, omegas.size, step):
-                a = np.eye(m) + mu[k0:k0 + step, None, None] * h[:m, :m]
-                try:
-                    y[k0:k0 + step] = np.linalg.solve(a, rhs)[:, :, 0]
-                except np.linalg.LinAlgError:
-                    # An exactly singular system is a pole on the grid: its
-                    # nan solution is left for the residual guard to name.
-                    y[k0:k0 + step] = np.stack(
-                        [_solve_or_nan(ak, rhs) for ak in a])[:, :, 0]
-            if invariant or m == n or (
-                    h[m, m - 1].real * np.max(np.abs(mu * y[:, m - 1]))
-                    * np.linalg.norm(s0 * q[:, m] - lio.matrix @ q[:, m])
-                    <= _RESIDUAL_TOL * 1e-4 * bnorm):
-                break
+            y = np.concatenate([_hessenberg_solve(h[:m, :m], mu[k], beta)
+                                for k in blocks], axis=1)
+            with np.errstate(invalid="ignore"):
+                if invariant or m == n or (
+                        h[m, m - 1].real * np.max(np.abs(mu * y[m - 1]))
+                        * np.linalg.norm(s0 * q[:, m] - lio.matrix @ q[:, m])
+                        <= _RESIDUAL_TOL * 1e-4 * bnorm):
+                    break
             m = min(2 * m, n)
         self._projection = (s0, mode, beta, q, h, invariant)
+        basis = q[:, :m]
+        l_basis, u_basis = lio.matrix @ basis, u @ basis
         out = np.empty(omegas.size, dtype=complex)
         worst = 0.0
-        for k0 in range(0, omegas.size, step):
-            x = q[:, :m] @ y[k0:k0 + step].T
+        for k in blocks:
             with np.errstate(invalid="ignore", over="ignore"):
-                residual = np.linalg.norm(x * (1j * omegas[k0:k0 + step])
-                                          - lio.matrix @ x - b[:, None],
-                                          axis=0) / bnorm
+                residual = np.linalg.norm(
+                    basis @ (y[:, k] * (1j * omegas[k])) - l_basis @ y[:, k]
+                    - b[:, None], axis=0) / bnorm
             bad = ~(residual <= _RESIDUAL_TOL)
             if bad.any():
-                raise SingularResolvent(float(omegas[k0 + np.argmax(bad)]))
+                raise SingularResolvent(float(omegas[k][np.argmax(bad)]))
             worst = max(worst, float(residual.max()))
-            out[k0:k0 + step] = u @ x
+            out[k] = u_basis @ y[:, k]
         return out, m, worst
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import spinbus.liouvillian as liouvillian_module
 from spinbus.cli import preset_path
 from spinbus.config import load_config
 from spinbus.errors import (
@@ -12,6 +13,7 @@ from spinbus.errors import (
     TruncationNotConverged,
 )
 from spinbus.liouvillian import (
+    DENSE_SOLVE_CAP,
     _bordered_matrix,
     adaptive_truncation,
     build_liouvillian,
@@ -420,6 +422,32 @@ def test_expm_action_grid_contracts_each_step_with_u():
     assert g.shape == (41,)
     reference = states @ u
     assert np.max(np.abs(g - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_expm_action_grid_sparse_branch_steps_in_blocks(monkeypatch):
+    # A 46-level driven cavity (d^2 = 2116) takes the sparse branch. With
+    # blocks of 7 points the 41-point grid takes six expm_multiply calls of
+    # at most 8 states each, and contracts to the one-call result.
+    layout, a, lio = bare_cavity(46, zeta=KAPPA / 5)
+    d2 = lio.matrix.shape[0]
+    assert d2 > DENSE_SOLVE_CAP
+    ket = basis_state(layout, {"cavity": 1})
+    v0 = vectorize(a.matrix @ np.outer(ket, ket.conj()))
+    u = vectorize(a.matrix).conj()
+    whole = expm_action_grid(lio, v0, 4.0 / KAPPA, 41, u)
+    lengths = []
+    expm_multiply = spla.expm_multiply
+
+    def recording_expm_multiply(*args, **kwargs):
+        lengths.append(kwargs["num"])
+        return expm_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(liouvillian_module.spla, "expm_multiply",
+                        recording_expm_multiply)
+    monkeypatch.setattr(liouvillian_module, "_EXPM_BLOCK_ELEMENTS", 7 * d2)
+    blocked = expm_action_grid(lio, v0, 4.0 / KAPPA, 41, u)
+    assert lengths == [8, 8, 8, 8, 8, 6]
+    assert np.max(np.abs(blocked - whole)) <= 1e-10 * np.max(np.abs(whole))
 
 
 # ------------------------------------------------------------- truncation

@@ -43,6 +43,7 @@ from spinbus.spectrum import (
     PeakReport,
     SectorProblem,
     Spectrum,
+    _hessenberg_solve,
     find_spectral_peaks,
     full_liouvillian_spectrum,
     nv_sector_spectrum,
@@ -54,6 +55,9 @@ from spinbus.spectrum import (
 )
 from spinbus.sweeps import _point_model
 from spinbus.units import TWO_PI
+
+# Every nan or inf on the pole path stays inside np.errstate.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 KAPPA = TWO_PI * 26e3
 WR = TWO_PI * 6e9
@@ -378,12 +382,13 @@ def test_banded_route_matches_direct_solve(case):
 
 
 def test_krylov_block_width_is_invisible(monkeypatch):
-    # At most one frequency per block, at most 64 (which split the 201
-    # frequencies 64/64/64/9 while m^2 <= d^2) and the whole grid in one
-    # block give the same Krylov dimension and the same spectrum, on
-    # strong-drive sectors of every final size (d^2 = 144, 256 and 400;
-    # blocks of one frequency at 144 only, to bound the run time). Each
-    # width grows its own projection: spectrum_resolvent continues none.
+    # Blocks of one frequency, of 64 (which split the 201 frequencies
+    # 64/64/64/9) and the whole grid in one block, for the small solves and
+    # the residual columns alike, give the same Krylov dimension and the
+    # same spectrum, on strong-drive sectors of every final size (d^2 = 144,
+    # 256 and 400; blocks of one frequency at 144 only, to bound the run
+    # time). Each width grows its own projection: spectrum_resolvent
+    # continues none.
     overrides, loop_changes = STRONG
     factored = []
     splu = spectrum_module.spla.splu
@@ -463,8 +468,8 @@ def test_banded_route_reports_undamped_pole(tilt, points):
 def test_exactly_singular_projection_reports_undamped_pole():
     # With rho diagonal, b = vec(sigma_- rho) is one coherence of the
     # undamped qubit: the Krylov space is invariant at m = 1 and the
-    # projected system is exactly singular at the pole. The stacked small
-    # solve then fails as a whole, and the pole must still be named.
+    # projected system is exactly singular at the pole. The small solve
+    # leaves that frequency non-finite, and the residual guard names it.
     delta = TWO_PI * 1e6
     layout = SpaceLayout((2,), ("pcq",))
     sz, _, s_minus = pauli_matrices()
@@ -586,13 +591,13 @@ def test_later_grid_continues_the_kept_projection(monkeypatch):
 def test_krylov_growth_checks_the_true_residual_once(monkeypatch):
     # The strong-drive probe sector grows m from 8 through 16 to 32. The
     # growth test reads the Arnoldi residual, whose sparse product takes one
-    # vector, so L multiplies solution blocks in one pass over the grid:
-    # at the accepted m, where the true residual is checked.
+    # vector; the true residual takes L Q_m. So L multiplies one block, of
+    # the accepted m columns, once per call: on the probe grid and on a
+    # longer grid that continues its projection.
     overrides, loop_changes = STRONG
     cfg, model, rates, offset, span = preset_point("fig7", 4, overrides,
                                                    **loop_changes)
     problem = sector_problem(model, rates, 1)
-    grid = np.linspace(-span, span, 33)
     block_columns = []
     matmul = type(problem.lio.matrix).__matmul__
 
@@ -603,9 +608,83 @@ def test_krylov_growth_checks_the_true_residual_once(monkeypatch):
 
     monkeypatch.setattr(type(problem.lio.matrix), "__matmul__",
                         recording_matmul)
-    s = problem.spectrum(grid, frame_offset=offset)
-    assert s.metadata["krylov_dim"] == 32
-    assert sum(block_columns) == grid.size
+    for points in (33, 201):
+        block_columns.clear()
+        s = problem.spectrum(np.linspace(-span, span, points),
+                             frame_offset=offset)
+        assert s.metadata["krylov_dim"] == 32
+        assert block_columns == [32]
+
+
+def test_true_residual_guard_sees_a_perturbed_small_solution(monkeypatch):
+    # One frequency's small solution off by 1e-6 relative still satisfies
+    # the Arnoldi relation's residual estimate up to that factor; only L
+    # acting on the basis sees it, and the guard names that frequency.
+    overrides, loop_changes = STRONG
+    cfg, model, rates, offset, span = preset_point("fig7", 4, overrides,
+                                                   **loop_changes)
+    grid = np.linspace(-span, span, 33)
+    hessenberg_solve = spectrum_module._hessenberg_solve
+
+    def perturbed_solve(h, mu, beta):
+        y = hessenberg_solve(h, mu, beta)
+        y[:, 7] *= 1.0 + 1e-6
+        return y
+
+    monkeypatch.setattr(spectrum_module, "_hessenberg_solve", perturbed_solve)
+    with pytest.raises(SingularResolvent) as exc:
+        sector_problem(model, rates, 1).spectrum(grid, frame_offset=offset)
+    assert exc.value.omega == grid[7] + offset
+
+
+def dense_small_solves(h, mu, beta):
+    """beta (I + mu_k H)^{-1} e_1 by np.linalg.solve, as columns."""
+    eye = np.eye(h.shape[0])
+    return np.stack([np.linalg.solve(eye + mu_k * h, beta * eye[:, 0])
+                     for mu_k in mu], axis=1)
+
+
+def seeded_hessenberg(m, seed):
+    rng = np.random.default_rng(seed)
+    h = np.triu(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)), -1)
+    return h, rng
+
+
+@pytest.mark.parametrize("points", [1, 2001])
+@pytest.mark.parametrize("m", [1, 2, 8, 33])
+def test_hessenberg_solve_matches_dense_solve(m, points):
+    # Indices from 0. With h_00 = 2, (I + mu H)_00 = 0 at mu = -1/2, so
+    # elimination from the top needs a row swap at column 0 there. With
+    # h_{m-1,m-1} = 4, (I + mu H)_{m-1,m-1} = 0 at mu = -1/4, so the
+    # elimination from the bottom needs a column swap at row m - 1 there.
+    h, rng = seeded_hessenberg(m, 10 * m + points)
+    mu = rng.normal(size=points) + 1j * rng.normal(size=points)
+    if m > 1:
+        h[0, 0], h[-1, -1] = 2.0, 4.0
+        mu[0], mu[-1] = -0.5, -0.25
+    y = _hessenberg_solve(h, mu, 2.5)
+    assert y.shape == (m, points)
+    ref = dense_small_solves(h, mu, 2.5)
+    err = np.linalg.norm(y - ref, axis=0) / np.linalg.norm(ref, axis=0)
+    assert np.max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 33])
+def test_hessenberg_solve_leaves_only_a_singular_frequency_non_finite(m):
+    # h_00 = 2 with h_10 = 0: column 0 of I + mu H vanishes at mu = -1/2,
+    # the middle of 2001 frequencies.
+    h, rng = seeded_hessenberg(m, m)
+    h[0, 0] = 2.0
+    if m > 1:
+        h[1, 0] = 0.0
+    mu = rng.normal(size=2001) + 1j * rng.normal(size=2001)
+    mu[1000] = -0.5
+    y = _hessenberg_solve(h, mu, 2.5)
+    assert not np.all(np.isfinite(y[:, 1000]))
+    rest = np.arange(2001) != 1000
+    ref = dense_small_solves(h, mu[rest], 2.5)
+    err = np.linalg.norm(y[:, rest] - ref, axis=0) / np.linalg.norm(ref, axis=0)
+    assert np.max(err) <= 1e-12
 
 
 def test_long_grid_through_carrier(monkeypatch):
