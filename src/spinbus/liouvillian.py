@@ -9,7 +9,8 @@ conventions.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,9 +75,12 @@ class Superoperator:
 
     def norm_scale(self) -> float:
         """Max absolute row sum; used to normalize residuals. Computed on
-        the first call."""
+        the first call, from the CSC arrays: the row sums accumulate in
+        storage order, as a product with a ones vector would."""
         if self._norm_scale is None:
-            self._norm_scale = float(abs(self.matrix).sum(axis=1).max()) or 1.0
+            m = self.matrix
+            rows = np.bincount(m.indices, np.abs(m.data), minlength=m.shape[0])
+            self._norm_scale = float(rows.max(initial=0.0)) or 1.0
         return self._norm_scale
 
     def trace_preservation_defect(self) -> float:
@@ -148,14 +152,14 @@ def _null_space_dimension(matrix: sp.spmatrix, rel_tol: float = 1e-9) -> int:
     return int(np.sum(s < rel_tol * s[0]))
 
 
-def _bordered_matrix(lio: Superoperator, diag_index: int) -> sp.csc_matrix:
-    """L with row `diag_index` replaced by the trace row, in CSC form.
+def _bordered_matrix(m: sp.csr_matrix, diag_index: int) -> sp.csc_matrix:
+    """L, given in CSR form as m, with row `diag_index` replaced by the
+    trace row, in CSC form.
 
     The trace row is written into the CSR index arrays of L: its D ones sit
     at the diagonal columns i*D+i.
     """
-    d = lio.dim
-    m = lio.matrix.tocsr()
+    d = math.isqrt(m.shape[0])
     lo, hi = m.indptr[diag_index], m.indptr[diag_index + 1]
     indices = np.concatenate([m.indices[:lo], np.arange(0, d * d, d + 1),
                               m.indices[hi:]])
@@ -165,10 +169,10 @@ def _bordered_matrix(lio: Superoperator, diag_index: int) -> sp.csc_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=m.shape).tocsc()
 
 
-def _bordered_solve(lio: Superoperator, diag_index: int,
+def _bordered_solve(m: sp.csr_matrix, diag_index: int,
                     rhs: np.ndarray) -> np.ndarray:
     """Solve L x = rhs with row `diag_index` of L replaced by the trace row,
-    so that rhs[diag_index] fixes tr(x).
+    so that rhs[diag_index] fixes tr(x); m is L in CSR form.
 
     The replaced row must sit at a diagonal position (i*D+i): those rows
     carry the one linear dependency of a trace-preserving generator, so
@@ -176,7 +180,7 @@ def _bordered_solve(lio: Superoperator, diag_index: int,
     matrix raises RuntimeError. The steady state and the resolvent's
     carrier solve both take this route.
     """
-    return spla.splu(_bordered_matrix(lio, diag_index)).solve(rhs)
+    return spla.splu(_bordered_matrix(m, diag_index)).solve(rhs)
 
 
 def steady_state(lio: Superoperator) -> DensityMatrix:
@@ -184,25 +188,25 @@ def steady_state(lio: Superoperator) -> DensityMatrix:
 
     Solves the bordered linear system; residual ||L vec(rho)|| per unit
     operator norm must beat 1e-9. A second solve at a different diagonal
-    row cross-checks uniqueness; disagreement (or a singular factorization)
-    triggers a null-space diagnosis and a DegenerateSteadyState carrying the
-    kernel dimension.
+    row cross-checks uniqueness; disagreement, a singular factorization or
+    a solution that fails DensityMatrix validation triggers a null-space
+    diagnosis: DegenerateSteadyState carrying the kernel dimension, or
+    NonConvergence when the kernel is simple.
     """
     d = lio.dim
     scale = lio.norm_scale()
+    csr = lio.matrix.tocsr()
 
-    def diagnose() -> None:
+    def diagnose(failure: str = "steady-state solve failed") -> NoReturn:
         k = _null_space_dimension(lio.matrix)
         if k == 1:
-            raise NonConvergence(
-                "steady-state solve failed although the kernel is simple"
-            )
+            raise NonConvergence(f"{failure} although the kernel is simple")
         raise DegenerateSteadyState(k)
 
     def unit_trace_solve(diag_index: int) -> np.ndarray:
         rhs = np.zeros(d * d, dtype=complex)
         rhs[diag_index] = 1.0
-        return _bordered_solve(lio, diag_index, rhs)
+        return _bordered_solve(csr, diag_index, rhs)
 
     try:
         x = unit_trace_solve(0)
@@ -226,7 +230,10 @@ def steady_state(lio: Superoperator) -> DensityMatrix:
     rho = unvectorize(x)
     rho = 0.5 * (rho + rho.conj().T)      # scrub solver-level asymmetry
     rho = rho / np.trace(rho).real        # trace exactly 1 after normalization
-    return DensityMatrix(rho, lio.layout)
+    try:
+        return DensityMatrix(rho, lio.layout)
+    except ValueError as exc:
+        diagnose(f"steady state is not a density matrix ({exc})")
 
 
 def propagate(lio: Superoperator, rho0: DensityMatrix,

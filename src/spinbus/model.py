@@ -48,6 +48,7 @@ from .errors import LayoutMismatch, UnphysicalT2
 from .operators import (
     LabeledOperator,
     SpaceLayout,
+    cavity_qubit_operators,
     embed,
     fock_annihilation_matrix,
     pauli_matrices,
@@ -221,22 +222,16 @@ def build_interaction_hamiltonian(p: ModelParams, layout: SpaceLayout
         raise LayoutMismatch(
             f"layout N_fock {layout.dims[0]} != ModelParams N_fock {p.N_fock}"
         )
-    a = embed(fock_annihilation_matrix(p.N_fock), "cavity", layout)
-    ad = a.dag()
-    sz, sp, sm = pauli_matrices()
-    sigma_z = embed(sz, "pcq", layout)
-    sigma_p = embed(sp, "pcq", layout)
-    sigma_m = embed(sm, "pcq", layout)
-
+    ops = cavity_qubit_operators(layout)
     h = (
-        0.5 * p.delta * sigma_z.matrix
-        + p.zeta * (a.matrix + ad.matrix)
-        + p.g * (ad.matrix @ sigma_m.matrix + a.matrix @ sigma_p.matrix)
+        0.5 * p.delta * ops.sigma_z
+        + p.zeta * (ops.a + ops.a.conj().T)
+        + p.g * (ops.ad_sigma_minus + ops.a_sigma_plus)
     )
     if "nv" in layout.labels:
         Sz3, _, _ = spin1_matrices()
         S_z = embed(Sz3, "nv", layout)
-        h = h + 0.5 * p.eta * sigma_z.matrix @ S_z.matrix
+        h = h + 0.5 * p.eta * ops.sigma_z @ S_z.matrix
     elif p.eta != 0.0:
         raise LayoutMismatch(
             "eta coupling needs the nv factor; use sector_interaction_hamiltonian"
@@ -281,11 +276,12 @@ def build_collapse_operators(d: DecoherenceRates, layout: SpaceLayout,
     if not has_nv and (d.gamma_nv != 0.0 or d.gamma_phi_nv != 0.0):
         raise LayoutMismatch("spin rates nonzero but layout has no nv factor")
 
-    a = embed(fock_annihilation_matrix(layout.dims[0]), "cavity", layout)
-    sz, sp, sm = pauli_matrices()
-    sigma_relax = embed(sp if pcq_relaxation == "as_printed" else sm,
-                        "pcq", layout)
-    sigma_z = embed(sz, "pcq", layout)
+    ops = cavity_qubit_operators(layout)
+    a = LabeledOperator(ops.a, layout)
+    sigma_relax = LabeledOperator(
+        ops.sigma_plus if pcq_relaxation == "as_printed" else ops.sigma_minus,
+        layout)
+    sigma_z = LabeledOperator(ops.sigma_z, layout)
     zero = LabeledOperator(np.zeros((layout.total_dim,) * 2), layout)
 
     if has_nv:

@@ -13,7 +13,10 @@ module.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,7 @@ class SpaceLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def slot(self, label: str) -> int:
         try:
@@ -221,6 +224,35 @@ def embed(op: np.ndarray | LabeledOperator, slot_label: str,
     matrix = op.matrix if isinstance(op, LabeledOperator) else op
     slot = layout.slot(slot_label)
     return LabeledOperator(embed_matrix(matrix, slot, layout), layout)
+
+
+class CavityQubitOperators(NamedTuple):
+    """Embedded cavity and qubit operators of one layout (read-only)."""
+
+    a: np.ndarray
+    sigma_z: np.ndarray
+    sigma_plus: np.ndarray
+    sigma_minus: np.ndarray
+    ad_sigma_minus: np.ndarray     # a_dag sigma_-
+    a_sigma_plus: np.ndarray       # a sigma_+
+
+
+@functools.lru_cache(maxsize=64)
+def cavity_qubit_operators(layout: SpaceLayout) -> CavityQubitOperators:
+    """a, sigma_z, sigma_+/- and the Jaynes-Cummings products a_dag sigma_-
+    and a sigma_+ embedded in a layout with cavity and pcq factors.
+
+    Built once per layout and shared by every Hamiltonian, collapse list
+    and spectrum operator on it, so the arrays are read-only.
+    """
+    cavity, pcq = layout.slot("cavity"), layout.slot("pcq")
+    a = embed_matrix(fock_annihilation_matrix(layout.dims[cavity]), cavity,
+                     layout)
+    sz, sp, sm = (embed_matrix(op, pcq, layout) for op in pauli_matrices())
+    ops = CavityQubitOperators(a, sz, sp, sm, a.conj().T @ sm, a @ sp)
+    for matrix in ops:
+        matrix.flags.writeable = False
+    return ops
 
 
 def partial_trace(m: np.ndarray, layout: SpaceLayout,

@@ -29,13 +29,20 @@ y = beta (I + mu H_m)^{-1} e_1: a pivoted elimination on the Hessenberg
 H_m, O(m^2) per frequency and vectorised over the grid. m doubles until
 the Arnoldi residual (Saad, Math. Comp. 37, 105 (1981)) is well below the
 accepted one at every frequency; the true residual is checked once, with
-L Q_m and u^dag Q_m formed once, so x itself is never formed. The
-projection stays on its SectorProblem, and a later grid over the same
-window in the same mode, hence with the same b (the final grid after the
-truncation probe's), continues it, factoring and extending only if it
-needs a larger m. The small systems are solved, not diagonalized: an eigen
-or Schur expansion of H_m misses the cancellation of the fig4a spectrum,
-which lies far below ||u|| ||b|| / kappa, by ~5e-10 of the peak.
+L Q_m and u^dag Q_m formed once, so x itself is never formed. That
+residual is ||W z|| with W = [Q_m, L Q_m, b] and z = (i w y, -y, -1). On a
+grid long against m it is taken as ||R z|| with R the R factor of W, which
+Householder QR gives backward stably (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., sec. 19.3), so ||W z|| = ||R z|| to rounding
+whatever the basis: O(m^2) per frequency instead of O(d^2 m). A short grid
+(the truncation probes) forms W z directly, where one QR would cost more
+than the products it saves. The projection stays on its SectorProblem,
+and a later grid over the same window in the same mode, hence with the
+same b (the final grid after the truncation probe's), continues it,
+factoring and extending only if it needs a larger m. The small systems
+are solved, not diagonalized: an eigen or Schur expansion of H_m misses
+the cancellation of the fig4a spectrum, which lies far below
+||u|| ||b|| / kappa, by ~5e-10 of the peak.
 The carrier (omega = 0 in the drive frame), where (i omega I - L) is
 singular through the steady-state kernel, is solved through the steady
 state's trace-bordered system (liouvillian._bordered_solve).
@@ -86,8 +93,7 @@ from .operators import (
     DensityMatrix,
     LabeledOperator,
     cavity_qubit_layout,
-    embed,
-    fock_annihilation_matrix,
+    cavity_qubit_operators,
     partial_trace,
 )
 
@@ -103,6 +109,13 @@ _KRYLOV_START = 8
 # residual column per frequency, so the bound caps it whatever the grid
 # length; the block's small solves hold O(m) values per frequency.
 _CHUNK_ELEMENTS = 2**15
+# The true residuals are ||W z|| with W = [Q_m, L Q_m, b], d^2 x (2m + 1).
+# W z costs ~2 d^2 m flops per frequency, the R factor of W ~8 d^2 m^2 once,
+# after which ||R z|| costs O(m^2). So R pays on grids longer than this many
+# frequencies per Krylov dimension (the 2001-point finals), and only while
+# it has fewer rows than W (2m + 1 < d^2); the direct product stays cheaper
+# on short grids (the 33-point truncation probes).
+_QR_POINTS_PER_DIM = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +219,7 @@ def _carrier_solve(lio: Superoperator, b: np.ndarray,
     rhs = -b
     rhs[0] = 0.0
     try:
-        x = _bordered_solve(lio, 0, rhs)
+        x = _bordered_solve(lio.matrix.tocsr(), 0, rhs)
     except RuntimeError:
         raise SingularResolvent(0.0) from None
     residual = float(np.linalg.norm(lio.matrix @ x + b)) / bnorm
@@ -227,6 +240,7 @@ def _extend_arnoldi(lu, q: np.ndarray, h: np.ndarray, target: int
     grown = np.zeros((target + 1, target), dtype=complex)
     grown[:m + 1, :m] = h
     h = grown
+    eps = np.finfo(float).eps
     while m < target:
         v = lu.solve(q[:, m])
         scale = float(np.linalg.norm(v))
@@ -237,7 +251,7 @@ def _extend_arnoldi(lu, q: np.ndarray, h: np.ndarray, target: int
             h[:m + 1, m] += c
         h[m + 1, m] = np.linalg.norm(v)
         m += 1
-        if h[m, m - 1].real <= np.finfo(float).eps * scale:
+        if h[m, m - 1].real <= eps * scale:
             return q[:, :m + 1], h[:m + 1, :m], True
         q[:, m] = v / h[m, m - 1]
     return q, h, False
@@ -290,6 +304,21 @@ def _hessenberg_solve(h: np.ndarray, mu: np.ndarray,
         y = np.cumprod(own_weight, axis=0)
         y[:-1] *= left_weight[1:]
     return y
+
+
+def _residual_norms(basis: np.ndarray, l_basis: np.ndarray, b: np.ndarray,
+                    r: np.ndarray | None, omegas: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+    """||(i w I - L) Q_m y - b|| for each w and column y of y: ||W z|| with
+    W = [Q_m, L Q_m, b] (basis, l_basis, b) and z = (i w y, -y, -1), formed
+    directly, or as ||R z|| when r is the R factor of W."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if r is None:
+            return np.linalg.norm(basis @ (y * (1j * omegas)) - l_basis @ y
+                                  - b[:, None], axis=0)
+        z = np.concatenate([y * (1j * omegas), -y,
+                            np.full((1, omegas.size), -1.0)])
+        return np.linalg.norm(r @ z, axis=0)
 
 
 class SectorProblem:
@@ -377,11 +406,16 @@ class SectorProblem:
         the tight target that the cancellation in u^dag x needs cannot grow
         m to the dimension of L. At the accepted m the true residual of
         x = Q_m y is checked once, with L acting on the basis:
-        r = Q_m (i w y) - (L Q_m) y - b, then the value is (u^dag Q_m) y.
-        L Q_m and u^dag Q_m are formed once per call, so a frequency costs
-        one column of an m-column product and x is never formed. A
-        frequency where the residual exceeds _RESIDUAL_TOL raises
-        SingularResolvent.
+        r = Q_m (i w y) - (L Q_m) y - b = W z with W = [Q_m, L Q_m, b] and
+        z = (i w y, -y, -1); then the value is (u^dag Q_m) y. L Q_m and
+        u^dag Q_m are formed once per call, so x is never formed. When the
+        grid has more than _QR_POINTS_PER_DIM frequencies per Krylov
+        dimension and 2m + 1 < d^2, ||r|| is taken as ||R z|| with R the
+        (2m + 1)-row R factor of W, one QR per call and O(m^2) per
+        frequency; on a shorter grid the QR would cost more than it saves,
+        and r is formed directly, O(d^2 m) per frequency. Both are ||r|| to
+        rounding (_residual_norms). A frequency where the residual exceeds
+        _RESIDUAL_TOL raises SingularResolvent.
 
         The projection is kept on the problem. A later call with the same s0
         and mode (b = vec(A rho_ss) is fixed by the problem and the mode),
@@ -429,13 +463,14 @@ class SectorProblem:
         self._projection = (s0, mode, beta, q, h, invariant)
         basis = q[:, :m]
         l_basis, u_basis = lio.matrix @ basis, u @ basis
+        r = None
+        if omegas.size > _QR_POINTS_PER_DIM * m and 2 * m + 1 < n:
+            r = np.linalg.qr(np.column_stack([basis, l_basis, b]), mode="r")
         out = np.empty(omegas.size, dtype=complex)
         worst = 0.0
         for k in blocks:
-            with np.errstate(invalid="ignore", over="ignore"):
-                residual = np.linalg.norm(
-                    basis @ (y[:, k] * (1j * omegas[k])) - l_basis @ y[:, k]
-                    - b[:, None], axis=0) / bnorm
+            residual = _residual_norms(basis, l_basis, b, r, omegas[k],
+                                       y[:, k]) / bnorm
             bad = ~(residual <= _RESIDUAL_TOL)
             if bad.any():
                 raise SingularResolvent(float(omegas[k][np.argmax(bad)]))
@@ -517,7 +552,7 @@ def sector_problem(p: ModelParams, rates: DecoherenceRates, m_s: int,
     h = sector_interaction_hamiltonian(p, layout, m_s)
     c_ops = sector_collapse_operators(rates, layout, pcq_relaxation)
     lio = build_liouvillian(h, c_ops)
-    a_op = embed(fock_annihilation_matrix(p.N_fock), "cavity", layout)
+    a_op = LabeledOperator(cavity_qubit_operators(layout).a, layout)
     return SectorProblem(lio, a_op, steady_state(lio))
 
 

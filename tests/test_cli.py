@@ -52,6 +52,22 @@ def test_validation_error_exit_1(tmp_path, capsys):
     assert "category=ValidationError" in err
 
 
+def test_rejected_steady_state_exits_1_with_category(tmp_path, capsys,
+                                                    monkeypatch):
+    # A steady state that fails DensityMatrix validation is a typed
+    # NonConvergence, so the CLI prints its category line, not a traceback.
+    from spinbus.operators import DensityMatrix
+
+    monkeypatch.setattr(DensityMatrix, "EIG_FLOOR", 1.0)
+    rc = main(["spectrum", "--preset", "fig7", "--threads", "1",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: category=NonConvergence: ")
+    assert "not a density matrix" in err[0]
+
+
 def test_missing_config_file_exit_1(tmp_path, capsys):
     rc = main(["couplings", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 1

@@ -10,6 +10,7 @@ from spinbus.config import load_config
 from spinbus.errors import (
     DegenerateSteadyState,
     LayoutMismatch,
+    NonConvergence,
     TruncationNotConverged,
 )
 from spinbus.liouvillian import (
@@ -171,6 +172,30 @@ def test_liouvillian_matches_dense_kron_formula():
     assert zero_rate == 11 * 3 * 2    # fig4a's dephasing, at every N and m_s
 
 
+def test_norm_scale_equals_the_absolute_row_sum():
+    # The CSC-array row sums equal abs(L).sum(axis=1) bit for bit, on the
+    # strong-drive and fig4a sectors and on every spectrum preset's sectors.
+    def preset_sectors():
+        for preset in ("fig4a", "fig4b", "fig6a", "fig6b", "fig7"):
+            cfg = load_config(preset_path(preset))
+            for n_fock in (2, 5, 8):
+                model, rates, _ = _point_model(
+                    cfg, cfg.loop, cfg.solver.distance_for(cfg.loop.r_loop),
+                    n_fock)
+                layout = cavity_qubit_layout(n_fock)
+                c_ops = sector_collapse_operators(rates, layout)
+                for m_s in (1, 0, -1):
+                    yield (f"{preset} N={n_fock} m_s={m_s}",
+                           sector_interaction_hamiltonian(model, layout, m_s),
+                           c_ops)
+
+    for cases in (sector_cases(), preset_sectors()):
+        for label, h, c_ops in cases:
+            lio = build_liouvillian(h, c_ops)
+            old = float(abs(lio.matrix).sum(axis=1).max()) or 1.0
+            assert lio.norm_scale() == old, label
+
+
 def test_bordered_matrix_matches_lil_construction():
     # The trace row written into the CSR arrays equals a row assignment on a
     # LIL copy of L, entry for entry, at both rows the steady state uses.
@@ -181,7 +206,7 @@ def test_bordered_matrix_matches_lil_construction():
             ref = lio.matrix.tolil(copy=True)
             ref[row, :] = trace_row(d)
             ref = ref.tocsc()
-            got = _bordered_matrix(lio, row)
+            got = _bordered_matrix(lio.matrix.tocsr(), row)
             assert np.array_equal(got.indptr, ref.indptr), label
             assert np.array_equal(got.indices, ref.indices), label
             assert np.array_equal(got.data, ref.data), label
@@ -284,6 +309,21 @@ def test_steady_state_residual_invariants():
         / lio.norm_scale() < 1e-9
     assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-10
     assert np.linalg.eigvalsh(rho.matrix).min() > -1e-8
+
+
+def test_rejected_steady_state_is_diagnosed(monkeypatch):
+    # A solved state that fails DensityMatrix validation goes through the
+    # kernel diagnosis: with a simple kernel that is NonConvergence, not a
+    # bare ValueError. A floor of 1 rejects every state.
+    layout = cavity_qubit_layout(4)
+    p = ModelParams(omega_r=TWO_PI * 6e9, omega_0=TWO_PI * 6e9,
+                    g=TWO_PI * 14e6, eta=0.0, zeta=2 * KAPPA, N_fock=4)
+    d = DecoherenceRates(kappa=KAPPA, gamma_pcq=TWO_PI * 5e4)
+    lio = build_liouvillian(build_interaction_hamiltonian(p, layout),
+                            sector_collapse_operators(d, layout))
+    monkeypatch.setattr(DensityMatrix, "EIG_FLOOR", 1.0)
+    with pytest.raises(NonConvergence, match="not a density matrix"):
+        steady_state(lio)
 
 
 def test_degenerate_kernel_reported_with_dimension():

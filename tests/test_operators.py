@@ -12,6 +12,8 @@ from spinbus.operators import (
     LabeledOperator,
     SpaceLayout,
     basis_state,
+    cavity_qubit_layout,
+    cavity_qubit_operators,
     embed,
     fock_annihilation,
     fock_annihilation_matrix,
@@ -156,6 +158,40 @@ def test_embed_number_operator_eigenvalues():
     eigs = np.sort(np.linalg.eigvalsh(num.matrix))
     expected = np.sort(np.repeat([0, 1, 2], 6))
     assert np.allclose(eigs, expected, atol=1e-12)
+
+
+def test_cavity_qubit_operators_are_cached_read_only_embeds():
+    # Equal to fresh Kronecker embeds, built once per layout, and shared, so
+    # writing to them raises.
+    for layout in (cavity_qubit_layout(2), cavity_qubit_layout(7),
+                   full_layout(3)):
+        n = layout.dims[0]
+        rest = [np.eye(d, dtype=complex) for d in layout.dims[2:]]
+
+        def kron(cavity, qubit):
+            out = np.kron(cavity, qubit)
+            for eye in rest:
+                out = np.kron(out, eye)
+            return out
+
+        sz, sp, sm = pauli_matrices()
+        a = kron(fock_annihilation_matrix(n), np.eye(2))
+        fresh = dict(a=a, sigma_z=kron(np.eye(n), sz),
+                     sigma_plus=kron(np.eye(n), sp),
+                     sigma_minus=kron(np.eye(n), sm))
+        fresh.update(ad_sigma_minus=a.conj().T @ fresh["sigma_minus"],
+                     a_sigma_plus=a @ fresh["sigma_plus"])
+        ops = cavity_qubit_operators(layout)
+        assert cavity_qubit_operators(SpaceLayout(layout.dims,
+                                                  layout.labels)) is ops
+        assert set(ops._fields) == set(fresh)
+        for name, matrix in fresh.items():
+            cached = getattr(ops, name)
+            assert np.array_equal(cached, matrix), (layout, name)
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
+    with pytest.raises(SlotMismatch):
+        cavity_qubit_operators(SpaceLayout((3,), ("cavity",)))
 
 
 def test_embed_slot_mismatch():

@@ -637,6 +637,87 @@ def test_true_residual_guard_sees_a_perturbed_small_solution(monkeypatch):
     assert exc.value.omega == grid[7] + offset
 
 
+def recording_residual_norms(monkeypatch):
+    """Patch _residual_norms to record (R factor or None, norms relative to
+    ||b||) of every block."""
+    calls = []
+    residual_norms = spectrum_module._residual_norms
+
+    def recording(basis, l_basis, b, r, omegas, y):
+        norms = residual_norms(basis, l_basis, b, r, omegas, y)
+        calls.append((r, norms / np.linalg.norm(b)))
+        return norms
+
+    monkeypatch.setattr(spectrum_module, "_residual_norms", recording)
+    return calls
+
+
+def test_true_residual_guard_sees_a_perturbed_small_solution_on_a_long_grid(
+        monkeypatch):
+    # The 2001-point twin of the test above, on a fig4a final (d^2 = 64):
+    # the residual is taken through the R factor of [Q_m, L Q_m, b], which
+    # has 2m + 1 rows, and sees one frequency's small solution off by 1e-6
+    # relative, in the third of the grid's blocks.
+    cfg, model, rates, offset, span = preset_point("fig4a", 4,
+                                                   r_loop=0.6542e-6)
+    grid = np.linspace(-span, span, 2001)
+    m = sector_problem(model, rates, 1).spectrum(
+        grid, frame_offset=offset).metadata["krylov_dim"]
+    assert grid.size > spectrum_module._QR_POINTS_PER_DIM * m
+    assert 2 * m + 1 < 64
+    target = 1234
+    hessenberg_solve = spectrum_module._hessenberg_solve
+    seen = [0]
+
+    def perturbed_solve(h, mu, beta):
+        y = hessenberg_solve(h, mu, beta)
+        start = seen[0] % grid.size     # each growth step sweeps the grid
+        seen[0] += mu.size
+        if start <= target < start + mu.size:
+            y[:, target - start] *= 1.0 + 1e-6
+        return y
+
+    monkeypatch.setattr(spectrum_module, "_hessenberg_solve", perturbed_solve)
+    calls = recording_residual_norms(monkeypatch)
+    with pytest.raises(SingularResolvent) as exc:
+        sector_problem(model, rates, 1).spectrum(grid, frame_offset=offset)
+    assert exc.value.omega == grid[target] + offset
+    assert len(calls) == 3 and calls[0][0].shape == (2 * m + 1, 2 * m + 1)
+    assert np.max(np.concatenate([norms for _, norms in calls])[:target]) \
+        <= 1e-8
+
+
+@pytest.mark.parametrize("n_fock, points", [(4, 2001), (6, 201)])
+def test_both_residual_orders_agree(monkeypatch, n_fock, points):
+    # The direct product W z and the R factor's R z give the same relative
+    # residuals within 1e-11 at every frequency, on a fig4a final (d^2 = 64,
+    # 2001 points) and a strong-drive final (d^2 = 144, 201 points).
+    if n_fock == 4:
+        cfg, model, rates, offset, span = preset_point("fig4a", 4,
+                                                       r_loop=0.6542e-6)
+    else:
+        overrides, loop_changes = STRONG
+        cfg, model, rates, offset, span = preset_point(
+            "fig7", n_fock, overrides, **loop_changes)
+    grid = np.linspace(-span, span, points)
+    calls = recording_residual_norms(monkeypatch)
+    relative, values = {}, {}
+    for order, ratio in (("direct", 10**9), ("qr", 0)):
+        monkeypatch.setattr(spectrum_module, "_QR_POINTS_PER_DIM", ratio)
+        calls.clear()
+        s = sector_problem(model, rates, 1).spectrum(grid, frame_offset=offset)
+        m = s.metadata["krylov_dim"]
+        shapes = {None if r is None else r.shape for r, _ in calls}
+        assert shapes == ({None} if order == "direct"
+                          else {(2 * m + 1, 2 * m + 1)})
+        relative[order] = np.concatenate([norms for _, norms in calls])
+        values[order] = s.values
+    assert relative["qr"].size == points
+    assert np.max(relative["qr"]) <= 1e-8
+    assert np.max(np.abs(relative["qr"] - relative["direct"])) <= 1e-11
+    assert np.array_equal(values["qr"], values["direct"])
+
+
 def dense_small_solves(h, mu, beta):
     """beta (I + mu_k H)^{-1} e_1 by np.linalg.solve, as columns."""
     eye = np.eye(h.shape[0])
