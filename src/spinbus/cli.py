@@ -31,9 +31,9 @@ def preset_path(name: str) -> str:
     return str(resources.files("spinbus").joinpath(f"presets/{name}.cfg"))
 
 
-def _add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH",
-                   help="config file" + (" (or use --preset)" if needs_config else ""))
+                   help="config file (or use --preset)")
     p.add_argument("--preset", choices=PRESETS,
                    help="bundled figure-reproduction config")
     p.add_argument("--out", metavar="PATH", help="output data file")
@@ -138,15 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("couplings", help="closed-form coupling map")
-    _add_common(p, needs_config=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_couplings)
 
     p = sub.add_parser("spectrum", help="steady-state spectra over one axis")
-    _add_common(p, needs_config=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("scan", help="run the products the config requests")
-    _add_common(p, needs_config=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("check", help="run the built-in oracle suite")

@@ -59,46 +59,48 @@ def _products(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-# (section, key) -> (kind, default). The key names the field it sets in
-# ResonatorParams, LoopParams, NVParams, SolverSettings or ScanConfig. A
-# string kind is a UNIT_TABLE dimension: the value needs a unit of it, and
-# frequencies, cyclic in the config, are stored angular. A callable kind
-# parses a bare value. The default, in config units, is given only where no
-# dataclass field default applies; value-dependent defaults (zeta, Delta,
-# B_bias) are set in build_scan_config.
+# (section, key) -> (kind, default, echo unit). The key names the field it
+# sets in ResonatorParams, LoopParams, NVParams, SolverSettings or
+# ScanConfig. A string kind is a UNIT_TABLE dimension: the value needs a unit
+# of it, and frequencies, cyclic in the config, are stored angular. A
+# callable kind parses a bare value. The default, in config units, is given
+# only where no dataclass field default applies; value-dependent defaults
+# (zeta, Delta, B_bias) are set in build_scan_config. --echo shows the keys
+# in table order, a frequency cyclic as <key>/2pi, and a unitless value as
+# stored; Q (a cross-check of kappa) and products have no echo unit.
 KEY_TABLE: dict[tuple[str, str], tuple] = {
-    ("resonator", "omega_r"): ("frequency", 6e9),
-    ("resonator", "L_r"): ("inductance", 2e-9),
-    ("resonator", "kappa"): ("frequency", 26e3),
-    ("resonator", "Q"): (float, None),
-    ("resonator", "zeta"): ("frequency", None),
-    ("loop", "r_loop"): ("length", 0.4e-6),
-    ("loop", "I_p"): ("current", 600e-9),
-    ("loop", "Delta"): ("frequency", None),
-    ("loop", "n_turns"): (int, None),
-    ("loop", "Phi_x"): ("flux", None),
-    ("loop", "T1_pcq"): ("time", None),
-    ("loop", "T2_pcq"): ("time", None),
-    ("nv", "D"): ("frequency", None),
-    ("nv", "slope"): ("slope", None),
-    ("nv", "B_bias"): ("field", None),
-    ("nv", "T1_nv"): ("time", None),
-    ("nv", "T2_nv"): ("time", None),
-    ("solver", "n_fock"): (_n_fock, None),
-    ("solver", "n_fock_start"): (int, None),
-    ("solver", "n_fock_max"): (int, None),
-    ("solver", "truncation_tol"): (float, None),
-    ("solver", "rate_convention"): (str, None),
-    ("solver", "nv_relaxation"): (str, None),
-    ("solver", "pcq_relaxation"): (str, None),
-    ("solver", "nv_mode"): (str, None),
-    ("solver", "weights"): (_weights, None),
-    ("solver", "spectrum_mode"): (str, None),
-    ("solver", "grid_points"): (int, None),
-    ("solver", "grid_span_kappa"): (float, None),
-    ("solver", "dip_fraction"): (float, None),
-    ("solver", "d_rule"): (_d_rule, None),
-    ("output", "products"): (_products, None),
+    ("resonator", "omega_r"): ("frequency", 6e9, "GHz"),
+    ("resonator", "L_r"): ("inductance", 2e-9, "nH"),
+    ("resonator", "kappa"): ("frequency", 26e3, "kHz"),
+    ("resonator", "Q"): (float, None, None),
+    ("resonator", "zeta"): ("frequency", None, "kHz"),
+    ("loop", "r_loop"): ("length", 0.4e-6, "um"),
+    ("loop", "I_p"): ("current", 600e-9, "nA"),
+    ("loop", "Delta"): ("frequency", None, "GHz"),
+    ("loop", "n_turns"): (int, None, ""),
+    ("loop", "Phi_x"): ("flux", None, "Phi0"),
+    ("loop", "T1_pcq"): ("time", None, "us"),
+    ("loop", "T2_pcq"): ("time", None, "us"),
+    ("nv", "D"): ("frequency", None, "MHz"),
+    ("nv", "slope"): ("slope", None, "GHz/T"),
+    ("nv", "B_bias"): ("field", None, "G"),
+    ("nv", "T1_nv"): ("time", None, "ms"),
+    ("nv", "T2_nv"): ("time", None, "us"),
+    ("solver", "n_fock"): (_n_fock, None, ""),
+    ("solver", "n_fock_start"): (int, None, ""),
+    ("solver", "n_fock_max"): (int, None, ""),
+    ("solver", "truncation_tol"): (float, None, ""),
+    ("solver", "rate_convention"): (str, None, ""),
+    ("solver", "nv_relaxation"): (str, None, ""),
+    ("solver", "pcq_relaxation"): (str, None, ""),
+    ("solver", "nv_mode"): (str, None, ""),
+    ("solver", "weights"): (_weights, None, ""),
+    ("solver", "spectrum_mode"): (str, None, ""),
+    ("solver", "grid_points"): (int, None, ""),
+    ("solver", "grid_span_kappa"): (float, None, ""),
+    ("solver", "dip_fraction"): (float, None, ""),
+    ("solver", "d_rule"): (_d_rule, None, ""),
+    ("output", "products"): (_products, None, None),
 }
 
 # Scan axes and the dimension of their values: the loop fields, plus three
@@ -110,22 +112,6 @@ AXIS_DIMENSIONS: dict[str, str] = {
     "tau": "time",       # sets T1_pcq = T2_pcq = tau
     "epsilon": "none",   # sets T2_pcq = epsilon * T1_pcq
     "d": "length",       # loop-conductor distance, overrides the d rule
-}
-
-# --echo rows: section -> (key, unit); a frequency key is shown cyclic as
-# <key>/2pi, and a value without a unit as it is stored.
-_ECHO_ROWS: dict[str, tuple[tuple[str, str], ...]] = {
-    "resonator": (("omega_r", "GHz"), ("L_r", "nH"), ("kappa", "kHz"),
-                  ("zeta", "kHz")),
-    "loop": (("r_loop", "um"), ("I_p", "nA"), ("Delta", "GHz"),
-             ("n_turns", ""), ("Phi_x", "Phi0"), ("T1_pcq", "us"),
-             ("T2_pcq", "us")),
-    "nv": (("D", "MHz"), ("slope", "GHz/T"), ("B_bias", "G"),
-           ("T1_nv", "ms"), ("T2_nv", "us")),
-    "solver": tuple((key, "") for key in (
-        "n_fock", "rate_convention", "nv_relaxation", "pcq_relaxation",
-        "nv_mode", "weights", "spectrum_mode", "grid_points",
-        "grid_span_kappa", "d_rule")),
 }
 
 _NUMBER_UNIT = re.compile(
@@ -268,14 +254,15 @@ class ScanConfig:
     def describe(self) -> str:
         """Echo of the resolved configuration in presentation units."""
         lines = []
-        for section, rows in _ECHO_ROWS.items():
-            lines.append(f"[{section}]")
-            params = getattr(self, section)
-            for key, unit in rows:
-                label, value = key, getattr(params, key)
-                if KEY_TABLE[(section, key)][0] == "frequency":
-                    label, value = f"{key}/2pi", value / TWO_PI
-                lines.append(f"  {label} = {_echo_value(value, unit)}")
+        for (section, key), (kind, _, unit) in KEY_TABLE.items():
+            if unit is None:
+                continue
+            if f"[{section}]" not in lines:
+                lines.append(f"[{section}]")
+            label, value = key, getattr(getattr(self, section), key)
+            if kind == "frequency":
+                label, value = f"{key}/2pi", value / TWO_PI
+            lines.append(f"  {label} = {_echo_value(value, unit)}")
         lines.append("[scan]")
         for ax in self.axes:
             shown = ", ".join(f"{to_unit(v, ax.unit):.6g}" for v in ax.values[:6])
@@ -409,7 +396,7 @@ def _stored(kind, value):
 
 
 def _parse_value(section: str, key: str, raw: str, line_no: int | None):
-    kind, _ = KEY_TABLE[(section, key)]
+    kind, _, _ = KEY_TABLE[(section, key)]
     if isinstance(kind, str):
         return _stored(kind, parse_quantity(raw, kind, line_no))
     if kind is _d_rule:       # a length, whose errors carry the line
@@ -450,7 +437,7 @@ def build_scan_config(tree: dict, axis_specs: AxisSpecs
     its dataclass default or its KEY_TABLE default.
     """
     values: dict[str, dict] = {section: {} for section, _ in KEY_TABLE}
-    for (section, key), (kind, default) in KEY_TABLE.items():
+    for (section, key), (kind, default, _) in KEY_TABLE.items():
         if default is not None:
             values[section][key] = _stored(kind, default)
     for (section, key), (raw, source) in tree.items():

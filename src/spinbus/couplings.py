@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyGrid, NonpositiveDistance
+from .errors import EmptyGrid, NonpositiveDistance, UnphysicalT2
 from .units import CONSTANTS, DEFAULT_TRANSITION_SLOPE, TWO_PI
 
 
@@ -85,8 +85,8 @@ class LoopParams:
         if self.T1_pcq <= 0.0 or self.T2_pcq <= 0.0:
             raise ValueError("coherence times must be positive")
         if self.T2_pcq > 2.0 * self.T1_pcq * (1.0 + 1e-12):
-            raise ValueError(f"UnphysicalT2: T2_pcq={self.T2_pcq!r} "
-                             f"exceeds 2*T1_pcq={2 * self.T1_pcq!r}")
+            raise UnphysicalT2(f"UnphysicalT2: T2_pcq={self.T2_pcq!r} "
+                               f"exceeds 2*T1_pcq={2 * self.T1_pcq!r}")
         if self.Phi_x is None:
             object.__setattr__(self, "Phi_x", CONSTANTS.flux_quantum / 2.0)
 
@@ -123,8 +123,8 @@ class NVParams:
         if self.T1_nv <= 0.0 or self.T2_nv <= 0.0:
             raise ValueError("coherence times must be positive")
         if self.T2_nv > 2.0 * self.T1_nv * (1.0 + 1e-12):
-            raise ValueError(f"UnphysicalT2: T2_nv={self.T2_nv!r} "
-                             f"exceeds 2*T1_nv={2 * self.T1_nv!r}")
+            raise UnphysicalT2(f"UnphysicalT2: T2_nv={self.T2_nv!r} "
+                               f"exceeds 2*T1_nv={2 * self.T1_nv!r}")
 
 
 def rms_vacuum_current(r: ResonatorParams) -> float:
@@ -220,16 +220,16 @@ def d_rule_loop_radius(r_loop: float) -> float:
 def coupling_map(
     r: ResonatorParams,
     nv: NVParams,
+    loop: LoopParams,
     r_loop_grid: Sequence[float],
     I_p_grid: Sequence[float],
     d_rule: Callable[[float], float] = d_rule_loop_radius,
-    n_turns: int = 1,
-    loop_template: LoopParams | None = None,
 ) -> np.ndarray:
     """Dense scan of (g/2pi, eta/2pi, gbar/2pi) over (r_loop, I_p), Hz.
 
-    Returns a structured array with one row per grid point, r_loop-major.
-    Grids must be nonempty and monotone nondecreasing.
+    Every cell is `loop` with that r_loop and I_p, so the couplings take
+    loop.n_turns. Returns a structured array with one row per grid point,
+    r_loop-major. Grids must be nonempty and monotone nondecreasing.
     """
     r_vals = np.asarray(r_loop_grid, dtype=float)
     i_vals = np.asarray(I_p_grid, dtype=float)
@@ -238,13 +238,7 @@ def coupling_map(
     if np.any(np.diff(r_vals) < 0) or np.any(np.diff(i_vals) < 0):
         raise ValueError("grids must be monotone nondecreasing")
 
-    template = loop_template or LoopParams(
-        r_loop=r_vals[0] if r_vals[0] > 0 else 1e-7,
-        I_p=0.0,
-        Delta=TWO_PI * 5.2e9,
-        n_turns=n_turns,
-    )
-    n = template.n_turns
+    n = loop.n_turns
     d = np.empty(r_vals.size)
     gbar = np.empty(r_vals.size)
     for k, r_loop in enumerate(r_vals):
@@ -253,7 +247,7 @@ def coupling_map(
         if k == 0:
             # The grids are nondecreasing, so the first cell is the only one
             # LoopParams can reject; it is checked after its row's d.
-            replace(template, r_loop=r_loop, I_p=i_vals[0])
+            replace(loop, r_loop=r_loop, I_p=i_vals[0])
 
     # The operation order of pcq_cpw_coupling and nv_pcq_coupling, so every
     # cell is bit-identical to the scalar functions. r_loop**2 is pow(), as

@@ -137,19 +137,19 @@ def build_liouvillian(H: LabeledOperator,
     return Superoperator(lio, H.layout)
 
 
-def _null_space_dimension(matrix: sp.spmatrix, rel_tol: float = 1e-9) -> int:
-    """Number of singular values below rel_tol * s_max.
+_SVD_MAX_DIM = 8100
 
-    Dense SVD; only called on the diagnostic path after a solve failed, and
-    guarded by size (the degenerate cases of interest are small).
+
+def _null_space_dimension(matrix: sp.spmatrix) -> int:
+    """Number of singular values below 1e-9 * s_max by dense SVD, or -1
+    above d^2 = _SVD_MAX_DIM (svds on the smallest end is unreliable).
+
+    Only called on the diagnostic path after a solve failed.
     """
-    d2 = matrix.shape[0]
-    if d2 > 8100:
-        # svds on the smallest end is unreliable; report "at least 2" so the
-        # caller can still raise a typed error.
+    if matrix.shape[0] > _SVD_MAX_DIM:
         return -1
     s = np.linalg.svd(matrix.toarray(), compute_uv=False)
-    return int(np.sum(s < rel_tol * s[0]))
+    return int(np.sum(s < 1e-9 * s[0]))
 
 
 def _bordered_matrix(m: sp.csr_matrix, diag_index: int) -> sp.csc_matrix:
@@ -190,8 +190,9 @@ def steady_state(lio: Superoperator) -> DensityMatrix:
     operator norm must beat 1e-9. A second solve at a different diagonal
     row cross-checks uniqueness; disagreement, a singular factorization or
     a solution that fails DensityMatrix validation triggers a null-space
-    diagnosis: DegenerateSteadyState carrying the kernel dimension, or
-    NonConvergence when the kernel is simple.
+    diagnosis: DegenerateSteadyState carrying the kernel dimension (-1 when
+    d^2 is too large to compute it), or NonConvergence when the kernel is
+    simple.
     """
     d = lio.dim
     scale = lio.norm_scale()
@@ -201,6 +202,11 @@ def steady_state(lio: Superoperator) -> DensityMatrix:
         k = _null_space_dimension(lio.matrix)
         if k == 1:
             raise NonConvergence(f"{failure} although the kernel is simple")
+        if k < 0:
+            raise DegenerateSteadyState(k, (
+                f"bordered solve failed ({failure}); the Liouvillian kernel "
+                f"dimension is not computed above d^2 = {_SVD_MAX_DIM}, and "
+                f"here d^2 = {d * d}"))
         raise DegenerateSteadyState(k)
 
     def unit_trace_solve(diag_index: int) -> np.ndarray:

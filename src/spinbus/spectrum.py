@@ -154,8 +154,9 @@ class Spectrum:
         object.__setattr__(self, "values", np.clip(vals, 0.0, None))
         self.metadata.setdefault("min_raw_value", most_negative)
 
-    def log10_values(self, floor_exponent: float = -30.0) -> np.ndarray:
-        return np.log10(np.maximum(self.values, 10.0**floor_exponent))
+    def log10_values(self) -> np.ndarray:
+        """log10 of the values, floored at 1e-30."""
+        return np.log10(np.maximum(self.values, 1e-30))
 
 
 @dataclass(frozen=True)

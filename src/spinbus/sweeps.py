@@ -88,11 +88,8 @@ def run_couplings_scan(cfg: ScanConfig) -> ResultTable:
     r_vals = by_name["r_loop"].values if "r_loop" in by_name else (cfg.loop.r_loop,)
     i_vals = by_name["I_p"].values if "I_p" in by_name else (cfg.loop.I_p,)
     try:
-        table = coupling_map(
-            cfg.resonator, cfg.nv, r_vals, i_vals,
-            d_rule=cfg.solver.distance_for,
-            loop_template=cfg.loop,
-        )
+        table = coupling_map(cfg.resonator, cfg.nv, cfg.loop, r_vals, i_vals,
+                             d_rule=cfg.solver.distance_for)
     except SpinbusError:
         raise
     except ValueError as exc:   # the first cell's LoopParams, or the grids

@@ -224,6 +224,19 @@ def test_echo_and_config_hash_match_golden(name):
             ).encode() == golden.read_bytes()
 
 
+def test_echo_shows_every_key_but_q():
+    # Q only cross-checks kappa; products is shown by the [output] line
+    echo = load_config_text(MINIMAL).describe()
+    shown, section = set(), None
+    for line in echo.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif not line.startswith("  axis "):
+            key = line.split(" = ")[0].strip().removesuffix("/2pi")
+            shown.add((section, key))
+    assert shown == set(KEY_TABLE) - {("resonator", "Q")}
+
+
 def test_readme_config_block_loads_and_names_every_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)

@@ -18,7 +18,7 @@ from spinbus.couplings import (
     rms_vacuum_current,
     static_bias_field,
 )
-from spinbus.errors import EmptyGrid, NonpositiveDistance
+from spinbus.errors import EmptyGrid, NonpositiveDistance, UnphysicalT2
 from spinbus.units import CONSTANTS, TWO_PI
 
 RES = ResonatorParams(omega_r=TWO_PI * 6e9, L_r=2e-9, kappa=TWO_PI * 26e3)
@@ -196,10 +196,12 @@ def test_param_invariants():
     assert ok.Q == 2.3e5
     with pytest.raises(ValueError):
         LoopParams(r_loop=0.0, I_p=1e-9, Delta=DELTA)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnphysicalT2,
+                       match=r"^UnphysicalT2: T2_pcq=3e-06 exceeds 2\*T1_pcq="):
         LoopParams(r_loop=1e-6, I_p=1e-9, Delta=DELTA, T1_pcq=1e-6,
                    T2_pcq=3e-6)  # T2 > 2 T1
-    with pytest.raises(ValueError):
+    with pytest.raises(UnphysicalT2,
+                       match=r"^UnphysicalT2: T2_nv=3e-06 exceeds 2\*T1_nv="):
         NVParams(T1_nv=1e-6, T2_nv=3e-6)
 
 
@@ -213,7 +215,7 @@ def test_loop_default_flux_bias_is_half_quantum():
 # ---------------------------------------------------------------- map
 
 def test_coupling_map_single_point_matches_point_ops():
-    rows = coupling_map(RES, NV, [0.4e-6], [600e-9])
+    rows = coupling_map(RES, NV, loop(0.4, 600), [0.4e-6], [600e-9])
     assert rows.shape == (1,)
     row = rows[0]
     assert row["g"] == pytest.approx(14e6, rel=0.05)
@@ -222,7 +224,7 @@ def test_coupling_map_single_point_matches_point_ops():
 
 
 def test_coupling_map_zero_current_columns():
-    rows = coupling_map(RES, NV, [0.2e-6, 0.4e-6], [0.0])
+    rows = coupling_map(RES, NV, loop(0.4, 600), [0.2e-6, 0.4e-6], [0.0])
     assert np.all(rows["g"] == 0.0)
     assert np.all(rows["eta"] == 0.0)
     assert np.all(rows["gbar"] > 0.0)
@@ -236,7 +238,8 @@ def test_coupling_map_matches_brute_force_grid():
     i_grid = np.concatenate([[0.0], np.sort(rng.uniform(1e-9, 2e-6, 2))])
     fixed_d = 0.7e-6
     for d_rule in (d_rule_loop_radius, lambda r_loop: fixed_d):
-        rows = coupling_map(RES, NV, r_grid, i_grid, d_rule=d_rule, n_turns=3)
+        rows = coupling_map(RES, NV, loop(0.4, 600, n=3), r_grid, i_grid,
+                            d_rule=d_rule)
         k = 0
         for r in r_grid:
             d = d_rule(r)
@@ -264,15 +267,15 @@ def test_coupling_map_matches_brute_force_grid():
         "d_neg_and_I_p_neg"])
 def test_coupling_map_rejects_bad_cells(r_grid, i_grid, d_rule, error):
     with pytest.raises(ValueError) as info:
-        coupling_map(RES, NV, r_grid, i_grid, d_rule=d_rule)
+        coupling_map(RES, NV, loop(0.4, 600), r_grid, i_grid, d_rule=d_rule)
     assert type(info.value) is error
 
 
 def test_coupling_map_rejects_empty_and_nonmonotone():
     with pytest.raises(EmptyGrid):
-        coupling_map(RES, NV, [], [600e-9])
+        coupling_map(RES, NV, loop(0.4, 600), [], [600e-9])
     with pytest.raises(ValueError):
-        coupling_map(RES, NV, [0.4e-6, 0.2e-6], [600e-9])
+        coupling_map(RES, NV, loop(0.4, 600), [0.4e-6, 0.2e-6], [600e-9])
 
 
 # ------------------------------------------------------ cross-scaling laws

@@ -341,6 +341,21 @@ def test_degenerate_kernel_reported_with_dimension():
     assert exc.value.kernel_dim == 3
 
 
+def test_degenerate_kernel_above_the_svd_limit_says_it_was_not_computed():
+    # 91 levels, d^2 = 8281: L = 0, so the bordered matrix is singular and
+    # the kernel is too large for the dense SVD
+    layout = SpaceLayout((91,), ("cavity",))
+    lio = build_liouvillian(
+        LabeledOperator(np.zeros((91, 91)), layout, hermitian_hint=True), [])
+    with pytest.raises(DegenerateSteadyState) as exc:
+        steady_state(lio)
+    assert exc.value.kernel_dim == -1
+    assert str(exc.value) == (
+        "bordered solve failed (steady-state solve failed); the Liouvillian "
+        "kernel dimension is not computed above d^2 = 8100, and here "
+        "d^2 = 8281")
+
+
 def test_steady_state_invariant_under_basis_permutation():
     layout = cavity_qubit_layout(3)
     p = ModelParams(omega_r=TWO_PI * 6e9, omega_0=TWO_PI * 6e9 + TWO_PI * 3e5,

@@ -1041,6 +1041,6 @@ def test_spectrum_grid_must_increase():
 def test_spectrum_log10_floor():
     grid = np.linspace(-1, 1, 3)
     s = Spectrum(grid, np.array([0.0, 1e-10, 1.0]))
-    logs = s.log10_values(floor_exponent=-30)
+    logs = s.log10_values()
     assert logs[0] == -30.0
     assert logs[2] == 0.0
