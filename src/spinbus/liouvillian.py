@@ -5,11 +5,15 @@ columns of rho, so vec(A rho B) = (B^T kron A) vec(rho) and the trace
 functional is the row vector with ones at the diagonal positions. The
 superoperator formula's transposes depend on this choice; do not mix
 conventions.
+
+This module builds every sparse matrix of the engine (L, by
+build_liouvillian) and factors every matrix derived from L: the trace-bordered
+L of the steady state and the carrier solve (Superoperator.bordered_lus) and
+the resolvent's shifted s0 I - L (Superoperator.shifted_lu).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NoReturn, Sequence
 
 import numpy as np
@@ -27,6 +31,19 @@ from .operators import DensityMatrix, LabeledOperator, SpaceLayout
 
 # Superoperator dimension up to which L is handled as a dense matrix.
 DENSE_SOLVE_CAP = 2048
+# expm_action_grid steps with one dense expm up to DENSE_SOLVE_CAP, except
+# that a two-point grid (one propagate) above d^2 = _DENSE_ONE_STEP_CAP takes
+# expm_multiply. The dense expm costs ~d^6 flops and expm_multiply's grow
+# with ||L|| t_max, so no rule in d^2 and the grid length suits every L; this
+# one changes the choice only where every input timed in a standalone script
+# (one time, 2-core VM) favoured expm_multiply or tied. On a fig7 sector over
+# 20/kappa (||L|| t ~ 7e4), with one BLAS thread, dense won 1.9x at
+# d^2 = 1156, tied at 1600 and lost 1.6x at 1764 and 1936 (a tie there with
+# two threads); on a driven bare cavity over 5/kappa (||L|| t ~ 450) it lost
+# 6.5x at d^2 = 400, 54x at 1024 and 171x at 1936. Two families of L, not a
+# benchmark workload (none calls expm_action_grid above d^2 = 64): the
+# constant is unverified beyond them.
+_DENSE_ONE_STEP_CAP = 1600
 # Complex values of the states one expm_multiply call of expm_action_grid's
 # sparse branch returns: the grid is stepped in blocks of this many.
 _EXPM_BLOCK_ELEMENTS = 2**20
@@ -52,10 +69,12 @@ def trace_row(dim: int) -> np.ndarray:
 
 
 class Superoperator:
-    """Sparse D^2 x D^2 generator of the master equation."""
+    """Sparse D^2 x D^2 generator of the master equation in complex CSC
+    form, and the sparse LUs of the matrices derived from it."""
 
     def __init__(self, matrix: sp.spmatrix, layout: SpaceLayout):
-        self.matrix = sp.csc_matrix(matrix, dtype=complex)
+        csc = sp.isspmatrix_csc(matrix) and matrix.dtype == complex
+        self.matrix = matrix if csc else sp.csc_matrix(matrix, dtype=complex)
         self.layout = layout
         self._norm_scale: float | None = None
         d = layout.total_dim
@@ -87,6 +106,34 @@ class Superoperator:
         """||tr o L|| per unit operator norm; ~0 for any valid Liouvillian."""
         t = trace_row(self.dim)
         return float(np.max(np.abs(t @ self.matrix))) / self.norm_scale()
+
+    def bordered_lus(self, rows: Sequence[int]) -> list[spla.SuperLU]:
+        """Sparse LUs of L with row r replaced by the trace row, one per r
+        of rows and in that order, from one CSR copy of L: the trace row's
+        D ones are written into its index arrays at the diagonal columns
+        i*D+i. Each r must be such a diagonal position: those rows carry the
+        one linear dependency of a trace-preserving generator, so removing
+        any other row leaves the system singular. A singular bordered matrix
+        raises RuntimeError.
+        """
+        m, d = self.matrix.tocsr(), self.dim
+        lus = []
+        for row in rows:
+            lo, hi = m.indptr[row], m.indptr[row + 1]
+            indices = np.concatenate([m.indices[:lo], np.arange(0, d * d, d + 1),
+                                      m.indices[hi:]])
+            data = np.concatenate([m.data[:lo], np.ones(d), m.data[hi:]])
+            indptr = m.indptr.copy()
+            indptr[row + 1:] += d - (hi - lo)
+            lus.append(spla.splu(sp.csr_matrix((data, indices, indptr),
+                                               shape=m.shape).tocsc()))
+        return lus
+
+    def shifted_lu(self, s0: complex) -> spla.SuperLU:
+        """Sparse LU of s0 I - L."""
+        n = self.matrix.shape[0]
+        return spla.splu(s0 * sp.identity(n, dtype=complex, format="csc")
+                         - self.matrix)
 
 
 def build_liouvillian(H: LabeledOperator,
@@ -152,37 +199,6 @@ def _null_space_dimension(matrix: sp.spmatrix) -> int:
     return int(np.sum(s < 1e-9 * s[0]))
 
 
-def _bordered_matrix(m: sp.csr_matrix, diag_index: int) -> sp.csc_matrix:
-    """L, given in CSR form as m, with row `diag_index` replaced by the
-    trace row, in CSC form.
-
-    The trace row is written into the CSR index arrays of L: its D ones sit
-    at the diagonal columns i*D+i.
-    """
-    d = math.isqrt(m.shape[0])
-    lo, hi = m.indptr[diag_index], m.indptr[diag_index + 1]
-    indices = np.concatenate([m.indices[:lo], np.arange(0, d * d, d + 1),
-                              m.indices[hi:]])
-    data = np.concatenate([m.data[:lo], np.ones(d), m.data[hi:]])
-    indptr = m.indptr.copy()
-    indptr[diag_index + 1:] += d - (hi - lo)
-    return sp.csr_matrix((data, indices, indptr), shape=m.shape).tocsc()
-
-
-def _bordered_solve(m: sp.csr_matrix, diag_index: int,
-                    rhs: np.ndarray) -> np.ndarray:
-    """Solve L x = rhs with row `diag_index` of L replaced by the trace row,
-    so that rhs[diag_index] fixes tr(x); m is L in CSR form.
-
-    The replaced row must sit at a diagonal position (i*D+i): those rows
-    carry the one linear dependency of a trace-preserving generator, so
-    removing any other row leaves the system singular. A singular bordered
-    matrix raises RuntimeError. The steady state and the resolvent's
-    carrier solve both take this route.
-    """
-    return spla.splu(_bordered_matrix(m, diag_index)).solve(rhs)
-
-
 def steady_state(lio: Superoperator) -> DensityMatrix:
     """Unique steady state of L, trace-normalized.
 
@@ -196,7 +212,6 @@ def steady_state(lio: Superoperator) -> DensityMatrix:
     """
     d = lio.dim
     scale = lio.norm_scale()
-    csr = lio.matrix.tocsr()
 
     def diagnose(failure: str = "steady-state solve failed") -> NoReturn:
         k = _null_space_dimension(lio.matrix)
@@ -209,28 +224,23 @@ def steady_state(lio: Superoperator) -> DensityMatrix:
                 f"here d^2 = {d * d}"))
         raise DegenerateSteadyState(k)
 
-    def unit_trace_solve(diag_index: int) -> np.ndarray:
+    def unit_trace_solve(lu: spla.SuperLU, diag_index: int) -> np.ndarray:
         rhs = np.zeros(d * d, dtype=complex)
         rhs[diag_index] = 1.0
-        return _bordered_solve(csr, diag_index, rhs)
+        return lu.solve(rhs)
 
+    # Bordered at (0,0), then at (1,1): SpaceLayout factors have at least 2
+    # levels, so (1,1) always exists.
     try:
-        x = unit_trace_solve(0)
+        lu0, lu1 = lio.bordered_lus((0, d + 1))
+        x = unit_trace_solve(lu0, 0)
+        x2 = unit_trace_solve(lu1, d + 1)
     except RuntimeError:
         diagnose()
-    if not np.all(np.isfinite(x)):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x2))):
         diagnose()
     residual = float(np.linalg.norm(lio.matrix @ x)) / (scale * float(np.linalg.norm(x)))
-    if residual > 1e-9:
-        diagnose()
-
-    # SpaceLayout factors have at least 2 levels, so (1,1) always exists.
-    try:
-        x2 = unit_trace_solve(d + 1)  # diagonal position (1,1)
-    except RuntimeError:
-        diagnose()
-    if (not np.all(np.isfinite(x2))
-            or np.linalg.norm(x - x2) > 1e-6 * np.linalg.norm(x)):
+    if residual > 1e-9 or np.linalg.norm(x - x2) > 1e-6 * np.linalg.norm(x):
         diagnose()
 
     rho = unvectorize(x)
@@ -274,9 +284,10 @@ def expm_action_grid(lio: Superoperator, v0: np.ndarray, t_max: float,
     branch and O(block d^2) on the sparse one.
 
     Exact matrix-exponential action, used by propagate and by the two-time
-    correlation machinery, where v0 need not be a state. Small systems step
-    with a dense one-interval propagator (one expm, then repeated products);
-    larger ones use scipy's sparse truncated Taylor series with scaling
+    correlation machinery, where v0 need not be a state. Systems up to
+    DENSE_SOLVE_CAP, except one time above _DENSE_ONE_STEP_CAP, step with a
+    dense one-interval propagator (one expm, then repeated products); the
+    rest use scipy's sparse truncated Taylor series with scaling
     (after Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), one call
     per block of the grid, each started from the last state of the one
     before and contracted with u before the next.
@@ -286,7 +297,7 @@ def expm_action_grid(lio: Superoperator, v0: np.ndarray, t_max: float,
     v0 = np.asarray(v0, dtype=complex)
     d2 = lio.matrix.shape[0]
     out = np.empty((num, d2) if u is None else num, dtype=complex)
-    if d2 <= DENSE_SOLVE_CAP:
+    if d2 <= DENSE_SOLVE_CAP and (num > 2 or d2 <= _DENSE_ONE_STEP_CAP):
         from scipy.linalg import expm
 
         step = expm(lio.matrix.toarray() * (t_max / (num - 1)))

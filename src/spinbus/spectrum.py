@@ -45,7 +45,12 @@ the cancellation of the fig4a spectrum, which lies far below
 ||u|| ||b|| / kappa, by ~5e-10 of the peak.
 The carrier (omega = 0 in the drive frame), where (i omega I - L) is
 singular through the steady-state kernel, is solved through the steady
-state's trace-bordered system (liouvillian._bordered_solve).
+state's trace-bordered system.
+
+This module builds and factors no sparse matrix: liouvillian builds L and
+factors both the bordered and the shifted matrices (Superoperator's
+bordered_lus and shifted_lu); here L only multiplies vectors and blocks,
+and the Krylov basis and Hessenberg matrix are dense NumPy arrays.
 
 Both nv_modes run on frozen-spin sectors (cavity+qubit problems): "sectors"
 sums them with configured weights, and "full" is exactly the one sector its
@@ -63,8 +68,6 @@ from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     DegenerateSteadyState,
@@ -76,7 +79,6 @@ from .errors import (
 )
 from .liouvillian import (
     Superoperator,
-    _bordered_solve,
     build_liouvillian,
     expm_action_grid,
     steady_state,
@@ -220,7 +222,7 @@ def _carrier_solve(lio: Superoperator, b: np.ndarray,
     rhs = -b
     rhs[0] = 0.0
     try:
-        x = _bordered_solve(lio.matrix.tocsr(), 0, rhs)
+        x = lio.bordered_lus((0,))[0].solve(rhs)
     except RuntimeError:
         raise SingularResolvent(0.0) from None
     residual = float(np.linalg.norm(lio.matrix @ x + b)) / bnorm
@@ -256,13 +258,6 @@ def _extend_arnoldi(lu, q: np.ndarray, h: np.ndarray, target: int
             return q[:, :m + 1], h[:m + 1, :m], True
         q[:, m] = v / h[m, m - 1]
     return q, h, False
-
-
-def _shifted_lu(lio: Superoperator, s0: complex):
-    """Sparse LU of s0 I - L."""
-    n = lio.matrix.shape[0]
-    return spla.splu((s0 * sp.identity(n, dtype=complex, format="csc")
-                      - lio.matrix).tocsc())
 
 
 def _hessenberg_solve(h: np.ndarray, mu: np.ndarray,
@@ -436,7 +431,7 @@ class SectorProblem:
         if kept is not None and kept[:2] == (s0, mode):
             beta, q, h, invariant = kept[2:]
         else:
-            lu = _shifted_lu(lio, s0)
+            lu = lio.shifted_lu(s0)
             kb = lu.solve(b)
             beta = float(np.linalg.norm(kb))
             q = np.asfortranarray((kb / beta)[:, None])
@@ -449,7 +444,7 @@ class SectorProblem:
         while True:
             if m > h.shape[1] and not invariant:
                 if lu is None:
-                    lu = _shifted_lu(lio, s0)
+                    lu = lio.shifted_lu(s0)
                 q, h, invariant = _extend_arnoldi(lu, q, h, m)
             m = min(m, h.shape[1])
             y = np.concatenate([_hessenberg_solve(h[:m, :m], mu[k], beta)

@@ -1,7 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import spinbus.liouvillian as liouvillian_module
@@ -15,7 +18,6 @@ from spinbus.errors import (
 )
 from spinbus.liouvillian import (
     DENSE_SOLVE_CAP,
-    _bordered_matrix,
     adaptive_truncation,
     build_liouvillian,
     expm_action_grid,
@@ -172,23 +174,26 @@ def test_liouvillian_matches_dense_kron_formula():
     assert zero_rate == 11 * 3 * 2    # fig4a's dephasing, at every N and m_s
 
 
+def preset_sectors(n_focks=(2, 5, 8)):
+    """(label, H, collapse operators) of every spectrum preset's sectors at
+    the preset's own loop."""
+    for preset in ("fig4a", "fig4b", "fig6a", "fig6b", "fig7"):
+        cfg = load_config(preset_path(preset))
+        for n_fock in n_focks:
+            model, rates, _ = _point_model(
+                cfg, cfg.loop, cfg.solver.distance_for(cfg.loop.r_loop),
+                n_fock)
+            layout = cavity_qubit_layout(n_fock)
+            c_ops = sector_collapse_operators(rates, layout)
+            for m_s in (1, 0, -1):
+                yield (f"{preset} N={n_fock} m_s={m_s}",
+                       sector_interaction_hamiltonian(model, layout, m_s),
+                       c_ops)
+
+
 def test_norm_scale_equals_the_absolute_row_sum():
     # The CSC-array row sums equal abs(L).sum(axis=1) bit for bit, on the
     # strong-drive and fig4a sectors and on every spectrum preset's sectors.
-    def preset_sectors():
-        for preset in ("fig4a", "fig4b", "fig6a", "fig6b", "fig7"):
-            cfg = load_config(preset_path(preset))
-            for n_fock in (2, 5, 8):
-                model, rates, _ = _point_model(
-                    cfg, cfg.loop, cfg.solver.distance_for(cfg.loop.r_loop),
-                    n_fock)
-                layout = cavity_qubit_layout(n_fock)
-                c_ops = sector_collapse_operators(rates, layout)
-                for m_s in (1, 0, -1):
-                    yield (f"{preset} N={n_fock} m_s={m_s}",
-                           sector_interaction_hamiltonian(model, layout, m_s),
-                           c_ops)
-
     for cases in (sector_cases(), preset_sectors()):
         for label, h, c_ops in cases:
             lio = build_liouvillian(h, c_ops)
@@ -196,20 +201,34 @@ def test_norm_scale_equals_the_absolute_row_sum():
             assert lio.norm_scale() == old, label
 
 
-def test_bordered_matrix_matches_lil_construction():
-    # The trace row written into the CSR arrays equals a row assignment on a
-    # LIL copy of L, entry for entry, at both rows the steady state uses.
-    for label, h, c_ops in sector_cases():
-        lio = build_liouvillian(h, c_ops)
-        d = lio.dim
-        for row in (0, d + 1):
-            ref = lio.matrix.tolil(copy=True)
-            ref[row, :] = trace_row(d)
-            ref = ref.tocsc()
-            got = _bordered_matrix(lio.matrix.tocsr(), row)
-            assert np.array_equal(got.indptr, ref.indptr), label
-            assert np.array_equal(got.indices, ref.indices), label
-            assert np.array_equal(got.data, ref.data), label
+def test_bordered_matrix_matches_lil_construction(monkeypatch):
+    # The matrices SuperLU is given equal, entry for entry and with the same
+    # indices and indptr: for bordered_lus at both rows the steady state
+    # uses, a row assignment on a LIL copy of L; for shifted_lu, the dense
+    # s0 I - L in CSC form. Checked on the strong-drive and fig4a sectors
+    # and on every spectrum preset's sectors, at N = 2-12.
+    factored = []
+    monkeypatch.setattr(liouvillian_module.spla, "splu", factored.append)
+    for cases in (sector_cases(), preset_sectors(range(2, 13))):
+        for label, h, c_ops in cases:
+            lio = build_liouvillian(h, c_ops)
+            d2 = lio.matrix.shape[0]
+            s0 = complex(1e-3, 1e-2) * lio.norm_scale()
+            refs = []
+            for row in (0, lio.dim + 1):
+                ref = lio.matrix.tolil(copy=True)
+                ref[row, :] = trace_row(lio.dim)
+                refs.append(ref.tocsc())
+            refs.append(sp.csc_matrix(s0 * np.eye(d2) - lio.matrix.toarray()))
+            factored.clear()
+            lio.bordered_lus((0, lio.dim + 1))
+            lio.shifted_lu(s0)
+            assert len(factored) == 3, label
+            for got, ref in zip(factored, refs):
+                assert got.format == "csc", label
+                assert np.array_equal(got.indptr, ref.indptr), label
+                assert np.array_equal(got.indices, ref.indices), label
+                assert np.array_equal(got.data, ref.data), label
 
 
 def test_single_photon_decay_example():
@@ -503,6 +522,72 @@ def test_expm_action_grid_sparse_branch_steps_in_blocks(monkeypatch):
     blocked = expm_action_grid(lio, v0, 4.0 / KAPPA, 41, u)
     assert lengths == [8, 8, 8, 8, 8, 6]
     assert np.max(np.abs(blocked - whole)) <= 1e-10 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("levels, num, dense", [
+    (20, 2, True), (34, 2, True), (44, 2, False), (45, 2, False),
+    (45, 3, True), (45, 513, True), (46, 2, False), (46, 513, False)])
+def test_expm_action_grid_branch_rule(monkeypatch, levels, num, dense):
+    # The dense branch is taken up to d^2 = DENSE_SOLVE_CAP, except for a
+    # two-point grid above d^2 = _DENSE_ONE_STEP_CAP. Both routines are
+    # stubbed: this pins the choice only.
+    layout, a, lio = bare_cavity(levels)
+    d2 = lio.matrix.shape[0]
+    calls = []
+
+    def stub_expm(m):
+        calls.append("expm")
+        return sp.identity(m.shape[0], format="csr")
+
+    def stub_expm_multiply(m, v, **kwargs):
+        calls.append("expm_multiply")
+        return np.zeros((kwargs["num"], d2), dtype=complex)
+
+    monkeypatch.setattr(scipy.linalg, "expm", stub_expm)
+    monkeypatch.setattr(liouvillian_module.spla, "expm_multiply",
+                        stub_expm_multiply)
+    monkeypatch.setattr(liouvillian_module, "_EXPM_BLOCK_ELEMENTS", num * d2)
+    expm_action_grid(lio, np.ones(d2), 1.0 / KAPPA, num, np.ones(d2))
+    assert calls == (["expm"] if dense else ["expm_multiply"])
+
+
+@pytest.mark.parametrize("levels, branch", [(16, "expm"),
+                                            (45, "expm_multiply")])
+def test_single_time_propagate_branches_match_coherent_state(
+        monkeypatch, levels, branch):
+    # One time at d^2 = 256 takes one dense expm; at d^2 = 2025 it takes one
+    # expm_multiply call and no d^2 x d^2 expm. The driven, damped cavity
+    # keeps the vacuum coherent, with alpha(t) = -2i (zeta / kappa)
+    # (1 - e^{-kappa t / 2}) (|alpha| < 0.4, so the truncation at 16 levels
+    # costs below 1e-14), and either state matches that coherent state to
+    # 1e-12 per entry.
+    zeta = KAPPA / 5
+    layout, a, lio = bare_cavity(levels, zeta=zeta)
+    assert lio.matrix.shape[0] == levels**2 <= DENSE_SOLVE_CAP
+    calls = []
+    expm, expm_multiply = scipy.linalg.expm, spla.expm_multiply
+
+    def counting_expm(*args, **kwargs):
+        calls.append("expm")
+        return expm(*args, **kwargs)
+
+    def counting_expm_multiply(*args, **kwargs):
+        calls.append("expm_multiply")
+        return expm_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(liouvillian_module.spla, "expm_multiply",
+                        counting_expm_multiply)
+    ket = basis_state(layout, {})
+    rho0 = DensityMatrix(np.outer(ket, ket.conj()), layout)
+    t = 5.0 / KAPPA
+    rho_t = propagate(lio, rho0, t)
+    assert calls == [branch]
+    alpha = -2j * zeta / KAPPA * (1.0 - np.exp(-KAPPA * t / 2))
+    coherent = np.exp(-abs(alpha)**2 / 2) * np.array(
+        [alpha**n / np.sqrt(float(math.factorial(n))) for n in range(levels)])
+    expected = np.outer(coherent, coherent.conj())
+    assert np.max(np.abs(rho_t.matrix - expected)) <= 1e-12
 
 
 # ------------------------------------------------------------- truncation

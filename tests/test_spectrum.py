@@ -1,10 +1,13 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import curve_fit
 
+import spinbus.liouvillian as liouvillian_module
 import spinbus.spectrum as spectrum_module
 from spinbus.cli import preset_path
 from spinbus.config import load_config
@@ -391,13 +394,13 @@ def test_krylov_block_width_is_invisible(monkeypatch):
     # continues none.
     overrides, loop_changes = STRONG
     factored = []
-    splu = spectrum_module.spla.splu
+    splu = liouvillian_module.spla.splu
 
     def counting_splu(a, *args, **kwargs):
         factored.append(a)
         return splu(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
+    monkeypatch.setattr(liouvillian_module.spla, "splu", counting_splu)
     for n_fock, widths in ((6, (1, 64, 201)), (8, (64, 201)), (10, (64, 201))):
         cfg, model, rates, offset, span = preset_point("fig7", n_fock, overrides,
                                                        **loop_changes)
@@ -487,6 +490,28 @@ def test_exactly_singular_projection_reports_undamped_pole():
         assert exc.value.omega == delta
 
 
+def test_spectrum_imports_no_scipy_and_no_private_liouvillian_name():
+    # liouvillian builds and factors every matrix derived from L; spectrum
+    # reaches the factors through Superoperator's public methods. It still
+    # imports build_liouvillian and steady_state by name, the names the
+    # benchmark's layer timers wrap on this module.
+    tree = ast.parse(Path(spectrum_module.__file__).read_text())
+    from_liouvillian = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if modules[0].split(".")[-1] == "liouvillian":
+                from_liouvillian |= {alias.name for alias in node.names}
+        else:
+            continue
+        assert not [m for m in modules if m.split(".")[0] == "scipy"]
+    assert from_liouvillian
+    assert not [name for name in from_liouvillian if name.startswith("_")]
+    assert {"build_liouvillian", "steady_state"} <= from_liouvillian
+
+
 def test_every_grid_takes_one_krylov_projection(monkeypatch):
     # On a freshly built problem each grid factors s0 I - L once (Re s0 > 0),
     # on a probe grid and on final grids alike, and never densifies L. A
@@ -499,7 +524,7 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
     cfg, s_model, s_rates, s_offset, s_span = preset_point(
         "fig7", 4, overrides, **loop_changes)
     factored, densified = [], []
-    splu = spectrum_module.spla.splu
+    splu = liouvillian_module.spla.splu
     matrix_type = type(sector_problem(model, rates, 0).lio.matrix)
     toarray = matrix_type.toarray
 
@@ -511,7 +536,7 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
         densified.append(1)
         return toarray(self, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
+    monkeypatch.setattr(liouvillian_module.spla, "splu", counting_splu)
     monkeypatch.setattr(matrix_type, "toarray", counting_toarray)
     runs = [(lambda: sector_problem(model, rates, 0),
              np.linspace(-span, span, points), offset)
@@ -552,7 +577,7 @@ def test_later_grid_continues_the_kept_projection(monkeypatch):
     ends = np.array([-3.0 * span, 3.0 * span])
     grid = np.linspace(-3.0 * span, 3.0 * span, 201)
     factored = []
-    splu = spectrum_module.spla.splu
+    splu = liouvillian_module.spla.splu
 
     def counting_splu(a, *args, **kwargs):
         factored.append(a)
@@ -561,7 +586,7 @@ def test_later_grid_continues_the_kept_projection(monkeypatch):
     def fresh(grid, mode="incoherent"):
         return sector_problem(model, rates, 0).spectrum(grid, mode, offset)
 
-    monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
+    monkeypatch.setattr(liouvillian_module.spla, "splu", counting_splu)
     problem = sector_problem(model, rates, 0)
     first = problem.spectrum(ends, frame_offset=offset)
     assert first.metadata["krylov_dim"] == 8

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spinbus.liouvillian as liouvillian_module
 import spinbus.spectrum as spectrum_module
 import spinbus.sweeps as sweeps_module
 from spinbus.cli import main, preset_path
@@ -472,7 +473,7 @@ def test_truncation_probes_project_only_where_populations_agree():
 def test_point_spectrum_reuses_probe_problems(monkeypatch):
     builds, factored, solves, finals = [], [], [], []
     sector_problem = spectrum_module.sector_problem
-    splu = spectrum_module.spla.splu
+    splu = liouvillian_module.spla.splu
     point_spectrum = sweeps_module._point_spectrum
 
     def counting_sector_problem(p, rates, m_s, *args):
@@ -501,7 +502,7 @@ def test_point_spectrum_reuses_probe_problems(monkeypatch):
 
     monkeypatch.setattr(spectrum_module, "sector_problem",
                         counting_sector_problem)
-    monkeypatch.setattr(spectrum_module.spla, "splu", counting_splu)
+    monkeypatch.setattr(liouvillian_module.spla, "splu", counting_splu)
     monkeypatch.setattr(sweeps_module, "_point_spectrum",
                         counting_point_spectrum)
     cfg = load_config_text(FAST_SPECTRUM.replace("n_fock = 4",
