@@ -7,9 +7,10 @@ superoperator formula's transposes depend on this choice; do not mix
 conventions.
 
 This module builds every sparse matrix of the engine (L, by
-build_liouvillian) and factors every matrix derived from L: the trace-bordered
-L of the steady state and the carrier solve (Superoperator.bordered_lus) and
-the resolvent's shifted s0 I - L (Superoperator.shifted_lu).
+build_liouvillian) and factors every matrix derived from L: L bordered at
+row 0 by the trace row (Superoperator.bordered_lu), whose one factor serves
+the steady state, its uniqueness cross-check and the carrier solve, and the
+resolvent's shifted s0 I - L (Superoperator.shifted_lu).
 """
 
 from __future__ import annotations
@@ -107,27 +108,22 @@ class Superoperator:
         t = trace_row(self.dim)
         return float(np.max(np.abs(t @ self.matrix))) / self.norm_scale()
 
-    def bordered_lus(self, rows: Sequence[int]) -> list[spla.SuperLU]:
-        """Sparse LUs of L with row r replaced by the trace row, one per r
-        of rows and in that order, from one CSR copy of L: the trace row's
-        D ones are written into its index arrays at the diagonal columns
-        i*D+i. Each r must be such a diagonal position: those rows carry the
-        one linear dependency of a trace-preserving generator, so removing
-        any other row leaves the system singular. A singular bordered matrix
-        raises RuntimeError.
+    def bordered_lu(self) -> spla.SuperLU:
+        """Sparse LU of L with row 0 replaced by the trace row, from a CSR
+        copy of L: the trace row's D ones are written into its index arrays
+        at the diagonal columns i*D+i. Row 0 is such a diagonal position:
+        those rows carry the one linear dependency of a trace-preserving
+        generator, so removing any other row leaves the system singular. A
+        singular bordered matrix raises RuntimeError.
         """
         m, d = self.matrix.tocsr(), self.dim
-        lus = []
-        for row in rows:
-            lo, hi = m.indptr[row], m.indptr[row + 1]
-            indices = np.concatenate([m.indices[:lo], np.arange(0, d * d, d + 1),
-                                      m.indices[hi:]])
-            data = np.concatenate([m.data[:lo], np.ones(d), m.data[hi:]])
-            indptr = m.indptr.copy()
-            indptr[row + 1:] += d - (hi - lo)
-            lus.append(spla.splu(sp.csr_matrix((data, indices, indptr),
-                                               shape=m.shape).tocsc()))
-        return lus
+        hi = m.indptr[1]
+        indices = np.concatenate([np.arange(0, d * d, d + 1), m.indices[hi:]])
+        data = np.concatenate([np.ones(d), m.data[hi:]])
+        indptr = m.indptr.copy()
+        indptr[1:] += d - hi
+        return spla.splu(sp.csr_matrix((data, indices, indptr),
+                                       shape=m.shape).tocsc())
 
     def shifted_lu(self, s0: complex) -> spla.SuperLU:
         """Sparse LU of s0 I - L."""
@@ -199,16 +195,58 @@ def _null_space_dimension(matrix: sp.spmatrix) -> int:
     return int(np.sum(s < 1e-9 * s[0]))
 
 
+def _bordered_solves(lio: Superoperator
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x and x2 solving L x = 0 with unit trace, bordered at (0,0) and at
+    (1,1), and L x, all from the one factor of B0 (L with row 0 replaced by
+    the trace row t). SpaceLayout factors have at least 2 levels, so (1,1)
+    always exists.
+
+    x = B0^{-1} e_0 is one single-RHS solve. B1, bordered at row d+1, is
+    B0 + U V^T with U = [e_0, e_{d+1}] and rows L_0 - t and t - L_{d+1} of
+    V^T, so by the Sherman-Morrison-Woodbury identity (Hager, SIAM Rev. 31,
+    221 (1989)) x2 = B1^{-1} e_{d+1} = Z C^{-1} e_2, with Z = B0^{-1} U =
+    [x, w] and C = I + V^T Z. The form w - Z C^{-1} V^T w cancels near a
+    degenerate kernel, this one does not. One step of iterative refinement
+    against B1, applied through L, brings x2 to the accuracy of a factor of
+    B1 itself. Raises RuntimeError for a singular B0 and LinAlgError for a
+    singular C.
+    """
+    d = lio.dim
+    lu = lio.bordered_lu()
+
+    def unit_trace_solve(diag_index: int) -> np.ndarray:
+        rhs = np.zeros(d * d, dtype=complex)
+        rhs[diag_index] = 1.0
+        return lu.solve(rhs)
+
+    def v_t(v: np.ndarray, lv: np.ndarray) -> np.ndarray:
+        """V^T v from L v; t v sums the diagonal entries of v."""
+        tv = v[::d + 1].sum(axis=0)
+        return np.array([lv[0] - tv, tv - lv[d + 1]])
+
+    x = unit_trace_solve(0)
+    z = np.column_stack((x, unit_trace_solve(d + 1)))
+    lz = lio.matrix @ z
+    c_inv = np.linalg.inv(np.eye(2) + v_t(z, lz))
+    x2 = z @ c_inv[:, 1]
+    r = -(lio.matrix @ x2)
+    r[d + 1] = 1.0 - x2[::d + 1].sum()
+    y = lu.solve(r)
+    x2 += y - z @ (c_inv @ v_t(y, lio.matrix @ y))
+    return x, x2, lz[:, 0]
+
+
 def steady_state(lio: Superoperator) -> DensityMatrix:
     """Unique steady state of L, trace-normalized.
 
-    Solves the bordered linear system; residual ||L vec(rho)|| per unit
-    operator norm must beat 1e-9. A second solve at a different diagonal
-    row cross-checks uniqueness; disagreement, a singular factorization or
-    a solution that fails DensityMatrix validation triggers a null-space
-    diagnosis: DegenerateSteadyState carrying the kernel dimension (-1 when
-    d^2 is too large to compute it), or NonConvergence when the kernel is
-    simple.
+    Solves the system bordered at (0,0); residual ||L vec(rho)|| per unit
+    operator norm must beat 1e-9. The system bordered at (1,1), solved
+    through the same sparse LU (_bordered_solves), cross-checks uniqueness;
+    disagreement, a singular factorization or a solution that fails
+    DensityMatrix validation triggers a null-space diagnosis:
+    DegenerateSteadyState carrying the kernel dimension (-1 when d^2 is too
+    large to compute it), or NonConvergence when the kernel is simple.
     """
     d = lio.dim
     scale = lio.norm_scale()
@@ -224,22 +262,13 @@ def steady_state(lio: Superoperator) -> DensityMatrix:
                 f"here d^2 = {d * d}"))
         raise DegenerateSteadyState(k)
 
-    def unit_trace_solve(lu: spla.SuperLU, diag_index: int) -> np.ndarray:
-        rhs = np.zeros(d * d, dtype=complex)
-        rhs[diag_index] = 1.0
-        return lu.solve(rhs)
-
-    # Bordered at (0,0), then at (1,1): SpaceLayout factors have at least 2
-    # levels, so (1,1) always exists.
     try:
-        lu0, lu1 = lio.bordered_lus((0, d + 1))
-        x = unit_trace_solve(lu0, 0)
-        x2 = unit_trace_solve(lu1, d + 1)
-    except RuntimeError:
+        x, x2, lx = _bordered_solves(lio)
+    except (RuntimeError, np.linalg.LinAlgError):
         diagnose()
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x2))):
         diagnose()
-    residual = float(np.linalg.norm(lio.matrix @ x)) / (scale * float(np.linalg.norm(x)))
+    residual = float(np.linalg.norm(lx)) / (scale * float(np.linalg.norm(x)))
     if residual > 1e-9 or np.linalg.norm(x - x2) > 1e-6 * np.linalg.norm(x):
         diagnose()
 

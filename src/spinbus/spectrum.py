@@ -49,8 +49,9 @@ state's trace-bordered system.
 
 This module builds and factors no sparse matrix: liouvillian builds L and
 factors both the bordered and the shifted matrices (Superoperator's
-bordered_lus and shifted_lu); here L only multiplies vectors and blocks,
-and the Krylov basis and Hessenberg matrix are dense NumPy arrays.
+bordered_lu, the one factor behind the steady state and its cross-check,
+and shifted_lu); here L only multiplies vectors and blocks, and the Krylov
+basis and Hessenberg matrix are dense NumPy arrays.
 
 Both nv_modes run on frozen-spin sectors (cavity+qubit problems): "sectors"
 sums them with configured weights, and "full" is exactly the one sector its
@@ -222,7 +223,7 @@ def _carrier_solve(lio: Superoperator, b: np.ndarray,
     rhs = -b
     rhs[0] = 0.0
     try:
-        x = lio.bordered_lus((0,))[0].solve(rhs)
+        x = lio.bordered_lu().solve(rhs)
     except RuntimeError:
         raise SingularResolvent(0.0) from None
     residual = float(np.linalg.norm(lio.matrix @ x + b)) / bnorm

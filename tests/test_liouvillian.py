@@ -201,12 +201,22 @@ def test_norm_scale_equals_the_absolute_row_sum():
             assert lio.norm_scale() == old, label
 
 
+def lil_bordered_solve(lio, row):
+    """L with diagonal row `row` replaced by the trace row, by assignment on
+    a LIL copy, factored on its own and solved for e_row."""
+    ref = lio.matrix.tolil(copy=True)
+    ref[row, :] = trace_row(lio.dim)
+    rhs = np.zeros(lio.dim ** 2, dtype=complex)
+    rhs[row] = 1.0
+    return spla.splu(ref.tocsc()).solve(rhs)
+
+
 def test_bordered_matrix_matches_lil_construction(monkeypatch):
     # The matrices SuperLU is given equal, entry for entry and with the same
-    # indices and indptr: for bordered_lus at both rows the steady state
-    # uses, a row assignment on a LIL copy of L; for shifted_lu, the dense
-    # s0 I - L in CSC form. Checked on the strong-drive and fig4a sectors
-    # and on every spectrum preset's sectors, at N = 2-12.
+    # indices and indptr: for bordered_lu, a row-0 assignment on a LIL copy
+    # of L; for shifted_lu, the dense s0 I - L in CSC form. Checked on the
+    # strong-drive and fig4a sectors and on every spectrum preset's sectors,
+    # at N = 2-12.
     factored = []
     monkeypatch.setattr(liouvillian_module.spla, "splu", factored.append)
     for cases in (sector_cases(), preset_sectors(range(2, 13))):
@@ -214,21 +224,36 @@ def test_bordered_matrix_matches_lil_construction(monkeypatch):
             lio = build_liouvillian(h, c_ops)
             d2 = lio.matrix.shape[0]
             s0 = complex(1e-3, 1e-2) * lio.norm_scale()
-            refs = []
-            for row in (0, lio.dim + 1):
-                ref = lio.matrix.tolil(copy=True)
-                ref[row, :] = trace_row(lio.dim)
-                refs.append(ref.tocsc())
-            refs.append(sp.csc_matrix(s0 * np.eye(d2) - lio.matrix.toarray()))
+            ref = lio.matrix.tolil(copy=True)
+            ref[0, :] = trace_row(lio.dim)
+            refs = [ref.tocsc(),
+                    sp.csc_matrix(s0 * np.eye(d2) - lio.matrix.toarray())]
             factored.clear()
-            lio.bordered_lus((0, lio.dim + 1))
+            lio.bordered_lu()
             lio.shifted_lu(s0)
-            assert len(factored) == 3, label
+            assert len(factored) == 2, label
             for got, ref in zip(factored, refs):
                 assert got.format == "csc", label
                 assert np.array_equal(got.indptr, ref.indptr), label
                 assert np.array_equal(got.indices, ref.indices), label
                 assert np.array_equal(got.data, ref.data), label
+
+
+def test_cross_check_matches_a_factor_of_the_row_d_plus_1_bordered_matrix():
+    # The steady state's uniqueness cross-check, taken through the row-0
+    # factor, against the route it replaces: an independent LU of L with
+    # row d+1 replaced by the trace row on a LIL copy, solved for e_{d+1}.
+    # x is the row-0 system's single-RHS solve bit for bit, and L x is its
+    # residual's product. Same sectors as the LIL construction test.
+    for cases in (sector_cases(), preset_sectors(range(2, 13))):
+        for label, h, c_ops in cases:
+            lio = build_liouvillian(h, c_ops)
+            x, x2, lx = liouvillian_module._bordered_solves(lio)
+            x2_ref = lil_bordered_solve(lio, lio.dim + 1)
+            assert np.array_equal(x, lil_bordered_solve(lio, 0)), label
+            assert np.array_equal(lx, lio.matrix @ x), label
+            assert np.linalg.norm(x2 - x2_ref) \
+                <= 1e-11 * np.linalg.norm(x2_ref), label
 
 
 def test_single_photon_decay_example():
@@ -373,6 +398,37 @@ def test_degenerate_kernel_above_the_svd_limit_says_it_was_not_computed():
         "bordered solve failed (steady-state solve failed); the Liouvillian "
         "kernel dimension is not computed above d^2 = 8100, and here "
         "d^2 = 8281")
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10, 1e-12, 1e-14, 0.0])
+def test_near_degenerate_spin_decay_verdicts(eps):
+    # The full model with NV decay gamma_nv = eps kappa: its kernel is
+    # simple for eps > 0, however small, and three-dimensional (one state
+    # per spin sector) at eps = 0. The cross-check through the one bordered
+    # factor accepts down to eps = 1e-14 and rejects eps = 0, as two
+    # separate factors did, and its discrepancy |x - x2| stays within twice
+    # that of an independent LU of the row-(d+1) bordered matrix (0.35-1.3
+    # times it when measured; the cancelling Woodbury form w - Z C^-1 V^T w
+    # reads 130 times it at eps = 1e-14).
+    layout = full_layout(3)
+    p = ModelParams(omega_r=TWO_PI * 6e9, omega_0=TWO_PI * 6e9,
+                    g=TWO_PI * 14e6, eta=TWO_PI * 60e3, zeta=2 * KAPPA,
+                    N_fock=3)
+    d = DecoherenceRates(kappa=KAPPA, gamma_pcq=TWO_PI * 5e4,
+                         gamma_nv=eps * KAPPA)
+    lio = build_liouvillian(build_interaction_hamiltonian(p, layout),
+                            build_collapse_operators(d, layout))
+    if eps == 0.0:
+        with pytest.raises(DegenerateSteadyState) as exc:
+            steady_state(lio)
+        assert exc.value.kernel_dim == 3
+        return
+    rho = steady_state(lio)
+    assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+    x, x2, _ = liouvillian_module._bordered_solves(lio)
+    x2_ref = lil_bordered_solve(lio, lio.dim + 1)
+    assert np.linalg.norm(x - x2) <= 2.0 * np.linalg.norm(x - x2_ref) \
+        + 1e-14 * np.linalg.norm(x)
 
 
 def test_steady_state_invariant_under_basis_permutation():

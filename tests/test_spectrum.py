@@ -566,6 +566,31 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
     assert s.metadata["krylov_dim"] > spectrum_module._KRYLOV_START
 
 
+def test_sector_problem_and_one_probe_grid_factor_twice(monkeypatch):
+    # A truncation probe's whole sparse-LU cost: one bordered factor for the
+    # steady state and its uniqueness cross-check (the sector problem), one
+    # shifted factor for the 33-point grid. On fig4a and on the strong-drive
+    # sector.
+    factored = []
+    splu = liouvillian_module.spla.splu
+
+    def counting_splu(a, *args, **kwargs):
+        factored.append(a)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(liouvillian_module.spla, "splu", counting_splu)
+    overrides, loop_changes = STRONG
+    for name, over, changes in (("fig4a", (), {"r_loop": 0.6542e-6}),
+                                ("fig7", overrides, loop_changes)):
+        cfg, model, rates, offset, span = preset_point(name, 4, over,
+                                                       **changes)
+        factored.clear()
+        problem = sector_problem(model, rates, 1)
+        assert len(factored) == 1, name
+        problem.spectrum(np.linspace(-span, span, 33), frame_offset=offset)
+        assert len(factored) == 2, name
+
+
 def test_later_grid_continues_the_kept_projection(monkeypatch):
     # fig4a m_s = 0 at three times the preset span: the window's two ends
     # stop at m = 8, a 201-point grid over the same window needs m = 16. The
