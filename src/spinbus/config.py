@@ -24,14 +24,15 @@ kappa/2pi = 26 kHz). Sections group related keys; scan axes live under
 
 Bare numbers are accepted only for dimensionless keys; a dimensional key
 without a unit is a validation error, as is a unit of the wrong dimension.
-The full grammar, key table and defaults are documented in the README.
+The full grammar, key table and defaults are documented in the README;
+AXES defines the scan axes, and ScanConfig.point applies an axis value.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .couplings import LoopParams, NVParams, ResonatorParams, static_bias_field
 from .errors import ParseError, SpinbusError, ValidationError
@@ -103,15 +104,17 @@ KEY_TABLE: dict[tuple[str, str], tuple] = {
     ("output", "products"): (_products, None, None),
 }
 
-# Scan axes and the dimension of their values: the loop fields, plus three
-# that set other quantities.
-AXIS_DIMENSIONS: dict[str, str] = {
-    **{key: KEY_TABLE[("loop", key)][0]
+# Scan axes: name -> (dimension of the values, {loop field: scale}). A value
+# sets each field to itself, times the base loop's field the scale names if
+# any (epsilon sets T2_pcq = epsilon * T1_pcq). d sets no loop field: it is
+# the loop-conductor distance, in place of the d rule.
+AXES: dict[str, tuple[str, dict[str, str | None]]] = {
+    **{key: (KEY_TABLE[("loop", key)][0], {key: None})
        for key in ("r_loop", "I_p", "T1_pcq", "T2_pcq")},
-    "n_turns": "none",
-    "tau": "time",       # sets T1_pcq = T2_pcq = tau
-    "epsilon": "none",   # sets T2_pcq = epsilon * T1_pcq
-    "d": "length",       # loop-conductor distance, overrides the d rule
+    "n_turns": ("none", {"n_turns": None}),
+    "tau": ("time", {"T1_pcq": None, "T2_pcq": None}),
+    "epsilon": ("none", {"T2_pcq": "T1_pcq"}),
+    "d": ("length", {}),
 }
 
 _NUMBER_UNIT = re.compile(
@@ -167,10 +170,10 @@ class ScanAxis:
     unit: str = ""
 
     def __post_init__(self):
-        if self.name not in AXIS_DIMENSIONS:
+        if self.name not in AXES:
             raise ValidationError(
                 f"unknown scan axis {self.name!r}; valid: "
-                f"{sorted(AXIS_DIMENSIONS)}"
+                f"{sorted(AXES)}"
             )
         if len(self.values) == 0:
             raise ValidationError(f"axis {self.name!r} has no values")
@@ -250,6 +253,21 @@ class ScanConfig:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate scan axes")
+
+    def point(self, axis: str, value: float) -> tuple[LoopParams, float]:
+        """(loop, d) at one scan point: the base loop with the fields AXES
+        gives for `axis` set from `value`, and the distance d, `value` on a
+        d axis and the d rule's otherwise. An unknown axis, or a value
+        LoopParams rejects (n_turns = 1.5, T2 > 2 T1), is a ValidationError."""
+        if axis not in AXES:
+            raise ValidationError(
+                f"axis {axis!r} not usable in a spectrum scan")
+        changes = {field: value if scale is None
+                   else value * getattr(self.loop, scale)
+                   for field, scale in AXES[axis][1].items()}
+        loop = _construct(replace, self.loop, **changes)
+        d = value if axis == "d" else self.solver.distance_for(loop.r_loop)
+        return loop, d
 
     def describe(self) -> str:
         """Echo of the resolved configuration in presentation units."""
@@ -341,9 +359,9 @@ def parse_config_text(text: str) -> tuple[dict, AxisSpecs]:
 
 
 def _parse_axis_spec(name: str, spec: str, line_no: int | None) -> ScanAxis:
-    if name not in AXIS_DIMENSIONS:
+    if name not in AXES:
         raise ValidationError(f"unknown scan axis {name!r}")
-    dim = AXIS_DIMENSIONS[name]
+    dim = AXES[name][0]
     parts = spec.split(None, 1)
     kind = parts[0]
     rest = parts[1] if len(parts) > 1 else ""
@@ -422,9 +440,9 @@ def _parse_from(source: Source, parse, *args):
         raise exc.in_context(source) from None
 
 
-def _construct(cls, values: dict):
+def _construct(build, *args, **values):
     try:
-        return cls(**values)
+        return build(*args, **values)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
@@ -445,14 +463,14 @@ def build_scan_config(tree: dict, axis_specs: AxisSpecs
                                            raw)
 
     values["resonator"].setdefault("zeta", 2.0 * values["resonator"]["kappa"])
-    resonator = _construct(ResonatorParams, values["resonator"])
+    resonator = _construct(ResonatorParams, **values["resonator"])
 
     values["loop"].setdefault("Delta", resonator.omega_r)
-    loop = _construct(LoopParams, values["loop"])
+    loop = _construct(LoopParams, **values["loop"])
 
     # B_bias defaults to the half-flux-quantum bias field of the loop
     values["nv"].setdefault("B_bias", static_bias_field(loop))
-    nv = _construct(NVParams, values["nv"])
+    nv = _construct(NVParams, **values["nv"])
 
     axes = tuple(_parse_from(source, _parse_axis_spec, name, spec)
                  for name, spec, source in axis_specs)
@@ -490,7 +508,7 @@ def apply_overrides(tree: dict, axis_specs: AxisSpecs,
         value = value.strip()
         source = f"override {key}={value}"
         axis_declared = any(n == key for n, _, _ in axis_specs)
-        if key in AXIS_DIMENSIONS and axis_declared:
+        if key in AXES and axis_declared:
             axis_specs = [(n, s, ln) for n, s, ln in axis_specs if n != key]
             axis_specs.append((key, f"list {value}", source))
             continue
@@ -500,7 +518,7 @@ def apply_overrides(tree: dict, axis_specs: AxisSpecs,
             matches = [(s, kk) for (s, kk) in KEY_TABLE if kk == key]
             if len(matches) == 1:
                 section, k = matches[0]
-            elif key in AXIS_DIMENSIONS:
+            elif key in AXES:
                 axis_specs.append((key, f"list {value}", source))
                 continue
             else:

@@ -39,7 +39,7 @@ Conventions that materially change numbers, pinned here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -59,6 +59,15 @@ from .units import TWO_PI
 RateConvention = Literal["cyclic", "plain"]
 NVRelaxation = Literal["as_printed", "lowering"]
 PCQRelaxation = Literal["as_printed", "lowering"]
+
+
+def check_convention(name: str, value: str, convention) -> None:
+    """ValueError unless value is one of the names the Literal alias
+    `convention` allows, so a misspelt name never selects the other
+    variant."""
+    allowed = get_args(convention)
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,7 @@ def rates_from_times(T1: float, T2: float,
     if T2 > 2.0 * T1 * (1.0 + 1e-12):
         raise UnphysicalT2(f"T2={T2!r} exceeds 2*T1={2 * T1!r}")
     inv_tphi = max(1.0 / T2 - 1.0 / (2.0 * T1), 0.0)
+    check_convention("rate_convention", convention, RateConvention)
     scale = TWO_PI if convention == "cyclic" else 1.0
     return scale / T1, scale * inv_tphi
 
@@ -272,6 +282,8 @@ def build_collapse_operators(d: DecoherenceRates, layout: SpaceLayout,
     only the first, second and fourth are meaningful and the spin rates
     must be zero.
     """
+    check_convention("nv_relaxation", nv_relaxation, NVRelaxation)
+    check_convention("pcq_relaxation", pcq_relaxation, PCQRelaxation)
     has_nv = "nv" in layout.labels
     if not has_nv and (d.gamma_nv != 0.0 or d.gamma_phi_nv != 0.0):
         raise LayoutMismatch("spin rates nonzero but layout has no nv factor")

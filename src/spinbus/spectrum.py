@@ -89,6 +89,8 @@ from .liouvillian import (
 from .model import (
     DecoherenceRates,
     ModelParams,
+    NVRelaxation,
+    check_convention,
     sector_collapse_operators,
     sector_interaction_hamiltonian,
 )
@@ -191,6 +193,8 @@ def two_time_correlation(lio: Superoperator, a_op: LabeledOperator,
                          mode: SpectrumMode = "incoherent") -> np.ndarray:
     """g(tau) = Tr[A_dag e^{L tau} (A rho)] on a uniform tau grid from 0."""
     taus = np.asarray(taus, dtype=float)
+    if taus.size < 2:
+        raise ValueError("taus needs at least two points")
     if taus[0] != 0.0 or np.any(np.diff(taus) <= 0):
         raise ValueError("taus must start at 0 and increase")
     steps = np.diff(taus)
@@ -636,6 +640,7 @@ def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
     SectorProblems, is passed on to nv_sector_spectrum; the returned
     metadata is that spectrum's plus nv_relaxation.
     """
+    check_convention("nv_relaxation", nv_relaxation, NVRelaxation)
     if rates.gamma_nv == 0.0:
         raise DegenerateSteadyState(3)
     pinned = (1.0, 0.0, 0.0) if nv_relaxation == "as_printed" else (0.0, 0.0, 1.0)

@@ -1,8 +1,8 @@
 """Scan orchestration: coupling maps and spectrum sweeps over config axes.
 
-Every scan point is a pure function of the config, so points can run in a
-worker pool; results are merged in axis order regardless of completion
-order, keeping output deterministic.
+Every scan point is a pure function of the config (ScanConfig.point gives
+its loop and distance), so points can run in a worker pool; results merge
+in axis order regardless of completion order, keeping output deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import csv
 import datetime
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,27 +101,6 @@ def run_couplings_scan(cfg: ScanConfig) -> ResultTable:
     return ResultTable(columns, data, _provenance(cfg))
 
 
-def _loop_at(cfg: ScanConfig, axis_name: str, value: float) -> LoopParams:
-    """The base loop with the axis value applied; a value LoopParams
-    rejects (a non-integer n_turns, T2 > 2 T1, ...) is a ValidationError."""
-    loop = cfg.loop
-    if axis_name in ("r_loop", "I_p", "n_turns", "T1_pcq", "T2_pcq"):
-        changes = {axis_name: value}
-    elif axis_name == "tau":
-        changes = {"T1_pcq": value, "T2_pcq": value}
-    elif axis_name == "epsilon":
-        changes = {"T2_pcq": value * loop.T1_pcq}
-    elif axis_name == "d":
-        return loop
-    else:
-        raise ValidationError(
-            f"axis {axis_name!r} not usable in a spectrum scan")
-    try:
-        return replace(loop, **changes)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-
-
 def _point_model(cfg: ScanConfig, loop: LoopParams, d: float, n_fock: int
                  ) -> tuple[ModelParams, DecoherenceRates, float]:
     """(model, rates, frame_offset) for one scan point; frame is the upper
@@ -203,8 +182,7 @@ def resolve_n_fock(cfg: ScanConfig, loop: LoopParams, d: float,
 def compute_point_spectrum(cfg: ScanConfig, axis_name: str, value: float
                            ) -> tuple[Spectrum, PeakReport]:
     """Spectrum and peak report at one axis point (pure; used by workers)."""
-    loop = _loop_at(cfg, axis_name, value)
-    d = value if axis_name == "d" else cfg.solver.distance_for(loop.r_loop)
+    loop, d = cfg.point(axis_name, value)
     problems = {}   # the probe's problems at the chosen N serve the spectrum
     n_fock = resolve_n_fock(cfg, loop, d, problems)
     span = cfg.solver.grid_span_kappa * cfg.resonator.kappa

@@ -49,7 +49,6 @@ from spinbus.spectrum import (
 )
 from spinbus.sweeps import (
     _point_model,
-    _loop_at,
     compute_point_spectrum,
     data_section,
     emit_csv,
@@ -191,7 +190,7 @@ def test_criterion_2b_rabi_doublet_vs_oracle():
 
 def test_criterion_3a_resolvent_vs_time_domain_fig4_base():
     cfg = load_config(preset_path("fig4a"))
-    loop = _loop_at(cfg, "r_loop", 0.2e-6)
+    loop = cfg.point("r_loop", 0.2e-6)[0]
     model, rates, offset = _point_model(
         cfg, loop, cfg.solver.distance_for(loop.r_loop), 4)
     total_res = total_td = 0.0
@@ -248,7 +247,7 @@ def test_criterion_4_steady_state_invariants_every_preset():
         cfg = load_config(preset_path(name))
         axis = cfg.axes[0]
         value = axis.values[len(axis.values) // 2]
-        loop = _loop_at(cfg, axis.name, value)
+        loop = cfg.point(axis.name, value)[0]
         model, rates, _ = _point_model(
             cfg, loop, cfg.solver.distance_for(loop.r_loop), 4)
         problems = [sector_problem(model, rates, m_s) for m_s in (1, 0, -1)]
@@ -346,7 +345,7 @@ def test_criterion_5c_fig4_dephasing_degrades_dip():
 
 def test_criterion_6_truncation_peak_positions_stable():
     cfg = load_config(preset_path("fig7"))
-    loop = _loop_at(cfg, "tau", 20e-6)
+    loop = cfg.point("tau", 20e-6)[0]
     d = cfg.solver.distance_for(loop.r_loop)
     n_conv = resolve_n_fock(cfg, loop, d)
     positions = {}

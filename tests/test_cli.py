@@ -248,18 +248,30 @@ def test_full_liouvillian_mode_one_override_away(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--preset", "fig6a", "--override", "epsilon=2.5"],
-     "at scan point epsilon=2.5: UnphysicalT2: T2_pcq="),
+     "at scan point epsilon=2.5: UnphysicalT2: T2_pcq=4.9999999999999996e-05 "
+     "exceeds 2*T1_pcq=3.9999999999999996e-05"),
     (["spectrum", "--config", "axis n_turns = list 0"],
      "at scan point n_turns=0: n_turns must be a positive integer"),
     (["spectrum", "--config", "axis n_turns = list 1.5, 2.5"],
      "at scan point n_turns=1.5: n_turns must be a positive integer"),
     (["spectrum", "--preset", "fig7", "--override", "tau=0us"],
      "at scan point tau=0 us: coherence times must be positive"),
+    (["spectrum", "--config", "axis T1_pcq = list 0.5 us"],
+     "at scan point T1_pcq=0.5 us: UnphysicalT2: "
+     "T2_pcq=1.9999999999999998e-05 exceeds 2*T1_pcq=1e-06"),
+    (["spectrum", "--config", "axis T2_pcq = list 50 us"],
+     "at scan point T2_pcq=50 us: UnphysicalT2: T2_pcq=4.9999999999999996e-05 "
+     "exceeds 2*T1_pcq=3.9999999999999996e-05"),
+    (["spectrum", "--config", "axis r_loop = list 0 um"],
+     "at scan point r_loop=0 um: r_loop must be positive"),
+    (["spectrum", "--config", "axis I_p = list -1 nA"],
+     "at scan point I_p=-1 nA: I_p must be nonnegative"),
     (["couplings", "--preset", "fig3", "--override", "I_p=-5nA"],
      "I_p must be nonnegative"),
     (["couplings", "--config", "axis r_loop = list 1, 0.5 um"],
      "grids must be monotone nondecreasing"),
-], ids=["epsilon", "n_turns_0", "n_turns_fraction", "tau_0", "I_p_negative",
+], ids=["epsilon", "n_turns_0", "n_turns_fraction", "tau_0", "T1_pcq_short",
+        "T2_pcq_long", "r_loop_0", "I_p_negative_point", "I_p_negative",
         "r_loop_descending"])
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_rejected_axis_values_are_validation_errors(
@@ -275,8 +287,7 @@ def test_rejected_axis_values_are_validation_errors(
     rc = main(argv + ["--threads", threads, "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: category=ValidationError: " + message)
+    assert err == ["error: category=ValidationError: " + message]
 
 
 @pytest.mark.parametrize("override, message", [

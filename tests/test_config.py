@@ -7,6 +7,7 @@ import pytest
 
 from spinbus.cli import PRESETS, preset_path
 from spinbus.config import (
+    AXES,
     KEY_TABLE,
     ScanAxis,
     load_config,
@@ -130,6 +131,50 @@ def test_axis_unknown_name_rejected():
     text = MINIMAL + "\n[scan]\naxis bogus = list 1, 2\n"
     with pytest.raises(ValidationError, match="unknown scan axis"):
         load_config_text(text)
+
+
+# Each axis at one point of MINIMAL (r_loop 0.4 um, I_p 600 nA, 1 turn,
+# T1_pcq 20 us, T2_pcq 2 us, d rule r_loop): the loop fields it sets, and d.
+POINTS = [
+    ("r_loop", 0.3e-6, {"r_loop": 0.3e-6}, 0.3e-6),
+    ("I_p", 700e-9, {"I_p": 700e-9}, 0.4e-6),
+    ("n_turns", 3.0, {"n_turns": 3}, 0.4e-6),
+    ("T1_pcq", 30e-6, {"T1_pcq": 30e-6}, 0.4e-6),
+    ("T2_pcq", 1e-6, {"T2_pcq": 1e-6}, 0.4e-6),
+    ("tau", 5e-6, {"T1_pcq": 5e-6, "T2_pcq": 5e-6}, 0.4e-6),
+    ("epsilon", 0.5, {"T2_pcq": 10e-6}, 0.4e-6),
+    ("d", 0.7e-6, {}, 0.7e-6),
+]
+
+
+def test_every_axis_has_a_point_case():
+    assert sorted(AXES) == sorted(case[0] for case in POINTS)
+
+
+@pytest.mark.parametrize("axis, value, fields, d", POINTS,
+                         ids=[case[0] for case in POINTS])
+def test_point_sets_the_fields_its_axis_documents(axis, value, fields, d):
+    cfg = load_config_text(MINIMAL)
+    loop, got_d = cfg.point(axis, value)
+    assert set(AXES[axis][1]) == set(fields)
+    for field in dataclasses.fields(loop):
+        got, base = getattr(loop, field.name), getattr(cfg.loop, field.name)
+        if field.name in fields:
+            assert got == pytest.approx(fields[field.name]), field.name
+            assert got != base, field.name
+        else:
+            assert got == base, field.name
+    assert got_d == pytest.approx(d)
+
+
+def test_point_rejects_an_unknown_axis_and_a_loop_it_cannot_build():
+    cfg = load_config_text(MINIMAL)
+    with pytest.raises(ValidationError,
+                       match="^axis 'x' not usable in a spectrum scan$"):
+        cfg.point("x", 1.0)
+    with pytest.raises(ValidationError,
+                       match="^n_turns must be a positive integer$"):
+        cfg.point("n_turns", 1.5)
 
 
 def test_scan_axis_guards():

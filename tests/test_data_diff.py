@@ -99,3 +99,19 @@ def test_exit_status_is_1_when_any_data_section_differs(monkeypatch, capsys,
     scan = ["scan", "--preset", "fig7"]
     assert calls == 2 * [[scan + ["--out", "out.csv"],
                           scan + ["--format", "plotdata", "--out", "out.dat"]]]
+
+
+def test_a_config_file_runs_in_both_trees_in_both_formats(
+        monkeypatch, tmp_path, capsys):
+    # a relative path, while every run's working directory is its own
+    # output directory
+    root = os.path.dirname(os.path.dirname(TOOL_PATH))
+    (tmp_path / "ip.cfg").write_text(
+        "[resonator]\nomega_r = 6 GHz\nL_r = 2 nH\nkappa = 26 kHz\n"
+        "[scan]\naxis I_p = list 500, 600 nA\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", root, "--change", root, "--config", "ip.cfg"]
+    assert data_diff.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ip.cfg out.csv: 0 of 2 rows changed",
+        "ip.cfg out.dat: data section identical"]

@@ -56,6 +56,13 @@ def test_rates_plain_convention_drops_2pi():
     assert gp_cyc == pytest.approx(TWO_PI * gp_plain, rel=1e-12)
 
 
+def test_rates_unknown_convention_rejected():
+    # a misspelt name used to take the "plain" branch
+    with pytest.raises(ValueError, match=r"^rate_convention must be one of "
+                       r"\('cyclic', 'plain'\), got 'Cyclic'$"):
+        rates_from_times(20e-6, 2e-6, "Cyclic")
+
+
 def test_rates_unphysical_t2_rejected():
     with pytest.raises(UnphysicalT2):
         rates_from_times(1e-6, 2.1e-6)
@@ -244,6 +251,18 @@ def test_collapse_relaxation_direction_switches():
     assert np.allclose(printed[2].matrix @ top_s, 0.0)
     assert np.allclose(lowered[1].matrix.conj().T, printed[1].matrix)
     assert np.allclose(lowered[2].matrix.conj().T, printed[2].matrix)
+
+
+@pytest.mark.parametrize("relaxations, name", [
+    (("As_printed", "lowering"), "nv_relaxation"),
+    (("as_printed", "raising"), "pcq_relaxation"),
+])
+def test_collapse_unknown_relaxation_rejected(relaxations, name):
+    # a misspelt name used to build the "lowering" operator
+    d = DecoherenceRates(kappa=0.0, gamma_pcq=1.0, gamma_nv=1.0)
+    with pytest.raises(ValueError, match=rf"^{name} must be one of "
+                       r"\('as_printed', 'lowering'\)"):
+        build_collapse_operators(d, full_layout(2), *relaxations)
 
 
 def test_collapse_spin_rates_need_nv_factor():

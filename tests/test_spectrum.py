@@ -121,6 +121,21 @@ def test_analytic_correlation_of_seeded_cavity():
                            atol=1e-10)
 
 
+@pytest.mark.parametrize("taus, message", [
+    ([0.0], "taus needs at least two points"),
+    ([], "taus needs at least two points"),
+    ([1e-6, 2e-6], "taus must start at 0 and increase"),
+    ([0.0, 2e-6, 1e-6], "taus must start at 0 and increase"),
+    ([0.0, 1e-6, 3e-6], "taus must be uniform"),
+])
+def test_correlation_rejects_a_bad_tau_grid(taus, message):
+    layout, a, lio = bare_cavity(3)
+    ket = basis_state(layout, {"cavity": 1})
+    rho = DensityMatrix(np.outer(ket, ket.conj()), layout)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        two_time_correlation(lio, a, rho, np.array(taus))
+
+
 # ---------------------------------------------------------------- modes
 
 def test_mode_distinction_driven_cavity():
@@ -332,6 +347,16 @@ def test_full_mode_without_spin_relaxation_is_degenerate():
         full_liouvillian_spectrum(model, replace(rates, gamma_nv=0.0),
                                   np.linspace(-span, span, 33), offset)
     assert exc.value.kernel_dim == 3
+
+
+def test_full_mode_rejects_an_unknown_nv_relaxation():
+    # a misspelt name used to pin m_s = -1, the "lowering" sector
+    cfg, model, rates, offset, span = preset_point(
+        "fig7", 3, ["solver.nv_mode=full"], T1_pcq=20e-6, T2_pcq=20e-6)
+    with pytest.raises(ValueError, match=r"^nv_relaxation must be one of "
+                       r"\('as_printed', 'lowering'\), got 'As_printed'$"):
+        full_liouvillian_spectrum(model, rates, np.linspace(-span, span, 33),
+                                  offset, nv_relaxation="As_printed")
 
 
 def test_short_and_long_grid_routes_agree_where_they_meet(monkeypatch):

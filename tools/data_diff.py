@@ -1,14 +1,15 @@
 """Differences between the data sections that two source trees write.
 
     python3 tools/data_diff.py --parent DIR --change DIR [--preset P ...]
-        [--workload W ...] [--seed N] [--override KEY=VALUE ...]
-        [--threads N]
+        [--config PATH ...] [--workload W ...] [--seed N]
+        [--override KEY=VALUE ...] [--threads N]
 
 DIR is the root of a source tree (a checkout or an unpacked ``git
 archive``). Each ``--preset`` is run as ``python3 -m spinbus.cli scan
 --preset P --threads 1``, once writing CSV and once plotdata, in both
 trees, with ``PYTHONPATH=DIR/src`` and the tables written to a temporary
-directory. Each ``--workload`` runs the CLI
+directory. Each ``--config`` runs the config file at PATH the same way, as
+``scan --config PATH``. Each ``--workload`` runs the CLI
 invocations of one repetition of that ``perfbench`` workload, generated at
 ``--seed`` by the change tree's ``perfbench/workloads.py``, in both trees.
 ``--override`` is passed to every run; ``--threads`` sets the thread count
@@ -128,10 +129,11 @@ def diff_run(label: str, invocations: list[list[str]], args,
              work: str) -> bool:
     """Runs the invocations in both trees, prints one line per table and
     returns whether any data section differs."""
+    work = tempfile.mkdtemp(dir=work)   # a label may repeat or be a path
     dirs = []
     for side, tree, threads in (("parent", args.parent, 1),
                                 ("change", args.change, args.threads)):
-        dirs.append(os.path.join(work, label, side))
+        dirs.append(os.path.join(work, side))
         run_tree(os.path.abspath(tree), invocations, dirs[-1], threads,
                  args.override)
     differs = False
@@ -157,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", required=True, metavar="DIR")
     ap.add_argument("--change", required=True, metavar="DIR")
     ap.add_argument("--preset", action="append", default=[])
+    ap.add_argument("--config", action="append", default=[], metavar="PATH")
     ap.add_argument("--workload", action="append", default=[])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--override", action="append", default=[],
@@ -165,9 +168,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     differs = False
     with tempfile.TemporaryDirectory() as work:
-        for preset in args.preset:
-            scan = ["scan", "--preset", preset]
-            differs |= diff_run(preset, [
+        scans = ([(preset, ["--preset", preset]) for preset in args.preset]
+                 + [(path, ["--config", os.path.abspath(path)])
+                    for path in args.config])
+        for label, source in scans:
+            scan = ["scan", *source]
+            differs |= diff_run(label, [
                 scan + ["--out", "out.csv"],
                 scan + ["--format", "plotdata", "--out", "out.dat"],
             ], args, work)
