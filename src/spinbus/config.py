@@ -33,9 +33,16 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
+from typing import get_args
 
 from .couplings import LoopParams, NVParams, ResonatorParams, static_bias_field
 from .errors import ParseError, SpinbusError, ValidationError
+from .model import (
+    NVRelaxation,
+    PCQRelaxation,
+    RateConvention,
+    validate_weights,
+)
 from .units import TWO_PI, UNIT_TABLE, format_in, to_unit
 
 
@@ -199,12 +206,12 @@ class SolverSettings:
     d_rule: str = "r_loop"             # or "fixed:<meters>"
 
     def __post_init__(self):
-        if self.rate_convention not in ("cyclic", "plain"):
-            raise ValidationError(f"bad rate_convention {self.rate_convention!r}")
-        if self.nv_relaxation not in ("as_printed", "lowering"):
-            raise ValidationError(f"bad nv_relaxation {self.nv_relaxation!r}")
-        if self.pcq_relaxation not in ("as_printed", "lowering"):
-            raise ValidationError(f"bad pcq_relaxation {self.pcq_relaxation!r}")
+        for name, convention in (("rate_convention", RateConvention),
+                                 ("nv_relaxation", NVRelaxation),
+                                 ("pcq_relaxation", PCQRelaxation)):
+            value = getattr(self, name)
+            if value not in get_args(convention):
+                raise ValidationError(f"bad {name} {value!r}")
         if self.nv_mode not in ("sectors", "full"):
             raise ValidationError(f"bad nv_mode {self.nv_mode!r}")
         if self.spectrum_mode not in ("incoherent", "full"):
@@ -227,6 +234,7 @@ class SolverSettings:
             raise ValidationError("dip_fraction must lie in (0, 1)")
         if self.d_rule != "r_loop" and not self.d_rule.startswith("fixed:"):
             raise ValidationError(f"bad d_rule {self.d_rule!r}")
+        validate_weights(self.weights)
 
     def distance_for(self, r_loop: float) -> float:
         if self.d_rule == "r_loop":

@@ -39,12 +39,12 @@ Conventions that materially change numbers, pinned here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, get_args
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 from .couplings import NVParams
-from .errors import LayoutMismatch, UnphysicalT2
+from .errors import LayoutMismatch, UnphysicalT2, WeightsInvalid
 from .operators import (
     LabeledOperator,
     SpaceLayout,
@@ -68,6 +68,20 @@ def check_convention(name: str, value: str, convention) -> None:
     allowed = get_args(convention)
     if value not in allowed:
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+
+
+def validate_weights(weights: Sequence[float]) -> np.ndarray:
+    """The three sector weights (m_s = +1, 0, -1) as an array; WeightsInvalid
+    unless they are nonnegative and sum to one."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (3,):
+        raise WeightsInvalid("need exactly three sector weights (+1, 0, -1)")
+    if np.any(w < 0.0):
+        raise WeightsInvalid("sector weights must be nonnegative")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise WeightsInvalid(
+            f"sector weights sum to {float(w.sum()):.12g}, not 1")
+    return w
 
 
 @dataclass(frozen=True)

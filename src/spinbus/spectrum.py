@@ -22,13 +22,15 @@ Linear Algebra Appl. 58, 391 (1984); Frommer & Glaessner, SIAM J. Sci.
 Comput. 19, 15 (1998)). Every shifted system (i w I - L) x = b shares the
 Krylov space of K = (s0 I - L)^{-1} started from K b, because
 (i w I - L) = (s0 I - L)(I + mu K) with mu = i w - s0. The shift s0 sits
-half a grid span to the right of the grid centre, where a Lindblad L has
-no eigenvalue, so one sparse LU of s0 I - L serves every frequency of the
-grid. Arnoldi gives K Q_m = Q_{m+1} Hbar_m, and x = Q_m y with
-y = beta (I + mu H_m)^{-1} e_1: a pivoted elimination on the Hessenberg
-H_m, O(m^2) per frequency and vectorised over the grid. m doubles until
-the Arnoldi residual (Saad, Math. Comp. 37, 105 (1981)) is well below the
-accepted one at every frequency; the true residual is checked once, with
+an eighth of the grid span to the right of the grid centre, where a
+Lindblad L has no eigenvalue, so one sparse LU of s0 I - L serves every
+frequency of the grid; a pole that close to the window needs a smaller m
+(Guettel, GAMM-Mitt. 36, 8 (2013)). Arnoldi gives K Q_m = Q_{m+1} Hbar_m,
+and x = Q_m y with y = beta (I + mu H_m)^{-1} e_1: a pivoted elimination
+on the Hessenberg H_m, O(m^2) per frequency and vectorised over the grid.
+m doubles up to 16, then grows by 8, until the Arnoldi residual (Saad,
+Math. Comp. 37, 105 (1981)) is well below the accepted one at every
+frequency; the true residual is checked once, with
 L Q_m and u^dag Q_m formed once, so x itself is never formed. That
 residual is ||W z|| with W = [Q_m, L Q_m, b] and z = (i w y, -y, -1). On a
 grid long against m it is taken as ||R z|| with R the R factor of W, which
@@ -75,7 +77,6 @@ from .errors import (
     GridTooCoarse,
     LayoutMismatch,
     SingularResolvent,
-    WeightsInvalid,
     WindowTooShort,
 )
 from .liouvillian import (
@@ -93,6 +94,7 @@ from .model import (
     check_convention,
     sector_collapse_operators,
     sector_interaction_hamiltonian,
+    validate_weights,
 )
 from .operators import (
     DensityMatrix,
@@ -108,7 +110,8 @@ SpectrumMode = Literal["full", "incoherent"]
 
 # Largest accepted ||(i w I - L) x - b|| / ||b|| of any resolvent solve.
 _RESIDUAL_TOL = 1e-8
-# Krylov dimension a projection starts from; it doubles from there.
+# Krylov dimension a projection starts from; it doubles up to 16, then
+# grows by 8 at a time.
 _KRYLOV_START = 8
 # Complex values per block of frequencies: a block holds one d^2-long
 # residual column per frequency, so the bound caps it whatever the grid
@@ -392,11 +395,12 @@ class SectorProblem:
         worst residual relative to ||b||.
 
         The shift is s0 = delta + i w_c, with w_c the grid centre and delta
-        its half-span, floored at 1e-6 of L's scale for a one-frequency grid.
-        Arnoldi with one re-orthogonalisation pass extends
-        K Q_m = Q_{m+1} Hbar_m. Each block of frequencies (_CHUNK_ELEMENTS)
-        takes y = beta (I + mu H_m)^{-1} e_1 by _hessenberg_solve, O(m^2)
-        per frequency, and m doubles from _KRYLOV_START until the
+        an eighth of its span, floored at 1e-6 of L's scale for a
+        one-frequency grid. Arnoldi with one re-orthogonalisation pass
+        extends K Q_m = Q_{m+1} Hbar_m. Each block of frequencies
+        (_CHUNK_ELEMENTS) takes y = beta (I + mu H_m)^{-1} e_1 by
+        _hessenberg_solve, O(m^2) per frequency, and m doubles from
+        _KRYLOV_START up to 16, then grows by 8 columns, until the
         Arnoldi residual is at most 1e-4 _RESIDUAL_TOL at every frequency,
         Arnoldi breaks down (the space is invariant, so the projection is
         exact) or m reaches the dimension of L. The Arnoldi residual is the
@@ -430,7 +434,7 @@ class SectorProblem:
         lio = self.lio
         n = b.size
         lo, hi = float(omegas.min()), float(omegas.max())
-        s0 = max(0.5 * (hi - lo), 1e-6 * lio.norm_scale()) + 0.5j * (lo + hi)
+        s0 = max(0.125 * (hi - lo), 1e-6 * lio.norm_scale()) + 0.5j * (lo + hi)
         bnorm = float(np.linalg.norm(b))
         kept, lu = self._projection, None
         if kept is not None and kept[:2] == (s0, mode):
@@ -460,7 +464,7 @@ class SectorProblem:
                         * np.linalg.norm(s0 * q[:, m] - lio.matrix @ q[:, m])
                         <= _RESIDUAL_TOL * 1e-4 * bnorm):
                     break
-            m = min(2 * m, n)
+            m = min(2 * m if m < 16 else m + 8, n)
         self._projection = (s0, mode, beta, q, h, invariant)
         basis = q[:, :m]
         l_basis, u_basis = lio.matrix @ basis, u @ basis
@@ -531,17 +535,6 @@ def spectrum_fft_crosscheck(lio: Superoperator, a_op: LabeledOperator,
     order = np.argsort(freqs)
     return Spectrum(freqs[order] - frame_offset, np.real(s_fft[order]),
                     frame_offset, meta)
-
-
-def validate_weights(weights: Sequence[float]) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (3,):
-        raise WeightsInvalid("need exactly three sector weights (+1, 0, -1)")
-    if np.any(w < 0.0):
-        raise WeightsInvalid("sector weights must be nonnegative")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise WeightsInvalid(f"sector weights sum to {w.sum()!r}, not 1")
-    return w
 
 
 def sector_problem(p: ModelParams, rates: DecoherenceRates, m_s: int,

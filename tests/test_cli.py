@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import spinbus
+from spinbus import sweeps
 from spinbus.cli import main, preset_path
 from spinbus.sweeps import data_section, read_csv
 
@@ -297,6 +298,9 @@ def test_rejected_axis_values_are_validation_errors(
     ("solver.truncation_tol=-1", "truncation_tol must be positive"),
     ("solver.grid_span_kappa=0", "grid_span_kappa must be positive"),
     ("solver.grid_span_kappa=-3", "grid_span_kappa must be positive"),
+    ("solver.rate_convention=Cyclic", "bad rate_convention 'Cyclic'"),
+    ("solver.nv_relaxation=raising", "bad nv_relaxation 'raising'"),
+    ("solver.pcq_relaxation=As_printed", "bad pcq_relaxation 'As_printed'"),
 ])
 def test_rejected_solver_settings_are_validation_errors(
         tmp_path, capsys, override, message):
@@ -305,6 +309,26 @@ def test_rejected_solver_settings_are_validation_errors(
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: category=ValidationError: " + message]
+
+
+@pytest.mark.parametrize("weights, message", [
+    ("0 0 0", "sector weights sum to 0, not 1"),
+    ("0.5 0.6 0.1", "sector weights sum to 1.2, not 1"),
+    ("0.5 0.6 -0.1", "sector weights must be nonnegative"),
+])
+def test_bad_sector_weights_are_rejected_before_any_scan_point(
+        tmp_path, capsys, monkeypatch, weights, message):
+    # The config is rejected while it is parsed, so the line names no scan
+    # point, and the sum prints as a plain float.
+    def no_point(*args):
+        raise AssertionError("a scan point ran")
+
+    monkeypatch.setattr(sweeps, "compute_point_spectrum", no_point)
+    rc = main(["spectrum", "--preset", "fig7", "--override",
+               f"solver.weights={weights}", "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: category=WeightsInvalid: " + message]
 
 
 @pytest.mark.parametrize("override, line", [

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,6 +211,24 @@ def test_weights_fraction_syntax():
     text = MINIMAL + "\n[solver]\nweights = 1/2 1/4 1/4\n"
     cfg = load_config_text(text)
     assert cfg.solver.weights == pytest.approx((0.5, 0.25, 0.25))
+
+
+def test_config_and_its_imports_load_no_scipy():
+    # spinbus.config with the modules it imports (model among them, for the
+    # convention aliases and the weights check), under a bare package: the
+    # package __init__ imports the engine, which does load SciPy.
+    src = Path(__file__).resolve().parents[1] / "src" / "spinbus"
+    code = ("import sys, types; "
+            "pkg = types.ModuleType('spinbus'); "
+            f"pkg.__path__ = [{str(src)!r}]; "
+            "sys.modules['spinbus'] = pkg; "
+            "import spinbus.config; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'spinbus.model' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]
 
 
 def test_solver_enum_validation():

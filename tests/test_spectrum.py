@@ -31,6 +31,7 @@ from spinbus.model import (
     ModelParams,
     build_collapse_operators,
     build_interaction_hamiltonian,
+    validate_weights,
 )
 from spinbus.operators import (
     DensityMatrix,
@@ -54,7 +55,6 @@ from spinbus.spectrum import (
     spectrum_fft_crosscheck,
     spectrum_resolvent,
     two_time_correlation,
-    validate_weights,
 )
 from spinbus.sweeps import _point_model
 from spinbus.units import TWO_PI
@@ -270,7 +270,7 @@ def preset_point(name, n_fock, overrides=(), **loop_changes):
     return cfg, model, rates, offset, span
 
 
-def test_schur_route_matches_direct_solve_fig4a_cancellation():
+def test_krylov_matches_direct_solve_fig4a_cancellation():
     # The peak is tiny against ||u|| ||b|| / kappa here, so the spectrum is a
     # large cancellation: diagonalizing the projected Krylov matrix instead
     # of solving with it misses it by ~5e-10 of the peak.
@@ -359,7 +359,7 @@ def test_full_mode_rejects_an_unknown_nv_relaxation():
                                   offset, nv_relaxation="As_printed")
 
 
-def test_short_and_long_grid_routes_agree_where_they_meet(monkeypatch):
+def test_short_and_long_grids_agree_where_they_meet(monkeypatch):
     densified = []
 
     def counting_toarray(self, *args, **kwargs):
@@ -538,11 +538,12 @@ def test_spectrum_imports_no_scipy_and_no_private_liouvillian_name():
 
 
 def test_every_grid_takes_one_krylov_projection(monkeypatch):
-    # On a freshly built problem each grid factors s0 I - L once (Re s0 > 0),
-    # on a probe grid and on final grids alike, and never densifies L. A
-    # second grid over the same L, b and window continues that projection
-    # and factors nothing. The strong-drive probe sector needs more than the
-    # starting Krylov dimension.
+    # On a freshly built problem each grid factors s0 I - L once, with
+    # Re s0 an eighth of the grid's span, on a probe grid and on final grids
+    # alike, and never densifies L. A second grid over the same L, b and
+    # window continues that projection and factors nothing. The
+    # strong-drive probe sector needs more than the starting Krylov
+    # dimension.
     cfg, model, rates, offset, span = preset_point("fig4a", 4,
                                                    r_loop=0.6542e-6)
     overrides, loop_changes = STRONG
@@ -575,7 +576,7 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
         assert len(factored) == 1
         shifted = factored[0] + problem.lio.matrix
         s0 = shifted.diagonal()[0]
-        assert s0.real > 0.0
+        assert s0.real == pytest.approx((grid[-1] - grid[0]) / 8, rel=1e-9)
         assert abs(shifted - s0 * sp.identity(problem.lio.matrix.shape[0])).max() \
             <= 1e-12 * abs(s0)
         assert s.metadata["route"] == "krylov"
@@ -617,15 +618,15 @@ def test_sector_problem_and_one_probe_grid_factor_twice(monkeypatch):
 
 
 def test_later_grid_continues_the_kept_projection(monkeypatch):
-    # fig4a m_s = 0 at three times the preset span: the window's two ends
-    # stop at m = 8, a 201-point grid over the same window needs m = 16. The
-    # second grid extends the first grid's projection to exactly what a
-    # fresh one gives; another window or another b on the same L starts a
-    # fresh projection.
+    # fig4a m_s = 0 over the window from -5 to 3 preset spans, off the
+    # centre of its spectrum: the window's two ends stop at m = 8, a
+    # 201-point grid over the same window needs m = 16. The second grid
+    # extends the first grid's projection to exactly what a fresh one gives;
+    # another window or another b on the same L starts a fresh projection.
     cfg, model, rates, offset, span = preset_point("fig4a", 4,
                                                    r_loop=0.6542e-6)
-    ends = np.array([-3.0 * span, 3.0 * span])
-    grid = np.linspace(-3.0 * span, 3.0 * span, 201)
+    ends = np.array([-5.0 * span, 3.0 * span])
+    grid = np.linspace(-5.0 * span, 3.0 * span, 201)
     factored = []
     splu = liouvillian_module.spla.splu
 
@@ -664,7 +665,7 @@ def test_later_grid_continues_the_kept_projection(monkeypatch):
 
 
 def test_krylov_growth_checks_the_true_residual_once(monkeypatch):
-    # The strong-drive probe sector grows m from 8 through 16 to 32. The
+    # The strong-drive probe sector grows m from 8 through 16 to 24. The
     # growth test reads the Arnoldi residual, whose sparse product takes one
     # vector; the true residual takes L Q_m. So L multiplies one block, of
     # the accepted m columns, once per call: on the probe grid and on a
@@ -687,8 +688,31 @@ def test_krylov_growth_checks_the_true_residual_once(monkeypatch):
         block_columns.clear()
         s = problem.spectrum(np.linspace(-span, span, points),
                              frame_offset=offset)
-        assert s.metadata["krylov_dim"] == 32
-        assert block_columns == [32]
+        assert s.metadata["krylov_dim"] == 24
+        assert block_columns == [24]
+
+
+def test_krylov_dimension_doubles_to_16_then_grows_by_8(monkeypatch):
+    # The strong-drive N = 10 probe sector (d^2 = 400) extends its Arnoldi
+    # basis to 8, 16, 24 and 32 columns: doubling from the start up to 16,
+    # then 8 columns per step.
+    overrides, loop_changes = STRONG
+    cfg, model, rates, offset, span = preset_point("fig7", 10, overrides,
+                                                   **loop_changes)
+    problem = sector_problem(model, rates, 1)
+    assert problem.lio.matrix.shape[0] == 400
+    targets = []
+    extend_arnoldi = spectrum_module._extend_arnoldi
+
+    def recording_extend_arnoldi(lu, q, h, target):
+        targets.append(target)
+        return extend_arnoldi(lu, q, h, target)
+
+    monkeypatch.setattr(spectrum_module, "_extend_arnoldi",
+                        recording_extend_arnoldi)
+    s = problem.spectrum(np.linspace(-span, span, 33), frame_offset=offset)
+    assert targets == [8, 16, 24, 32]
+    assert s.metadata["krylov_dim"] == 32
 
 
 def test_true_residual_guard_sees_a_perturbed_small_solution(monkeypatch):
@@ -894,7 +918,8 @@ def test_weights_validation():
         validate_weights([0.5, 0.5])
     with pytest.raises(WeightsInvalid):
         validate_weights([0.6, 0.5, -0.1])
-    with pytest.raises(WeightsInvalid):
+    with pytest.raises(WeightsInvalid,
+                       match=r"^sector weights sum to 1\.1, not 1$"):
         validate_weights([0.5, 0.4, 0.2])
     w = validate_weights([1 / 3, 1 / 3, 1 / 3])
     assert w.sum() == pytest.approx(1.0)
