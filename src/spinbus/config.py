@@ -38,9 +38,11 @@ from typing import get_args
 from .couplings import LoopParams, NVParams, ResonatorParams, static_bias_field
 from .errors import ParseError, SpinbusError, ValidationError
 from .model import (
+    NVMode,
     NVRelaxation,
     PCQRelaxation,
     RateConvention,
+    SpectrumMode,
     validate_weights,
 )
 from .units import TWO_PI, UNIT_TABLE, format_in, to_unit
@@ -206,16 +208,14 @@ class SolverSettings:
     d_rule: str = "r_loop"             # or "fixed:<meters>"
 
     def __post_init__(self):
-        for name, convention in (("rate_convention", RateConvention),
-                                 ("nv_relaxation", NVRelaxation),
-                                 ("pcq_relaxation", PCQRelaxation)):
-            value = getattr(self, name)
-            if value not in get_args(convention):
-                raise ValidationError(f"bad {name} {value!r}")
-        if self.nv_mode not in ("sectors", "full"):
-            raise ValidationError(f"bad nv_mode {self.nv_mode!r}")
-        if self.spectrum_mode not in ("incoherent", "full"):
-            raise ValidationError(f"bad spectrum_mode {self.spectrum_mode!r}")
+        for key, allowed in (("rate_convention", RateConvention),
+                             ("nv_relaxation", NVRelaxation),
+                             ("pcq_relaxation", PCQRelaxation),
+                             ("nv_mode", NVMode),
+                             ("spectrum_mode", SpectrumMode)):
+            value = getattr(self, key)
+            if value not in get_args(allowed):
+                raise ValidationError(f"bad {key} {value!r}")
         if self.n_fock is not None and self.n_fock < 2:
             raise ValidationError("n_fock must be at least 2")
         if self.n_fock_start < 2:
@@ -395,17 +395,14 @@ def _parse_axis_spec(name: str, spec: str, line_no: int | None) -> ScanAxis:
         tokens = [t.strip() for t in rest.split(",") if t.strip()]
         if not tokens:
             raise ParseError("empty axis list", line_no)
-        # a unit token may trail the final number: "0.5, 5, 20 us"
+        # a bare value takes the last value's unit: "0.5, 5, 20 us"
         last_m = _NUMBER_UNIT.match(tokens[-1])
         if not last_m:
             raise ParseError(f"cannot parse axis value {tokens[-1]!r}", line_no)
         unit = last_m.group(2) or ""
-        values = []
-        for t in tokens[:-1]:
-            values.append(parse_quantity(t + (" " + unit if unit else ""),
-                                         dim, line_no))
-        values.append(parse_quantity(tokens[-1], dim, line_no))
-        return ScanAxis(name, tuple(values), unit)
+        values = tuple(parse_quantity(t if _unit_of(t) else f"{t} {unit}",
+                                      dim, line_no) for t in tokens)
+        return ScanAxis(name, values, unit)
     raise ParseError(f"axis spec must start with 'linspace' or 'list', "
                      f"got {kind!r}", line_no)
 

@@ -59,6 +59,8 @@ from .units import TWO_PI
 RateConvention = Literal["cyclic", "plain"]
 NVRelaxation = Literal["as_printed", "lowering"]
 PCQRelaxation = Literal["as_printed", "lowering"]
+NVMode = Literal["sectors", "full"]
+SpectrumMode = Literal["full", "incoherent"]
 
 
 def check_convention(name: str, value: str, convention) -> None:

@@ -28,7 +28,7 @@ frequency of the grid; a pole that close to the window needs a smaller m
 (Guettel, GAMM-Mitt. 36, 8 (2013)). Arnoldi gives K Q_m = Q_{m+1} Hbar_m,
 and x = Q_m y with y = beta (I + mu H_m)^{-1} e_1: a pivoted elimination
 on the Hessenberg H_m, O(m^2) per frequency and vectorised over the grid.
-m doubles up to 16, then grows by 8, until the Arnoldi residual (Saad,
+m grows from 8 by 8 at a time until the Arnoldi residual (Saad,
 Math. Comp. 37, 105 (1981)) is well below the accepted one at every
 frequency; the true residual is checked once, with
 L Q_m and u^dag Q_m formed once, so x itself is never formed. That
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Sequence, get_args
 
 import numpy as np
 
@@ -91,6 +91,7 @@ from .model import (
     DecoherenceRates,
     ModelParams,
     NVRelaxation,
+    SpectrumMode,
     check_convention,
     sector_collapse_operators,
     sector_interaction_hamiltonian,
@@ -106,13 +107,11 @@ from .operators import (
 
 logger = logging.getLogger(__name__)
 
-SpectrumMode = Literal["full", "incoherent"]
-
 # Largest accepted ||(i w I - L) x - b|| / ||b|| of any resolvent solve.
 _RESIDUAL_TOL = 1e-8
-# Krylov dimension a projection starts from; it doubles up to 16, then
-# grows by 8 at a time.
-_KRYLOV_START = 8
+# Krylov dimension a projection starts from, and the columns each growth
+# step adds.
+_KRYLOV_STEP = 8
 # Complex values per block of frequencies: a block holds one d^2-long
 # residual column per frequency, so the bound caps it whatever the grid
 # length; the block's small solves hold O(m) values per frequency.
@@ -182,7 +181,7 @@ class PeakReport:
 
 def _fluctuation_operator(a_op: LabeledOperator, rho_ss: DensityMatrix,
                           mode: SpectrumMode) -> np.ndarray:
-    if mode not in ("full", "incoherent"):
+    if mode not in get_args(SpectrumMode):
         raise ValueError(f"unknown spectrum mode {mode!r}")
     a = a_op.matrix
     if mode == "full":
@@ -399,8 +398,8 @@ class SectorProblem:
         one-frequency grid. Arnoldi with one re-orthogonalisation pass
         extends K Q_m = Q_{m+1} Hbar_m. Each block of frequencies
         (_CHUNK_ELEMENTS) takes y = beta (I + mu H_m)^{-1} e_1 by
-        _hessenberg_solve, O(m^2) per frequency, and m doubles from
-        _KRYLOV_START up to 16, then grows by 8 columns, until the
+        _hessenberg_solve, O(m^2) per frequency, and m grows from
+        _KRYLOV_STEP by _KRYLOV_STEP columns at a time until the
         Arnoldi residual is at most 1e-4 _RESIDUAL_TOL at every frequency,
         Arnoldi breaks down (the space is invariant, so the projection is
         exact) or m reaches the dimension of L. The Arnoldi residual is the
@@ -446,7 +445,7 @@ class SectorProblem:
             q = np.asfortranarray((kb / beta)[:, None])
             h = np.zeros((1, 0), dtype=complex)
             invariant = False
-        m = max(min(_KRYLOV_START, n), h.shape[1])
+        m = max(min(_KRYLOV_STEP, n), h.shape[1])
         mu = 1j * omegas - s0
         step = max(1, _CHUNK_ELEMENTS // n)
         blocks = [slice(k0, k0 + step) for k0 in range(0, omegas.size, step)]
@@ -464,7 +463,7 @@ class SectorProblem:
                         * np.linalg.norm(s0 * q[:, m] - lio.matrix @ q[:, m])
                         <= _RESIDUAL_TOL * 1e-4 * bnorm):
                     break
-            m = min(2 * m if m < 16 else m + 8, n)
+            m = min(m + _KRYLOV_STEP, n)
         self._projection = (s0, mode, beta, q, h, invariant)
         basis = q[:, :m]
         l_basis, u_basis = lio.matrix @ basis, u @ basis

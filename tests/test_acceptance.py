@@ -50,13 +50,14 @@ from spinbus.spectrum import (
 from spinbus.sweeps import (
     _point_model,
     compute_point_spectrum,
-    data_section,
     emit_csv,
     resolve_n_fock,
     run_couplings_scan,
     run_spectrum_scan,
 )
 from spinbus.units import TWO_PI
+
+from emitted_tables import data_section
 
 KAPPA = TWO_PI * 26e3
 WR = TWO_PI * 6e9

@@ -7,7 +7,8 @@ import pytest
 import spinbus
 from spinbus import sweeps
 from spinbus.cli import main, preset_path
-from spinbus.sweeps import data_section, read_csv
+
+from emitted_tables import data_section, read_csv
 
 FAST_SPECTRUM = """
 [resonator]
@@ -108,6 +109,16 @@ def test_spectrum_config_with_override(tmp_path, capsys):
     assert float(rows[0][0]) == pytest.approx(15.0)
     peaks = tmp_path / "spec_peaks.csv"
     assert peaks.exists()
+
+
+def test_list_axis_override_values_keep_their_own_units(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    rc = main(["couplings", "--preset", "fig3", "--override",
+               "I_p=500 nA, 0.6 uA", "--echo", "--out", str(out)])
+    assert rc == 0
+    assert "  axis I_p = [0.5, 0.6] uA" in capsys.readouterr().out.splitlines()
+    _, rows, _ = read_csv(str(out))
+    assert [float(row[1]) for row in rows[:2]] == pytest.approx([500.0, 600.0])
 
 
 def test_scan_runs_config_products(tmp_path):
@@ -301,6 +312,8 @@ def test_rejected_axis_values_are_validation_errors(
     ("solver.rate_convention=Cyclic", "bad rate_convention 'Cyclic'"),
     ("solver.nv_relaxation=raising", "bad nv_relaxation 'raising'"),
     ("solver.pcq_relaxation=As_printed", "bad pcq_relaxation 'As_printed'"),
+    ("solver.nv_mode=both", "bad nv_mode 'both'"),
+    ("solver.spectrum_mode=coherent", "bad spectrum_mode 'coherent'"),
 ])
 def test_rejected_solver_settings_are_validation_errors(
         tmp_path, capsys, override, message):

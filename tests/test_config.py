@@ -123,6 +123,27 @@ def test_axis_list_parsing_with_trailing_unit():
     assert ax.values == pytest.approx((0.5e-6, 5e-6, 10e-6, 15e-6, 20e-6))
 
 
+@pytest.mark.parametrize("spec, values, unit", [
+    ("list 5 us, 10 us", (5e-6, 10e-6), "us"),
+    ("list 5us,10us", (5e-6, 10e-6), "us"),
+    ("list 1e-6 s, 2 us", (1e-6, 2e-6), "us"),
+    ("list 1 us, 2, 3000 ns", (1e-6, 2e-9, 3e-6), "ns"),
+])
+def test_axis_list_values_keep_their_own_units(spec, values, unit):
+    # a bare value takes the last value's unit, which is also the axis's
+    cfg = load_config_text(MINIMAL + f"\n[scan]\naxis tau = {spec}\n")
+    assert cfg.axes[0].values == pytest.approx(values)
+    assert cfg.axes[0].unit == unit
+
+
+def test_axis_list_value_unit_of_the_wrong_dimension_is_rejected():
+    text = MINIMAL + "\n[scan]\naxis tau = list 5 nA, 10 us\n"
+    with pytest.raises(ValidationError,
+                       match="^unit 'nA' has dimension 'current', "
+                             "expected 'time' \\(line \\d+\\)$"):
+        load_config_text(text)
+
+
 def test_axis_dimensionless_list():
     text = MINIMAL + "\n[scan]\naxis epsilon = list 0.1, 0.5, 1.0\n"
     cfg = load_config_text(text)

@@ -167,6 +167,14 @@ def test_full_mode_coherent_delta_peak_reported():
     assert s.values[0] >= 0.0
 
 
+def test_unknown_spectrum_mode_is_rejected():
+    layout, a, lio = bare_cavity(3)
+    rho_ss = steady_state(lio)
+    with pytest.raises(ValueError, match="^unknown spectrum mode 'coherent'$"):
+        spectrum_resolvent(lio, a, rho_ss, np.array([KAPPA]),
+                           mode="coherent")
+
+
 # ---------------------------------------------------------------- JC doublet
 
 def test_vacuum_rabi_doublet_positions_and_oracle():
@@ -471,7 +479,7 @@ def test_krylov_on_a_large_liouvillian_gives_the_lorentzian():
     pytest.param(0.75, 33, id="0.75"),
     pytest.param(0.0, 65, id="0.0-65points"),
 ])
-def test_banded_route_reports_undamped_pole(tilt, points):
+def test_krylov_reports_undamped_pole(tilt, points):
     # H = (Delta/2)(sigma_z + tilt sigma_x), undamped: a pole at
     # Delta sqrt(1 + tilt^2) (1.25 Delta for tilt 0.75), on the middle
     # sample of the grid. The projected system is singular there only to
@@ -580,7 +588,7 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
         assert abs(shifted - s0 * sp.identity(problem.lio.matrix.shape[0])).max() \
             <= 1e-12 * abs(s0)
         assert s.metadata["route"] == "krylov"
-        assert s.metadata["krylov_dim"] >= spectrum_module._KRYLOV_START
+        assert s.metadata["krylov_dim"] >= spectrum_module._KRYLOV_STEP
         assert 0.0 < s.metadata["max_relative_residual"] <= 1e-8
         factored.clear()
         again = problem.spectrum(np.linspace(grid[0], grid[-1], 101),
@@ -589,7 +597,7 @@ def test_every_grid_takes_one_krylov_projection(monkeypatch):
         assert again.metadata["krylov_dim"] == s.metadata["krylov_dim"]
         assert 0.0 < again.metadata["max_relative_residual"] <= 1e-8
     assert not densified
-    assert s.metadata["krylov_dim"] > spectrum_module._KRYLOV_START
+    assert s.metadata["krylov_dim"] > spectrum_module._KRYLOV_STEP
 
 
 def test_sector_problem_and_one_probe_grid_factor_twice(monkeypatch):
@@ -692,10 +700,9 @@ def test_krylov_growth_checks_the_true_residual_once(monkeypatch):
         assert block_columns == [24]
 
 
-def test_krylov_dimension_doubles_to_16_then_grows_by_8(monkeypatch):
+def test_krylov_dimension_grows_by_8(monkeypatch):
     # The strong-drive N = 10 probe sector (d^2 = 400) extends its Arnoldi
-    # basis to 8, 16, 24 and 32 columns: doubling from the start up to 16,
-    # then 8 columns per step.
+    # basis to 8, 16, 24 and 32 columns: 8 columns per step from 8.
     overrides, loop_changes = STRONG
     cfg, model, rates, offset, span = preset_point("fig7", 10, overrides,
                                                    **loop_changes)
@@ -713,6 +720,35 @@ def test_krylov_dimension_doubles_to_16_then_grows_by_8(monkeypatch):
     s = problem.spectrum(np.linspace(-span, span, 33), frame_offset=offset)
     assert targets == [8, 16, 24, 32]
     assert s.metadata["krylov_dim"] == 32
+
+
+def test_continued_projection_grows_by_8_from_the_kept_m(monkeypatch):
+    # fig4a N = 6 (d^2 = 144), m_s = +1, over the window from -40 to 8
+    # preset spans: the window's two ends stop at m = 16, a 201-point grid
+    # over it needs m = 24. Continuing the kept m = 16 extends the basis
+    # once, to 24 columns, and gives a fresh projection's values.
+    cfg, model, rates, offset, span = preset_point("fig4a", 6,
+                                                   r_loop=0.6542e-6)
+    ends = np.array([-40.0 * span, 8.0 * span])
+    grid = np.linspace(-40.0 * span, 8.0 * span, 201)
+    problem = sector_problem(model, rates, 1)
+    assert problem.spectrum(ends, frame_offset=offset).metadata[
+        "krylov_dim"] == 16
+    targets = []
+    extend_arnoldi = spectrum_module._extend_arnoldi
+
+    def recording_extend_arnoldi(lu, q, h, target):
+        targets.append(target)
+        return extend_arnoldi(lu, q, h, target)
+
+    monkeypatch.setattr(spectrum_module, "_extend_arnoldi",
+                        recording_extend_arnoldi)
+    s = problem.spectrum(grid, frame_offset=offset)
+    assert targets == [24]
+    assert s.metadata["krylov_dim"] == 24
+    reference = sector_problem(model, rates, 1).spectrum(
+        grid, frame_offset=offset)
+    assert np.array_equal(s.values, reference.values)
 
 
 def test_true_residual_guard_sees_a_perturbed_small_solution(monkeypatch):

@@ -29,14 +29,15 @@ from spinbus.sweeps import (
     ResultTable,
     _point_model,
     compute_point_spectrum,
-    data_section,
     emit_csv,
     emit_plotdata,
-    read_csv,
     resolve_n_fock,
     run_couplings_scan,
     run_spectrum_scan,
 )
+
+from emitted_tables import data_section, read_csv
+
 FAST_SPECTRUM = """
 [resonator]
 omega_r = 6 GHz

@@ -154,8 +154,9 @@ def diff_run(label: str, invocations: list[list[str]], args,
     return differs
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def input_parser(description: str) -> argparse.ArgumentParser:
+    """A parser of the two trees and the inputs to run in both."""
+    ap = argparse.ArgumentParser(description=description)
     ap.add_argument("--parent", required=True, metavar="DIR")
     ap.add_argument("--change", required=True, metavar="DIR")
     ap.add_argument("--preset", action="append", default=[])
@@ -164,26 +165,36 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--override", action="append", default=[],
                     metavar="KEY=VALUE")
+    return ap
+
+
+def inputs(args, outputs: list[list[str]], work: str):
+    """(label, CLI argv lists) of each input of the parsed args: a preset or
+    config scan once per argument list in `outputs`, then each workload's
+    invocations, generated in `work` by the change tree."""
+    scans = ([(preset, ["--preset", preset]) for preset in args.preset]
+             + [(path, ["--config", os.path.abspath(path)])
+                for path in args.config])
+    for label, source in scans:
+        yield label, [["scan", *source, *output] for output in outputs]
+    for workload in args.workload:
+        generated = os.path.join(work, workload + "-inputs")
+        os.makedirs(generated)
+        yield (f"{workload}:{args.seed}",
+               _workload_invocations(args.change, workload, args.seed,
+                                     generated))
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = input_parser(__doc__.splitlines()[0])
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
     differs = False
     with tempfile.TemporaryDirectory() as work:
-        scans = ([(preset, ["--preset", preset]) for preset in args.preset]
-                 + [(path, ["--config", os.path.abspath(path)])
-                    for path in args.config])
-        for label, source in scans:
-            scan = ["scan", *source]
-            differs |= diff_run(label, [
-                scan + ["--out", "out.csv"],
-                scan + ["--format", "plotdata", "--out", "out.dat"],
-            ], args, work)
-        for workload in args.workload:
-            inputs = os.path.join(work, workload + "-inputs")
-            os.makedirs(inputs)
-            invocations = _workload_invocations(args.change, workload,
-                                                args.seed, inputs)
-            differs |= diff_run(f"{workload}:{args.seed}", invocations,
-                                args, work)
+        for label, invocations in inputs(
+                args, [["--out", "out.csv"],
+                       ["--format", "plotdata", "--out", "out.dat"]], work):
+            differs |= diff_run(label, invocations, args, work)
     return int(differs)
 
 

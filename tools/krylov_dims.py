@@ -27,7 +27,6 @@ otherwise. Only the standard library is used.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -36,7 +35,7 @@ import tempfile
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from data_diff import _redirect, _workload_invocations  # noqa: E402
+from data_diff import _redirect, input_parser, inputs  # noqa: E402
 
 # Run in each tree: argv[1] is a JSON list of CLI argv lists, argv[2] the
 # file the records are written to.
@@ -113,31 +112,11 @@ def dims_run(label: str, invocations: list[list[str]], args,
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, metavar="DIR")
-    ap.add_argument("--change", required=True, metavar="DIR")
-    ap.add_argument("--preset", action="append", default=[])
-    ap.add_argument("--config", action="append", default=[], metavar="PATH")
-    ap.add_argument("--workload", action="append", default=[])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--override", action="append", default=[],
-                    metavar="KEY=VALUE")
-    args = ap.parse_args(argv)
+    args = input_parser(__doc__.splitlines()[0]).parse_args(argv)
     differs = False
     with tempfile.TemporaryDirectory() as work:
-        scans = ([(preset, ["--preset", preset]) for preset in args.preset]
-                 + [(path, ["--config", os.path.abspath(path)])
-                    for path in args.config])
-        for label, source in scans:
-            differs |= dims_run(label, [["scan", *source, "--out", "out.csv"]],
-                                args, work)
-        for workload in args.workload:
-            inputs = os.path.join(work, workload + "-inputs")
-            os.makedirs(inputs)
-            invocations = _workload_invocations(args.change, workload,
-                                                args.seed, inputs)
-            differs |= dims_run(f"{workload}:{args.seed}", invocations,
-                                args, work)
+        for label, invocations in inputs(args, [["--out", "out.csv"]], work):
+            differs |= dims_run(label, invocations, args, work)
     return int(differs)
 
 
