@@ -138,8 +138,15 @@ def parse_quantity(text: str, dimension: str, line_no: int | None = None) -> flo
     m = _NUMBER_UNIT.match(text)
     if not m:
         raise ParseError(f"cannot parse quantity {text!r}", line_no)
+    return _in_si(m, dimension, line_no)
+
+
+def _in_si(m: re.Match, dimension: str, line_no: int | None,
+           unit: str = "") -> float:
+    """The SI value of a _NUMBER_UNIT match, with `unit` for a bare number."""
+    text = m.group(0)
     value = float(m.group(1))
-    unit = m.group(2)
+    unit = m.group(2) or unit
     if dimension == "none":
         if unit:
             raise ValidationError(
@@ -311,6 +318,7 @@ def _echo_value(value, unit: str) -> str:
 
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_]+)\]$")
+_SECTIONS = {section for section, _ in KEY_TABLE} | {"scan"}
 
 
 def _strip_comment(line: str) -> str:
@@ -340,8 +348,7 @@ def parse_config_text(text: str) -> tuple[dict, AxisSpecs]:
         m = _SECTION_RE.match(line)
         if m:
             section = m.group(1)
-            if section not in ("resonator", "loop", "nv", "solver",
-                               "scan", "output"):
+            if section not in _SECTIONS:
                 raise ParseError(f"unknown section [{section}]", line_no)
             continue
         if section is None:
@@ -395,13 +402,15 @@ def _parse_axis_spec(name: str, spec: str, line_no: int | None) -> ScanAxis:
         tokens = [t.strip() for t in rest.split(",") if t.strip()]
         if not tokens:
             raise ParseError("empty axis list", line_no)
-        # a bare value takes the last value's unit: "0.5, 5, 20 us"
-        last_m = _NUMBER_UNIT.match(tokens[-1])
-        if not last_m:
-            raise ParseError(f"cannot parse axis value {tokens[-1]!r}", line_no)
-        unit = last_m.group(2) or ""
-        values = tuple(parse_quantity(t if _unit_of(t) else f"{t} {unit}",
-                                      dim, line_no) for t in tokens)
+        # a bare value takes the last value's unit: "0.5, 5, 20 us", so the
+        # last value is checked first
+        matches = {}
+        for t in tokens[-1:] + tokens[:-1]:
+            matches[t] = _NUMBER_UNIT.match(t)
+            if not matches[t]:
+                raise ParseError(f"cannot parse axis value {t!r}", line_no)
+        unit = matches[tokens[-1]].group(2) or ""
+        values = tuple(_in_si(matches[t], dim, line_no, unit) for t in tokens)
         return ScanAxis(name, values, unit)
     raise ParseError(f"axis spec must start with 'linspace' or 'list', "
                      f"got {kind!r}", line_no)

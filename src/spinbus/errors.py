@@ -30,7 +30,7 @@ class SpinbusError(Exception):
 
 
 class DimensionMismatch(SpinbusError, ValueError):
-    """Arithmetic or conversion between incompatible unit dimensions."""
+    """An operator matrix is not a square 2-D array."""
 
 
 class NonpositiveDistance(SpinbusError, ValueError):

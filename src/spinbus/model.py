@@ -38,7 +38,7 @@ Conventions that materially change numbers, pinned here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal, Sequence, get_args
 
 import numpy as np
@@ -125,10 +125,9 @@ class DecoherenceRates:
     gamma_phi_nv: float = 0.0
 
     def __post_init__(self):
-        for name in ("kappa", "gamma_pcq", "gamma_nv",
-                     "gamma_phi_pcq", "gamma_phi_nv"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0.0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
     @classmethod
     def from_times(cls, kappa: float, T1_pcq: float, T2_pcq: float,

@@ -9,7 +9,7 @@ angular frequency is written out as TWO_PI where it applies, never implied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,9 +28,9 @@ class PhysicalConstants:
     bohr_magneton_over_h: float = 1.39962449361e10  # Hz/T
 
     def __post_init__(self):
-        for name in ("hbar", "mu0", "flux_quantum", "bohr_magneton_over_h"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"constant {name} must be strictly positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0.0:
+                raise ValueError(f"constant {f.name} must be strictly positive")
         # Pin flux_quantum = h/(2e) to 6 significant figures; h derived from
         # hbar, e exact since the 2019 SI redefinition.
         h = TWO_PI * self.hbar

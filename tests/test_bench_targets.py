@@ -2,8 +2,10 @@
 by module and attribute name, and reads some of their arguments by position.
 A renamed function or a moved argument would not fail the benchmark: the
 trace skips a missing target with one stderr line and that layer's metrics
-read zero. These tests keep the names and positions the trace relies on."""
+read zero. These tests keep the names and positions the trace relies on,
+and the package names the benchmark's oracle imports."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -11,8 +13,11 @@ import types
 
 import pytest
 
-SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench", "spans.py")
+import spinbus
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+SPANS_PATH = os.path.join(PERFBENCH, "spans.py")
 
 
 def _spans():
@@ -44,3 +49,18 @@ def test_arguments_the_trace_reads_keep_their_position(module_name, attr,
                                                        position, name):
     parameters = list(inspect.signature(_target(module_name, attr)).parameters)
     assert parameters[position] == name
+
+
+def test_names_the_oracle_imports_from_the_package_resolve():
+    # perfbench/oracle.py runs in the benchmark's own process, so a name it
+    # cannot import would fail every run as an oracle crash.
+    path = os.path.join(PERFBENCH, "oracle.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "spinbus"
+             for alias in node.names]
+    assert names
+    for name in names:
+        assert name in spinbus.__all__, name
+        getattr(spinbus, name)

@@ -349,6 +349,8 @@ def test_bad_sector_weights_are_rejected_before_any_scan_point(
                         "cannot parse quantity 'abc'"),
     ("tau=xyz", "error: category=ParseError: override tau=xyz: "
                 "cannot parse axis value 'xyz'"),
+    ("tau=x, 10 us", "error: category=ParseError: override tau=x, 10 us: "
+                     "cannot parse axis value 'x'"),
 ])
 def test_override_errors_name_the_override(tmp_path, capsys, override, line):
     # An override has no line in any file: its error names the override.

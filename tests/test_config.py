@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 import subprocess
 import sys
@@ -144,6 +145,19 @@ def test_axis_list_value_unit_of_the_wrong_dimension_is_rejected():
         load_config_text(text)
 
 
+@pytest.mark.parametrize("axis, value", [
+    ("tau = list x, 10 us", "x"),
+    ("tau = list 5 us 3, 10 us", "5 us 3"),
+    ("tau = list x, y", "y"),
+    ("epsilon = list x, 2", "x"),
+])
+def test_malformed_axis_list_value_is_named_as_written(axis, value):
+    # the last value is checked first: its unit is the axis's
+    with pytest.raises(ParseError) as info:
+        load_config_text(MINIMAL + f"\n[scan]\naxis {axis}\n")
+    assert str(info.value) == f"line 8: cannot parse axis value {value!r}"
+
+
 def test_axis_dimensionless_list():
     text = MINIMAL + "\n[scan]\naxis epsilon = list 0.1, 0.5, 1.0\n"
     cfg = load_config_text(text)
@@ -236,18 +250,14 @@ def test_weights_fraction_syntax():
 
 def test_config_and_its_imports_load_no_scipy():
     # spinbus.config with the modules it imports (model among them, for the
-    # convention aliases and the weights check), under a bare package: the
-    # package __init__ imports the engine, which does load SciPy.
-    src = Path(__file__).resolve().parents[1] / "src" / "spinbus"
-    code = ("import sys, types; "
-            "pkg = types.ModuleType('spinbus'); "
-            f"pkg.__path__ = [{str(src)!r}]; "
-            "sys.modules['spinbus'] = pkg; "
-            "import spinbus.config; "
+    # convention aliases and the weights check)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, spinbus.config; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
             "'spinbus.model' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "True"]
 

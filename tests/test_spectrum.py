@@ -405,7 +405,7 @@ PROBE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(PROBE_CASES))
-def test_banded_route_matches_direct_solve(case):
+def test_krylov_matches_direct_solve_on_probe_grids(case):
     preset, n_fock, overrides, loop_changes, sectors = PROBE_CASES[case]
     cfg, model, rates, offset, span = preset_point(preset, n_fock, overrides,
                                                    **loop_changes)
