@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import get_args
 
 from .couplings import LoopParams, NVParams, ResonatorParams, static_bias_field
-from .errors import ParseError, SpinbusError, ValidationError
+from .errors import NonpositiveDistance, ParseError, SpinbusError, ValidationError
 from .model import (
     NVMode,
     NVRelaxation,
@@ -62,7 +62,11 @@ def _weights(text: str) -> tuple[float, ...]:
 def _d_rule(text: str, line_no: int | None) -> str:
     if text == "r_loop":
         return text
-    return f"fixed:{parse_quantity(text, 'length', line_no):.17g}"
+    d = parse_quantity(text, "length", line_no)
+    if not d > 0.0:
+        error = NonpositiveDistance(f"d_rule must be positive, got {text!r}")
+        raise error.in_context(f"line {line_no}") if line_no else error
+    return f"fixed:{d:.17g}"
 
 
 def _products(text: str) -> tuple[str, ...]:

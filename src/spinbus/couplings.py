@@ -160,13 +160,8 @@ def pcq_cpw_coupling(r: ResonatorParams, loop: LoopParams, d: float) -> float:
     """
     if d <= 0.0:
         raise NonpositiveDistance(f"d must be positive, got {d!r}")
-    g_angular = (
-        loop.n_turns
-        * (loop.I_p * CONSTANTS.mu0 / CONSTANTS.hbar)
-        * (loop.r_loop**2 / d)
-        * rms_vacuum_current(r)
-    )
-    return g_angular / TWO_PI
+    return float(_g_cyclic(loop.n_turns, loop.I_p, loop.r_loop, d,
+                           rms_vacuum_current(r)))
 
 
 def loop_center_field(loop: LoopParams) -> float:
@@ -176,7 +171,7 @@ def loop_center_field(loop: LoopParams) -> float:
     the +/- branch with the circulation direction is handled by the sigma_z
     coupling downstream, so the magnitude is returned.
     """
-    return loop.n_turns * CONSTANTS.mu0 * loop.I_p / (2.0 * loop.r_loop)
+    return float(_center_field(loop.n_turns, loop.I_p, loop.r_loop))
 
 
 def nv_pcq_coupling(loop: LoopParams, nv: NVParams) -> float:
@@ -186,7 +181,23 @@ def nv_pcq_coupling(loop: LoopParams, nv: NVParams) -> float:
     delta_nu = |B_loop| * slope, and eta/(4pi) = delta_nu, hence
     eta/2pi = 2 * |B_loop| * slope.
     """
-    return 2.0 * loop_center_field(loop) * nv.slope
+    return float(_eta_cyclic(loop.n_turns, loop.I_p, loop.r_loop, nv.slope))
+
+
+# g/2pi, |B_loop| and eta/2pi, once each for the scalar functions and for
+# coupling_map's broadcast arrays, so a map cell equals the scalar value.
+
+def _g_cyclic(n_turns, I_p, r_loop, d, i_rms):
+    return (n_turns * (I_p * CONSTANTS.mu0 / CONSTANTS.hbar)
+            * (np.float_power(r_loop, 2) / d) * i_rms / TWO_PI)
+
+
+def _center_field(n_turns, I_p, r_loop):
+    return n_turns * CONSTANTS.mu0 * I_p / (2.0 * r_loop)
+
+
+def _eta_cyclic(n_turns, I_p, r_loop, slope):
+    return 2.0 * _center_field(n_turns, I_p, r_loop) * slope
 
 
 def static_bias_field(loop: LoopParams) -> float:
@@ -249,15 +260,9 @@ def coupling_map(
             # LoopParams can reject; it is checked after its row's d.
             replace(loop, r_loop=r_loop, I_p=i_vals[0])
 
-    # The operation order of pcq_cpw_coupling and nv_pcq_coupling, so every
-    # cell is bit-identical to the scalar functions. r_loop**2 is pow(), as
-    # for a scalar; an array's **2 is r*r, which differs in the last bit for
-    # about one r_loop in a thousand.
     r_col = r_vals[:, None]
-    g = (n * (i_vals * CONSTANTS.mu0 / CONSTANTS.hbar)
-         * (np.float_power(r_col, 2) / d[:, None])
-         * rms_vacuum_current(r) / TWO_PI)
-    eta = 2.0 * (n * CONSTANTS.mu0 * i_vals / (2.0 * r_col)) * nv.slope
+    g = _g_cyclic(n, i_vals, r_col, d[:, None], rms_vacuum_current(r))
+    eta = _eta_cyclic(n, i_vals, r_col, nv.slope)
 
     rows = np.empty(
         r_vals.size * i_vals.size,

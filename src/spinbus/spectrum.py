@@ -55,9 +55,9 @@ bordered_lu, the one factor behind the steady state and its cross-check,
 and shifted_lu); here L only multiplies vectors and blocks, and the Krylov
 basis and Hessenberg matrix are dense NumPy arrays.
 
-Both nv_modes run on frozen-spin sectors (cavity+qubit problems): "sectors"
-sums them with configured weights, and "full" is exactly the one sector its
-spin relaxation pins (full_liouvillian_spectrum gives the argument).
+Both nv_modes run on one WeightedSectors (frozen-spin cavity+qubit
+problems) and differ only in its weights: "sectors" takes the configured
+ones, "full" the one sector its spin relaxation pins (pinned_weights).
 
 Frequencies are measured in the rotating frame of the drive. A Spectrum
 stores its grid relative to frame_offset (e.g. the upper vacuum-Rabi peak
@@ -549,71 +549,71 @@ def sector_problem(p: ModelParams, rates: DecoherenceRates, m_s: int,
     return SectorProblem(lio, a_op, steady_state(lio))
 
 
+class WeightedSectors:
+    """The weighted frozen-spin sector problems of one model at one
+    truncation: `sectors` maps m_s to (weight, SectorProblem) for each
+    sector of nonzero weight, built once by sector_problem in m_s order
+    +1, 0, -1. A sector's qubit detuning is shifted by eta*m_s through the
+    sigma_z S_z coupling; the spin's own collapse channels do not act (its
+    populations are the weights, held fixed). A problem's kept Krylov
+    projection serves a later grid over the same window in the same mode."""
+
+    def __init__(self, p: ModelParams, rates: DecoherenceRates,
+                 weights: Sequence[float], pcq_relaxation: str = "lowering"):
+        self.p = p
+        self.weights = tuple(map(float, validate_weights(weights)))
+        self.sectors = {m_s: (w, sector_problem(p, rates, m_s, pcq_relaxation))
+                        for m_s, w in zip((1, 0, -1), self.weights) if w != 0.0}
+
+    def cavity_populations(self) -> np.ndarray:
+        """The weighted sum of the sectors' steady-state cavity Fock
+        populations."""
+        total = np.zeros(self.p.N_fock)
+        for weight, problem in self.sectors.values():
+            rho = problem.rho_ss
+            cavity = partial_trace(rho.matrix, rho.layout, ("cavity",))
+            total += weight * np.real(np.diag(cavity))
+        return total
+
+    def spectrum(self, omega_grid: Sequence[float], frame_offset: float = 0.0,
+                 mode: SpectrumMode = "incoherent") -> Spectrum:
+        """The weighted sum of the sector spectra; the metadata records each
+        sector's weight, resolvent route, Krylov dimension and worst
+        relative residual."""
+        grid = np.asarray(omega_grid, dtype=float)
+        total = np.zeros(grid.size)
+        sector_meta = {}
+        for m_s, (weight, problem) in self.sectors.items():
+            s = problem.spectrum(grid, mode, frame_offset)
+            total += weight * s.values
+            sector_meta[m_s] = dict(weight=weight, **{
+                key: s.metadata[key]
+                for key in ("route", "krylov_dim", "max_relative_residual")})
+        meta = dict(mode=mode, method="sector-resolvent", weights=self.weights,
+                    sectors=sector_meta, eta=self.p.eta, g=self.p.g)
+        return Spectrum(grid, total, frame_offset, meta)
+
+
 def nv_sector_spectrum(p: ModelParams, rates: DecoherenceRates,
                        weights: Sequence[float],
                        omega_grid: Sequence[float],
                        frame_offset: float = 0.0,
                        mode: SpectrumMode = "incoherent",
-                       pcq_relaxation: str = "lowering",
-                       problems: dict | None = None) -> Spectrum:
-    """Weighted sum of frozen-spin sector spectra.
-
-    Each m_s sector is a cavity+qubit problem whose qubit detuning is
-    shifted by eta*m_s through the sigma_z S_z coupling; the spin's own
-    collapse channels are disabled (the sector populations are the weights,
-    held fixed). This is the shipped default for reproducing the
-    spin-induced multiplet: the printed raising relaxation channel would
-    instead pin the spin in m_s = +1 and produce a single shifted line
-    (available via full_liouvillian_spectrum). The metadata records, per
-    sector used, its weight, photon number, cavity Fock populations, and
-    the resolvent route, Krylov dimension and worst relative residual.
-
-    `problems` is a dict the caller owns: a SectorProblem stored there
-    under (p, rates, m_s, pcq_relaxation) is reused, and each one built is
-    added, so a caller that evaluates the same model on two grids builds
-    every sector problem once. Each problem keeps the Krylov projection of
-    its last spectrum (SectorProblem._krylov_values), so a second grid over
-    the same window in the same mode continues that projection instead of
-    factoring L again.
+                       pcq_relaxation: str = "lowering") -> Spectrum:
+    """Weighted sum of frozen-spin sector spectra (WeightedSectors). This is
+    the shipped default for reproducing the spin-induced multiplet: the
+    printed raising relaxation channel would instead pin the spin in
+    m_s = +1 and produce a single shifted line (full_liouvillian_spectrum).
     """
-    w = validate_weights(weights)
-    grid = np.asarray(omega_grid, dtype=float)
-    total = np.zeros(grid.size)
-    sector_meta = {}
-    problems = {} if problems is None else problems
-    for m_s, weight in zip((1, 0, -1), w):
-        if weight == 0.0:
-            continue
-        key = (p, rates, m_s, pcq_relaxation)
-        if key not in problems:
-            problems[key] = sector_problem(p, rates, m_s, pcq_relaxation)
-        problem = problems[key]
-        s = problem.spectrum(grid, mode, frame_offset)
-        total += weight * s.values
-        a_op, rho_ss = problem.a_op, problem.rho_ss
-        cavity = partial_trace(rho_ss.matrix, rho_ss.layout, ("cavity",))
-        sector_meta[m_s] = {"weight": float(weight),
-                            "photon_number": float(np.real(
-                                rho_ss.expect(a_op.dag() @ a_op))),
-                            "cavity_populations": np.real(np.diag(cavity)),
-                            "route": s.metadata["route"],
-                            "krylov_dim": s.metadata["krylov_dim"],
-                            "max_relative_residual":
-                                s.metadata["max_relative_residual"]}
-    meta = dict(mode=mode, method="sector-resolvent", weights=tuple(map(float, w)),
-                sectors=sector_meta, eta=p.eta, g=p.g)
-    return Spectrum(grid, total, frame_offset, meta)
+    return WeightedSectors(p, rates, weights, pcq_relaxation).spectrum(
+        omega_grid, frame_offset, mode)
 
 
-def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
-                              omega_grid: Sequence[float],
-                              frame_offset: float = 0.0,
-                              mode: SpectrumMode = "incoherent",
-                              nv_relaxation: str = "as_printed",
-                              pcq_relaxation: str = "lowering",
-                              problems: dict | None = None) -> Spectrum:
-    """Spectrum of the full cavity (x) qubit (x) spin model, all five
-    collapse channels active, evaluated exactly as its pinned spin sector.
+def pinned_weights(rates: DecoherenceRates,
+                   nv_relaxation: str = "as_printed") -> tuple[float, ...]:
+    """The sector weights (m_s = +1, 0, -1) of the full cavity (x) qubit (x)
+    spin model with all five collapse channels active: all on the sector
+    its spin relaxation pins.
 
     Every channel of the full model keeps Delta m = m_s - m_s' (sigma_z S_z,
     the spin relaxation S_+ or S_-, S_z dephasing), so L is block diagonal
@@ -623,21 +623,30 @@ def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
     neighbour, so the unique steady state sits in the sector the relaxation
     pins: m_s = +1 for "as_printed" (S_+), m_s = -1 for "lowering" (S_-).
     That sector is closed under L, and it holds A rho_ss with A acting on
-    the cavity alone, so the resolvent never leaves it: the spectrum is the
-    pinned sector's spectrum, which nv_sector_spectrum computes on the
-    (2N)^2 cavity+qubit space instead of the 9 (2N)^2 full one.
+    the cavity alone, so the resolvent never leaves it: the full model's
+    spectrum is the pinned sector's, on the (2N)^2 cavity+qubit space
+    instead of the 9 (2N)^2 full one.
 
     Without spin relaxation (gamma_nv = 0) every sector is stationary and
-    DegenerateSteadyState(3) is raised. `problems`, a dict of
-    SectorProblems, is passed on to nv_sector_spectrum; the returned
-    metadata is that spectrum's plus nv_relaxation.
+    DegenerateSteadyState(3) is raised.
     """
     check_convention("nv_relaxation", nv_relaxation, NVRelaxation)
     if rates.gamma_nv == 0.0:
         raise DegenerateSteadyState(3)
-    pinned = (1.0, 0.0, 0.0) if nv_relaxation == "as_printed" else (0.0, 0.0, 1.0)
-    s = nv_sector_spectrum(p, rates, pinned, omega_grid, frame_offset, mode,
-                           pcq_relaxation, problems)
+    return (1.0, 0.0, 0.0) if nv_relaxation == "as_printed" else (0.0, 0.0, 1.0)
+
+
+def full_liouvillian_spectrum(p: ModelParams, rates: DecoherenceRates,
+                              omega_grid: Sequence[float],
+                              frame_offset: float = 0.0,
+                              mode: SpectrumMode = "incoherent",
+                              nv_relaxation: str = "as_printed",
+                              pcq_relaxation: str = "lowering") -> Spectrum:
+    """Spectrum of the full cavity (x) qubit (x) spin model, all five
+    collapse channels active: nv_sector_spectrum at pinned_weights, with
+    nv_relaxation added to its metadata."""
+    s = nv_sector_spectrum(p, rates, pinned_weights(rates, nv_relaxation),
+                           omega_grid, frame_offset, mode, pcq_relaxation)
     s.metadata["nv_relaxation"] = nv_relaxation
     return s
 

@@ -3,6 +3,9 @@
 Every scan point is a pure function of the config (ScanConfig.point gives
 its loop and distance), so points can run in a worker pool; results merge
 in axis order regardless of completion order, keeping output deterministic.
+A spectrum point keeps its sector problems in one table by truncation N
+(PointSectors): the truncation probes fill it, and the final spectrum
+continues the chosen N's entry. nv_mode only chooses the weights.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .model import DecoherenceRates, ModelParams
 from .spectrum import (
     PeakReport,
     Spectrum,
+    WeightedSectors,
     find_spectral_peaks,
-    full_liouvillian_spectrum,
-    nv_sector_spectrum,
+    pinned_weights,
 )
 # Not called here: the benchmark's layer trace (perfbench/spans.py) looks
 # these two up on this module as well as on spinbus.spectrum.
@@ -120,74 +123,61 @@ def _point_model(cfg: ScanConfig, loop: LoopParams, d: float, n_fock: int
     return model, rates, model.g
 
 
-def _point_spectrum(cfg: ScanConfig, loop: LoopParams, d: float, n_fock: int,
-                    grid: np.ndarray, problems: dict | None) -> Spectrum:
-    """Spectrum of one scan point at truncation n_fock, in the configured
-    nv_mode, on a grid relative to the upper Rabi peak. Sector problems are
-    shared through `problems` (see nv_sector_spectrum)."""
-    model, rates, offset = _point_model(cfg, loop, d, n_fock)
-    solver = cfg.solver
-    if solver.nv_mode == "sectors":
-        return nv_sector_spectrum(model, rates, solver.weights, grid, offset,
-                                  solver.spectrum_mode, solver.pcq_relaxation,
-                                  problems=problems)
-    return full_liouvillian_spectrum(model, rates, grid, offset,
-                                     solver.spectrum_mode, solver.nv_relaxation,
-                                     solver.pcq_relaxation, problems=problems)
+class PointSectors(dict):
+    """One scan point's N -> (WeightedSectors, frame offset), each built on
+    first lookup, with the configured weights or pinned_weights."""
+
+    def __init__(self, cfg: ScanConfig, loop: LoopParams, d: float):
+        super().__init__()
+        self.cfg, self.loop, self.d = cfg, loop, d
+
+    def __missing__(self, n_fock: int) -> tuple[WeightedSectors, float]:
+        model, rates, offset = _point_model(self.cfg, self.loop, self.d, n_fock)
+        solver = self.cfg.solver
+        weights = (solver.weights if solver.nv_mode == "sectors"
+                   else pinned_weights(rates, solver.nv_relaxation))
+        self[n_fock] = (WeightedSectors(model, rates, weights,
+                                        solver.pcq_relaxation), offset)
+        return self[n_fock]
 
 
-def _truncation_metric(cfg: ScanConfig, loop: LoopParams, d: float,
-                       problems: dict | None):
-    """Metric for adaptive truncation, as the parts (populations, shape):
-    the weighted steady-state cavity populations (padded to n_fock_max),
-    and a callable for the normalized shape of a coarse spectrum, evaluated
-    only where the populations agree. The populations come from
-    _point_spectrum on an empty grid, which builds the sector problems of
-    the nv_mode and weights and projects nothing. The probes' problems are
-    kept in `problems`; the final grid continues their shape projection."""
-    solver = cfg.solver
-    span = solver.grid_span_kappa * cfg.resonator.kappa
+def resolve_n_fock(sectors: PointSectors) -> int:
+    """The configured n_fock, or the adaptive truncation's choice, whose
+    metric is the parts (populations, shape): the weighted cavity
+    populations (padded to n_fock_max), and a callable for the normalized
+    shape of a coarse spectrum, evaluated only where populations agree."""
+    solver = sectors.cfg.solver
+    if solver.n_fock is not None:
+        return solver.n_fock
+    span = solver.grid_span_kappa * sectors.cfg.resonator.kappa
     coarse = np.linspace(-span, span, 33)
 
     def metric(n_fock: int) -> tuple:
-        s = _point_spectrum(cfg, loop, d, n_fock, coarse[:0], problems)
-        pops = np.zeros(solver.n_fock_max + 1)
-        for sector in s.metadata["sectors"].values():
-            pops[:n_fock] += sector["weight"] * sector["cavity_populations"]
+        weighted, offset = sectors[n_fock]
+        pops = np.pad(weighted.cavity_populations(),
+                      (0, solver.n_fock_max + 1 - n_fock))
 
         def shape() -> np.ndarray:
-            s = _point_spectrum(cfg, loop, d, n_fock, coarse, problems)
+            s = weighted.spectrum(coarse, offset, solver.spectrum_mode)
             peak = s.values.max()
             return s.values / peak if peak > 0 else s.values
 
         return pops, shape
 
-    return metric
-
-
-def resolve_n_fock(cfg: ScanConfig, loop: LoopParams, d: float,
-                   problems: dict | None = None) -> int:
-    """The configured n_fock, or the adaptive truncation's choice. The
-    probes' sector problems are added to `problems` when it is given."""
-    if cfg.solver.n_fock is not None:
-        return cfg.solver.n_fock
-    return adaptive_truncation(
-        _truncation_metric(cfg, loop, d, problems),
-        start=cfg.solver.n_fock_start,
-        tolerance=cfg.solver.truncation_tol,
-        n_max=cfg.solver.n_fock_max,
-    )
+    return adaptive_truncation(metric, start=solver.n_fock_start,
+                               tolerance=solver.truncation_tol,
+                               n_max=solver.n_fock_max)
 
 
 def compute_point_spectrum(cfg: ScanConfig, axis_name: str, value: float
                            ) -> tuple[Spectrum, PeakReport]:
     """Spectrum and peak report at one axis point (pure; used by workers)."""
-    loop, d = cfg.point(axis_name, value)
-    problems = {}   # the probe's problems at the chosen N serve the spectrum
-    n_fock = resolve_n_fock(cfg, loop, d, problems)
+    sectors = PointSectors(cfg, *cfg.point(axis_name, value))
+    n_fock = resolve_n_fock(sectors)
     span = cfg.solver.grid_span_kappa * cfg.resonator.kappa
     grid = np.linspace(-span, span, cfg.solver.grid_points)
-    spec = _point_spectrum(cfg, loop, d, n_fock, grid, problems)
+    weighted, offset = sectors[n_fock]   # continues the probe's projections
+    spec = weighted.spectrum(grid, offset, cfg.solver.spectrum_mode)
     spec.metadata.update(axis=axis_name, axis_value=value, n_fock=n_fock,
                          config_hash=cfg.config_hash)
     report = find_spectral_peaks(spec, cfg.solver.dip_fraction)

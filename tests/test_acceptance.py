@@ -48,6 +48,7 @@ from spinbus.spectrum import (
     spectrum_resolvent,
 )
 from spinbus.sweeps import (
+    PointSectors,
     _point_model,
     compute_point_spectrum,
     emit_csv,
@@ -348,7 +349,7 @@ def test_criterion_6_truncation_peak_positions_stable():
     cfg = load_config(preset_path("fig7"))
     loop = cfg.point("tau", 20e-6)[0]
     d = cfg.solver.distance_for(loop.r_loop)
-    n_conv = resolve_n_fock(cfg, loop, d)
+    n_conv = resolve_n_fock(PointSectors(cfg, loop, d))
     positions = {}
     for n in (n_conv, n_conv + 2):
         model, rates, offset = _point_model(cfg, loop, d, n)

@@ -2,8 +2,10 @@
 by module and attribute name, and reads some of their arguments by position.
 A renamed function or a moved argument would not fail the benchmark: the
 trace skips a missing target with one stderr line and that layer's metrics
-read zero. These tests keep the names and positions the trace relies on,
-and the package names the benchmark's oracle imports."""
+read zero. The same zeros follow from a target that exists but that the
+program no longer calls through that name. These tests keep the names and
+positions the trace relies on, the targets a scan actually enters, and the
+package names the benchmark's oracle imports."""
 
 import ast
 import importlib
@@ -14,6 +16,7 @@ import types
 import pytest
 
 import spinbus
+from spinbus.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -36,6 +39,35 @@ def _target(module_name, attr):
                          [target[:2] for target in _spans().TARGETS])
 def test_every_trace_target_exists(module_name, attr):
     assert callable(_target(module_name, attr))
+
+
+def test_every_trace_target_but_the_known_leftovers_is_entered(
+        tmp_path, monkeypatch):
+    # One small adaptive spectrum scan (CSV) and the fig3 couplings scan
+    # (plotdata) through the CLI, with every target counted where the trace
+    # wraps it. The leftovers are names the scan no longer calls: sector
+    # problems are built in spinbus.spectrum, and a spectrum is the method
+    # SectorProblem.spectrum, not the spectrum_resolvent function.
+    calls = {}
+    for module_name, attr, *_ in _spans().TARGETS:
+        key = f"{module_name.rsplit('.', 1)[1]}.{attr}"
+        calls[key] = 0
+
+        def counting(*args, _fn=_target(module_name, attr), _key=key,
+                     **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module(module_name), attr,
+                            counting)
+    assert main(["spectrum", "--preset", "fig7", "--override", "tau=20us",
+                 "--override", "solver.grid_points=201", "--threads", "1",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["couplings", "--preset", "fig3", "--format", "plotdata",
+                 "--out", str(tmp_path / "c.dat")]) == 0
+    assert {key for key, n in calls.items() if n == 0} == {
+        "sweeps.sector_problem", "sweeps.spectrum_resolvent",
+        "spectrum.spectrum_resolvent"}
 
 
 @pytest.mark.parametrize("module_name, attr, position, name", [

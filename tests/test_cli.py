@@ -360,6 +360,25 @@ def test_override_errors_name_the_override(tmp_path, capsys, override, line):
     assert capsys.readouterr().err.splitlines() == [line]
 
 
+@pytest.mark.parametrize("command, preset", [("couplings", "fig3"),
+                                             ("spectrum", "fig7")])
+def test_nonpositive_d_rule_is_rejected_before_echo_and_any_point(
+        tmp_path, capsys, monkeypatch, command, preset):
+    def no_point(*args):
+        raise AssertionError("a scan point ran")
+
+    monkeypatch.setattr(sweeps, "compute_point_spectrum", no_point)
+    override = "solver.d_rule=-0.2 um"
+    rc = main([command, "--preset", preset, "--echo", "--override", override,
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: category=NonpositiveDistance: override {override}: "
+        "d_rule must be positive, got '-0.2 um'"]
+
+
 def test_threads_env_var_honored_flag_wins(monkeypatch):
     from spinbus.cli import _threads
 

@@ -18,7 +18,7 @@ from spinbus.config import (
     parse_config_text,
     parse_quantity,
 )
-from spinbus.errors import ParseError, ValidationError
+from spinbus.errors import NonpositiveDistance, ParseError, ValidationError
 from spinbus.units import CONSTANTS, TWO_PI
 
 MINIMAL = """
@@ -81,6 +81,20 @@ def test_bad_d_rule_is_parse_error_with_its_line():
     with pytest.raises(ParseError, match="^line 7: unknown unit") as info:
         load_config_text(text)
     assert info.value.line_no == 7
+
+
+@pytest.mark.parametrize("value", ["0 um", "-0.2 um"])
+def test_nonpositive_fixed_d_rule_is_rejected_where_it_is_given(value):
+    # Rejected while the config loads: the error names the config line or
+    # the override, not the first scan point that would use the distance.
+    message = f"d_rule must be positive, got {value!r}"
+    with pytest.raises(NonpositiveDistance,
+                       match="^" + re.escape(f"line 7: {message}") + "$"):
+        load_config_text(MINIMAL + f"[solver]\nd_rule = {value}\n")
+    override = f"solver.d_rule={value}"
+    with pytest.raises(NonpositiveDistance, match="^" + re.escape(
+            f"override {override}: {message}") + "$"):
+        load_config_text(MINIMAL, overrides=[override])
 
 
 def test_missing_unit_rejected():

@@ -41,16 +41,19 @@ from spinbus.operators import (
     embed,
     fock_annihilation_matrix,
     full_layout,
+    partial_trace,
     pauli_matrices,
 )
 from spinbus.spectrum import (
     PeakReport,
     SectorProblem,
     Spectrum,
+    WeightedSectors,
     _hessenberg_solve,
     find_spectral_peaks,
     full_liouvillian_spectrum,
     nv_sector_spectrum,
+    pinned_weights,
     sector_problem,
     spectrum_fft_crosscheck,
     spectrum_resolvent,
@@ -365,6 +368,39 @@ def test_full_mode_rejects_an_unknown_nv_relaxation():
                        r"\('as_printed', 'lowering'\), got 'As_printed'$"):
         full_liouvillian_spectrum(model, rates, np.linspace(-span, span, 33),
                                   offset, nv_relaxation="As_printed")
+
+
+@pytest.mark.parametrize("nv_relaxation, pinned", [
+    ("as_printed", (1.0, 0.0, 0.0)),
+    ("lowering", (0.0, 0.0, 1.0)),
+])
+def test_full_mode_is_the_sector_sum_at_pinned_weights(nv_relaxation, pinned):
+    cfg, model, rates, offset, span = preset_point(
+        "fig7", 3, ["solver.nv_mode=full"], T1_pcq=20e-6, T2_pcq=20e-6)
+    grid = np.linspace(-span, span, 101)
+    assert pinned_weights(rates, nv_relaxation) == pinned
+    full = full_liouvillian_spectrum(model, rates, grid, offset,
+                                     nv_relaxation=nv_relaxation)
+    sectors = nv_sector_spectrum(model, rates, pinned, grid, offset)
+    assert np.array_equal(full.values, sectors.values)
+    assert full.metadata["nv_relaxation"] == nv_relaxation
+
+
+def test_cavity_populations_are_the_weighted_partial_traces():
+    cfg, model, rates, offset, span = preset_point(
+        "fig7", 4, T1_pcq=20e-6, T2_pcq=20e-6)
+    weights = (0.2, 0.5, 0.3)
+    weighted = WeightedSectors(model, rates, weights)
+    expected = np.zeros(model.N_fock)
+    for m_s, weight in zip((1, 0, -1), weights):
+        rho = sector_problem(model, rates, m_s).rho_ss
+        cavity = partial_trace(rho.matrix, rho.layout, ("cavity",))
+        expected += weight * np.real(np.diag(cavity))
+    pops = weighted.cavity_populations()
+    assert np.array_equal(pops, expected)
+    assert abs(pops.sum() - 1.0) <= 1e-12
+    # a sector of zero weight is never built
+    assert list(WeightedSectors(model, rates, (0.0, 1.0, 0.0)).sectors) == [0]
 
 
 def test_short_and_long_grids_agree_where_they_meet(monkeypatch):

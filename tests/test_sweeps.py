@@ -24,8 +24,9 @@ from spinbus.errors import (
     SingularResolvent,
     ValidationError,
 )
-from spinbus.spectrum import nv_sector_spectrum
+from spinbus.spectrum import full_liouvillian_spectrum, nv_sector_spectrum
 from spinbus.sweeps import (
+    PointSectors,
     ResultTable,
     _point_model,
     compute_point_spectrum,
@@ -453,7 +454,7 @@ def test_adaptive_truncation_strong_drive_plateaus(tau_us, n_fock):
     # a change to the probes' solve route must not move the chosen N.
     cfg = load_config_text(STRONG_DRIVE.format(tau=tau_us))
     d = cfg.solver.distance_for(cfg.loop.r_loop)
-    assert resolve_n_fock(cfg, cfg.loop, d) == n_fock
+    assert resolve_n_fock(PointSectors(cfg, cfg.loop, d)) == n_fock
 
 
 def test_truncation_probes_project_only_where_populations_agree():
@@ -461,12 +462,11 @@ def test_truncation_probes_project_only_where_populations_agree():
     # (8, 10), so only N = 10 and 12 compute the coarse spectrum's shape.
     cfg = load_config_text(STRONG_DRIVE.format(tau=8.5))
     d = cfg.solver.distance_for(cfg.loop.r_loop)
-    problems = {}
-    assert resolve_n_fock(cfg, cfg.loop, d, problems) == 10
-    projected = {}
-    for (p, _, _, _), problem in problems.items():
-        projected.setdefault(p.N_fock, set()).add(
-            problem._projection is not None)
+    sectors = PointSectors(cfg, cfg.loop, d)
+    assert resolve_n_fock(sectors) == 10
+    projected = {n: {problem._projection is not None
+                     for _, problem in weighted.sectors.values()}
+                 for n, (weighted, _) in sectors.items()}
     assert projected == {4: {False}, 6: {False}, 8: {False}, 10: {True},
                          12: {True}}
 
@@ -475,7 +475,7 @@ def test_point_spectrum_reuses_probe_problems(monkeypatch):
     builds, factored, solves, finals = [], [], [], []
     sector_problem = spectrum_module.sector_problem
     splu = liouvillian_module.spla.splu
-    point_spectrum = sweeps_module._point_spectrum
+    weighted_spectrum = spectrum_module.WeightedSectors.spectrum
 
     def counting_sector_problem(p, rates, m_s, *args):
         builds.append((p.N_fock, m_s))
@@ -493,10 +493,10 @@ def test_point_spectrum_reuses_probe_problems(monkeypatch):
         factored.append(1)
         return CountingLU(splu(a, *args, **kwargs))
 
-    def counting_point_spectrum(cfg, loop, d, n_fock, grid, problems):
+    def counting_spectrum(weighted, grid, *args):
         before = len(factored), len(solves)
-        s = point_spectrum(cfg, loop, d, n_fock, grid, problems)
-        if grid.size == cfg.solver.grid_points:
+        s = weighted_spectrum(weighted, grid, *args)
+        if len(grid) == cfg.solver.grid_points:
             finals.append((len(factored) - before[0],
                            len(solves) - before[1]))
         return s
@@ -504,27 +504,36 @@ def test_point_spectrum_reuses_probe_problems(monkeypatch):
     monkeypatch.setattr(spectrum_module, "sector_problem",
                         counting_sector_problem)
     monkeypatch.setattr(liouvillian_module.spla, "splu", counting_splu)
-    monkeypatch.setattr(sweeps_module, "_point_spectrum",
-                        counting_point_spectrum)
-    cfg = load_config_text(FAST_SPECTRUM.replace("n_fock = 4",
-                                                 "n_fock = adaptive"))
-    spec, _ = compute_point_spectrum(cfg, "tau", 20e-6)
-    n_fock = spec.metadata["n_fock"]
-    # every (N, m_s) problem is built once: by the probes, N and N + 2
-    assert sorted(builds) == sorted({(n, m) for n in (n_fock, n_fock + 2)
-                                     for m in (1, 0, -1)})
-    # the final grid continues the probe's Krylov projections at N: no
-    # factorization and no Arnoldi step
-    assert finals == [(0, 0)]
-    assert factored and solves
-    model, rates, offset = _point_model(
-        cfg, cfg.loop, cfg.solver.distance_for(cfg.loop.r_loop), n_fock)
-    fresh = nv_sector_spectrum(model, rates, cfg.solver.weights,
-                               spec.omega_grid, offset)
-    assert np.array_equal(spec.values, fresh.values)
-    for sector in spec.metadata["sectors"].values():
-        assert sector["route"] == "krylov"
-        assert sector["max_relative_residual"] <= 1e-8
+    monkeypatch.setattr(spectrum_module.WeightedSectors, "spectrum",
+                        counting_spectrum)
+    # Both nv_modes take the one per-point table; "full" builds only the
+    # sector its spin relaxation pins (as_printed: m_s = +1).
+    for nv_mode, built_sectors in (("sectors", (1, 0, -1)), ("full", (1,))):
+        for counts in (builds, factored, solves, finals):
+            counts.clear()
+        cfg = load_config_text(FAST_SPECTRUM.replace(
+            "n_fock = 4", f"n_fock = adaptive\nnv_mode = {nv_mode}"))
+        spec, _ = compute_point_spectrum(cfg, "tau", 20e-6)
+        n_fock = spec.metadata["n_fock"]
+        # every (N, m_s) problem is built once: by the probes, N and N + 2
+        assert sorted(builds) == sorted({(n, m) for n in (n_fock, n_fock + 2)
+                                         for m in built_sectors})
+        # the final grid continues the probe's Krylov projections at N: no
+        # factorization and no Arnoldi step
+        assert finals == [(0, 0)]
+        assert factored and solves
+        model, rates, offset = _point_model(
+            cfg, cfg.loop, cfg.solver.distance_for(cfg.loop.r_loop), n_fock)
+        fresh = (nv_sector_spectrum(model, rates, cfg.solver.weights,
+                                    spec.omega_grid, offset)
+                 if nv_mode == "sectors" else
+                 full_liouvillian_spectrum(model, rates, spec.omega_grid,
+                                           offset))
+        assert np.array_equal(spec.values, fresh.values)
+        assert sorted(spec.metadata["sectors"]) == sorted(built_sectors)
+        for sector in spec.metadata["sectors"].values():
+            assert sector["route"] == "krylov"
+            assert sector["max_relative_residual"] <= 1e-8
 
 
 def _raise_below_17us(error):
