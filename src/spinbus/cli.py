@@ -17,6 +17,10 @@ import os
 import sys
 from importlib import resources
 
+# Set before NumPy loads, so that OpenBLAS starts no server threads here or
+# in a forked worker; _blas.pin lowers the count but leaves started threads.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .config import ScanConfig, load_config
 from .errors import SpinbusError
 from .selfcheck import run_checks

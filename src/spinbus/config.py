@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import get_args
 
 from .couplings import LoopParams, NVParams, ResonatorParams, static_bias_field
@@ -59,14 +60,14 @@ def _weights(text: str) -> tuple[float, ...]:
     return tuple(_parse_fraction(t) for t in tokens)
 
 
-def _d_rule(text: str, line_no: int | None) -> str:
+def _d_rule(text: str, line_no: int | None) -> str | float:
     if text == "r_loop":
         return text
     d = parse_quantity(text, "length", line_no)
     if not d > 0.0:
         error = NonpositiveDistance(f"d_rule must be positive, got {text!r}")
         raise error.in_context(f"line {line_no}") if line_no else error
-    return f"fixed:{d:.17g}"
+    return d
 
 
 def _products(text: str) -> tuple[str, ...]:
@@ -113,7 +114,7 @@ KEY_TABLE: dict[tuple[str, str], tuple] = {
     ("solver", "grid_points"): (int, None, ""),
     ("solver", "grid_span_kappa"): (float, None, ""),
     ("solver", "dip_fraction"): (float, None, ""),
-    ("solver", "d_rule"): (_d_rule, None, ""),
+    ("solver", "d_rule"): (_d_rule, None, "um"),
     ("output", "products"): (_products, None, None),
 }
 
@@ -216,7 +217,7 @@ class SolverSettings:
     grid_points: int = 2001
     grid_span_kappa: float = 20.0
     dip_fraction: float = 0.1
-    d_rule: str = "r_loop"             # or "fixed:<meters>"
+    d_rule: str | float = "r_loop"     # or the distance in meters
 
     def __post_init__(self):
         for key, allowed in (("rate_convention", RateConvention),
@@ -243,14 +244,16 @@ class SolverSettings:
             raise ValidationError("grid_points must be at least 16")
         if not 0.0 < self.dip_fraction < 1.0:
             raise ValidationError("dip_fraction must lie in (0, 1)")
-        if self.d_rule != "r_loop" and not self.d_rule.startswith("fixed:"):
-            raise ValidationError(f"bad d_rule {self.d_rule!r}")
+        if self.d_rule != "r_loop":
+            if not isinstance(self.d_rule, Real) or isinstance(self.d_rule, bool):
+                raise ValidationError(f"bad d_rule {self.d_rule!r}")
+            if not self.d_rule > 0.0:
+                raise NonpositiveDistance(
+                    f"d_rule must be positive, got {self.d_rule!r}")
         validate_weights(self.weights)
 
     def distance_for(self, r_loop: float) -> float:
-        if self.d_rule == "r_loop":
-            return r_loop
-        return float(self.d_rule.split(":", 1)[1])
+        return r_loop if self.d_rule == "r_loop" else self.d_rule
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ Conventions that materially change numbers, pinned here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal, Sequence, get_args
 
 import numpy as np
@@ -96,22 +96,14 @@ class ModelParams:
     eta: float
     zeta: float
     N_fock: int
-    delta: float | None = None   # omega_0 - omega_r; derived if omitted
+    delta: float = field(init=False)   # omega_0 - omega_r
 
     def __post_init__(self):
         if self.N_fock < 2:
             raise ValueError("N_fock must be at least 2")
         if self.g < 0.0 or self.eta < 0.0 or self.zeta < 0.0:
             raise ValueError("g, eta, zeta must be nonnegative")
-        diff = self.omega_0 - self.omega_r
-        if self.delta is None:
-            object.__setattr__(self, "delta", diff)
-        else:
-            tol = 1e-6 * max(abs(self.delta), abs(diff), 1e-12 * abs(self.omega_r))
-            if abs(self.delta - diff) > tol:
-                raise ValueError(
-                    f"delta={self.delta!r} inconsistent with omega_0-omega_r={diff!r}"
-                )
+        object.__setattr__(self, "delta", self.omega_0 - self.omega_r)
 
 
 @dataclass(frozen=True)
@@ -275,10 +267,7 @@ def sector_interaction_hamiltonian(p: ModelParams, layout: SpaceLayout,
         raise ValueError("m_s must be one of -1, 0, +1")
     if layout.labels != ("cavity", "pcq"):
         raise LayoutMismatch("sector Hamiltonian lives on the cavity+pcq layout")
-    shifted = ModelParams(
-        omega_r=p.omega_r, omega_0=p.omega_0 + p.eta * m_s,
-        g=p.g, eta=0.0, zeta=p.zeta, N_fock=p.N_fock,
-    )
+    shifted = replace(p, omega_0=p.omega_0 + p.eta * m_s, eta=0.0)
     return build_interaction_hamiltonian(shifted, layout)
 
 
@@ -331,8 +320,7 @@ def sector_collapse_operators(d: DecoherenceRates, layout: SpaceLayout,
                               pcq_relaxation: PCQRelaxation = "lowering"
                               ) -> list[LabeledOperator]:
     """Cavity+qubit channels only (spin frozen): kappa, gamma_pcq, gamma_phi_pcq."""
-    reduced = DecoherenceRates(kappa=d.kappa, gamma_pcq=d.gamma_pcq,
-                               gamma_phi_pcq=d.gamma_phi_pcq)
+    reduced = replace(d, gamma_nv=0.0, gamma_phi_nv=0.0)
     ops = build_collapse_operators(reduced, layout,
                                    pcq_relaxation=pcq_relaxation)
     return [ops[0], ops[1], ops[3]]

@@ -382,9 +382,8 @@ class SectorProblem:
                 raw[~carrier], krylov_dim, residual = self._krylov_values(
                     u, b, mode, omegas[~carrier])
                 worst = max(worst, residual)
-        meta = dict(mode=mode, method="resolvent", frame_offset=frame_offset,
-                    route="krylov", krylov_dim=krylov_dim,
-                    max_relative_residual=worst)
+        meta = dict(mode=mode, method="resolvent", route="krylov",
+                    krylov_dim=krylov_dim, max_relative_residual=worst)
         return Spectrum(grid, np.real(raw) / np.pi, frame_offset, meta)
 
     def _krylov_values(self, u: np.ndarray, b: np.ndarray, mode: SpectrumMode,
@@ -524,8 +523,7 @@ def spectrum_fft_crosscheck(lio: Superoperator, a_op: LabeledOperator,
             f"|g(tmax)|/|g(0)| = {abs(g[-1]) / g0:.3e} exceeds 0.001"
         )
     step = taus[1] - taus[0]
-    meta = dict(mode=mode, method="time-domain", tmax=tmax, dt=step,
-                frame_offset=frame_offset)
+    meta = dict(mode=mode, method="time-domain", tmax=tmax, dt=step)
     # Two-sided signal in wrap-around order: g(0) ... g(tmax - dt), the
     # shared end sample, then g(-tmax + dt) ... g(-dt).
     y = np.concatenate([g[:-1], [g[-1].real], np.conj(g[-2:0:-1])])
@@ -590,7 +588,7 @@ class WeightedSectors:
                 key: s.metadata[key]
                 for key in ("route", "krylov_dim", "max_relative_residual")})
         meta = dict(mode=mode, method="sector-resolvent", weights=self.weights,
-                    sectors=sector_meta, eta=self.p.eta, g=self.p.g)
+                    sectors=sector_meta)
         return Spectrum(grid, total, frame_offset, meta)
 
 

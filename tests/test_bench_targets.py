@@ -4,8 +4,9 @@ A renamed function or a moved argument would not fail the benchmark: the
 trace skips a missing target with one stderr line and that layer's metrics
 read zero. The same zeros follow from a target that exists but that the
 program no longer calls through that name. These tests keep the names and
-positions the trace relies on, the targets a scan actually enters, and the
-package names the benchmark's oracle imports."""
+positions the trace relies on, the targets a scan actually enters, the
+package names the benchmark's oracle imports, and that the oracle accepts
+what the CLI writes and rejects a perturbed value."""
 
 import ast
 import importlib
@@ -16,18 +17,18 @@ import types
 import pytest
 
 import spinbus
-from spinbus.cli import main
+from spinbus.cli import main, preset_path
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
-SPANS_PATH = os.path.join(PERFBENCH, "spans.py")
 
 
-def _spans():
-    """perfbench/spans.py as a module, read without writing bytecode."""
-    module = types.ModuleType("perfbench_spans")
-    with open(SPANS_PATH, encoding="utf-8") as fh:
-        exec(compile(fh.read(), SPANS_PATH, "exec"), module.__dict__)
+def _load(name):
+    """perfbench/<name>.py as a module, read without writing bytecode."""
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    module = types.ModuleType(f"perfbench_{name}")
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
     return module
 
 
@@ -36,7 +37,7 @@ def _target(module_name, attr):
 
 
 @pytest.mark.parametrize("module_name, attr",
-                         [target[:2] for target in _spans().TARGETS])
+                         [target[:2] for target in _load("spans").TARGETS])
 def test_every_trace_target_exists(module_name, attr):
     assert callable(_target(module_name, attr))
 
@@ -49,7 +50,7 @@ def test_every_trace_target_but_the_known_leftovers_is_entered(
     # problems are built in spinbus.spectrum, and a spectrum is the method
     # SectorProblem.spectrum, not the spectrum_resolvent function.
     calls = {}
-    for module_name, attr, *_ in _spans().TARGETS:
+    for module_name, attr, *_ in _load("spans").TARGETS:
         key = f"{module_name.rsplit('.', 1)[1]}.{attr}"
         calls[key] = 0
 
@@ -96,3 +97,36 @@ def test_names_the_oracle_imports_from_the_package_resolve():
     for name in names:
         assert name in spinbus.__all__, name
         getattr(spinbus, name)
+
+
+def test_oracle_accepts_a_spectrum_point_and_catches_a_perturbed_one(
+        tmp_path):
+    # The benchmark's correctness check on one fig7 point, as the benchmark
+    # calls it: a change to distance_for or to ModelParams that broke the
+    # oracle would otherwise first show as a failed benchmark run.
+    oracle = _load("oracle")
+    overrides = ["tau=20us", "solver.grid_points=201"]
+    out = str(tmp_path / "s.csv")
+    argv = ["spectrum", "--preset", "fig7", "--out", out]
+    for override in overrides:
+        argv += ["--override", override]
+    assert main(argv) == 0
+    args = (preset_path("fig7"), overrides, out, [20.0], 7)
+    assert oracle.check_spectrum_run(*args) == [True]
+    assert oracle.check_spectrum_run(*args, perturb=True) == [False]
+
+
+def test_oracle_accepts_a_fixed_distance_map_and_catches_a_perturbed_cell(
+        tmp_path):
+    oracle = _load("oracle")
+    cfg = tmp_path / "fig3_fixed.cfg"
+    with open(preset_path("fig3"), encoding="utf-8") as fh:
+        cfg.write_text(fh.read() + "\n[solver]\nd_rule = 0.8 um\n")
+    csv_path, dat_path = str(tmp_path / "m.csv"), str(tmp_path / "m.dat")
+    for path, fmt in ((csv_path, "csv"), (dat_path, "plotdata")):
+        assert main(["couplings", "--config", str(cfg), "--format", fmt,
+                     "--out", path]) == 0
+    verdicts = oracle.check_map_run(str(cfg), csv_path, dat_path, 7)
+    assert len(verdicts) == oracle.MAP_CELLS and all(verdicts)
+    assert oracle.check_map_run(str(cfg), csv_path, dat_path, 7,
+                                perturb=True) == [False]

@@ -7,6 +7,7 @@ import pytest
 import spinbus
 from spinbus import sweeps
 from spinbus.cli import main, preset_path
+from spinbus.config import load_config
 
 from emitted_tables import data_section, read_csv
 
@@ -121,6 +122,23 @@ def test_list_axis_override_values_keep_their_own_units(tmp_path, capsys):
     assert [float(row[1]) for row in rows[:2]] == pytest.approx([500.0, 600.0])
 
 
+def test_fixed_d_rule_echoes_as_config_text(tmp_path, capsys):
+    # The echo of a fixed distance is config text: fed back as an override
+    # it gives the same distance.
+    rc = main(["couplings", "--preset", "fig3", "--override",
+               "solver.d_rule=0.8 um", "--echo", "--out",
+               str(tmp_path / "c.csv")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  d_rule = 0.8 um" in lines
+    echoed = next(line for line in lines if "d_rule" in line).strip()
+    given = load_config(preset_path("fig3"), ["solver.d_rule=0.8 um"])
+    again = load_config(preset_path("fig3"),
+                        ["solver." + echoed.replace(" = ", "=", 1)])
+    assert (again.solver.distance_for(0.3e-6)
+            == given.solver.distance_for(0.3e-6) == 8e-07)
+
+
 def test_scan_runs_config_products(tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_SPECTRUM)
@@ -210,6 +228,23 @@ def test_data_sections_identical_across_blas_and_worker_threads(tmp_path):
     reference = sections[None, "1"]
     assert len(reference[0].splitlines()) == 1 + 2 * 65
     assert all(s == reference for s in sections.values())
+
+
+def test_cli_import_starts_openblas_with_one_thread():
+    # The CLI sets OPENBLAS_NUM_THREADS=1 before NumPy loads, whatever the
+    # caller's value, so no BLAS server thread starts in the process or in
+    # the workers it forks.
+    env = dict(_subprocess_env(), OPENBLAS_NUM_THREADS="4")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, spinbus.cli; "
+         "tasks = '/proc/self/task'; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'], "
+         "len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
 
 
 def test_console_entry_point_runs():

@@ -13,6 +13,7 @@ from spinbus.config import (
     AXES,
     KEY_TABLE,
     ScanAxis,
+    SolverSettings,
     load_config,
     load_config_text,
     parse_config_text,
@@ -95,6 +96,28 @@ def test_nonpositive_fixed_d_rule_is_rejected_where_it_is_given(value):
     with pytest.raises(NonpositiveDistance, match="^" + re.escape(
             f"override {override}: {message}") + "$"):
         load_config_text(MINIMAL, overrides=[override])
+
+
+@pytest.mark.parametrize("d_rule, error", [
+    (-2e-07, NonpositiveDistance),
+    (math.nan, NonpositiveDistance),
+    (0.0, NonpositiveDistance),
+    ("fixed:abc", ValidationError),
+    ("fixed:-2e-07", ValidationError),
+    (True, ValidationError),
+])
+def test_solver_settings_d_rule_is_checked_where_it_is_held(d_rule, error):
+    # A d_rule is "r_loop" or a positive distance in meters, whoever builds
+    # the settings; a bad one fails as a typed error, not at a scan point.
+    with pytest.raises(error, match="d_rule"):
+        SolverSettings(d_rule=d_rule)
+
+
+def test_fixed_d_rule_is_held_as_its_distance():
+    solver = load_config_text(MINIMAL + "[solver]\nd_rule = 0.8 um\n").solver
+    assert solver.d_rule == parse_quantity("0.8 um", "length")
+    assert solver.distance_for(0.3e-6) == solver.d_rule
+    assert SolverSettings(d_rule=8e-07).distance_for(0.3e-6) == 8e-07
 
 
 def test_missing_unit_rejected():

@@ -112,13 +112,11 @@ def _model(g=0.0, eta=0.0, zeta=0.0, n_fock=2, omega_0=WR):
 
 
 def test_model_params_delta_consistency():
+    # delta is derived, never given: it is not an init parameter
     p = ModelParams(omega_r=WR, omega_0=WR + 1e5, g=0, eta=0, zeta=0, N_fock=2)
-    assert p.delta == pytest.approx(1e5)
-    with pytest.raises(ValueError):
-        ModelParams(omega_r=WR, omega_0=WR + 1e5, g=0, eta=0, zeta=0,
-                    N_fock=2, delta=2e5)
-    ModelParams(omega_r=WR, omega_0=WR + 1e5, g=0, eta=0, zeta=0,
-                N_fock=2, delta=1e5)
+    assert p.delta == p.omega_0 - p.omega_r
+    with pytest.raises(TypeError):
+        ModelParams(WR, WR + 1e5, 0, 0, 0, 2, 1e5)
 
 
 def test_full_hamiltonian_decoupled_spectrum_is_direct_sum():

@@ -317,7 +317,7 @@ def test_krylov_growth_resolves_a_fig4a_scan_point():
 @pytest.mark.parametrize("n_fock", [3, 4])
 @pytest.mark.parametrize("spectrum_mode", ["incoherent", "full"])
 @pytest.mark.parametrize("nv_relaxation", ["as_printed", "lowering"])
-def test_schur_route_matches_direct_solve_fig7_full_mode(
+def test_full_mode_matches_unreduced_direct_solve_fig7(
         monkeypatch, nv_relaxation, spectrum_mode, n_fock):
     # Full mode is evaluated as the pinned spin sector; the reference is the
     # unreduced cavity (x) qubit (x) spin Liouvillian.
