@@ -45,9 +45,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    metavar="KEY=VALUE",
                    help="override a config key or collapse an axis "
                         "(repeatable), e.g. tau=20us or loop.I_p=600nA")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes for scan points "
-                        "(default: THREADS env var or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for scan points (default: 1)")
     p.add_argument("--format", choices=("csv", "plotdata"), default="csv")
     p.add_argument("--echo", action="store_true",
                    help="print the fully resolved config before running")
@@ -67,13 +66,6 @@ def _load(args) -> ScanConfig:
 
 class UsageError(Exception):
     pass
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("THREADS")
-    return max(1, int(env)) if env and env.isdigit() else 1
 
 
 def _emit(table, path: str, fmt: str) -> None:
@@ -102,7 +94,7 @@ def _run(cfg: ScanConfig, args, couplings: bool, spectra: bool) -> int:
                 else args.out or "couplings" + ext)
         _emit(run_couplings_scan(cfg), path, args.format)
     if spectra:
-        result = run_spectrum_scan(cfg, threads=_threads(args))
+        result = run_spectrum_scan(cfg, threads=args.threads)
         _emit(result.spectra, spectrum_path, args.format)
         if result.peaks is not None:
             _emit(result.peaks, _beside(spectrum_path, "peaks"), args.format)

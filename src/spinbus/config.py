@@ -24,6 +24,8 @@ kappa/2pi = 26 kHz). Sections group related keys; scan axes live under
 
 Bare numbers are accepted only for dimensionless keys; a dimensional key
 without a unit is a validation error, as is a unit of the wrong dimension.
+The value parsers raise without a location; _parse_from adds it, so every
+error of a value starts with `line N: ` or with `override key=value: `.
 The full grammar, key table and defaults are documented in the README;
 AXES defines the scan axes, and ScanConfig.point applies an axis value.
 """
@@ -46,7 +48,7 @@ from .model import (
     SpectrumMode,
     validate_weights,
 )
-from .units import TWO_PI, UNIT_TABLE, format_in, to_unit
+from .units import TWO_PI, UNIT_TABLE, to_unit
 
 
 def _n_fock(text: str) -> int | None:
@@ -60,13 +62,12 @@ def _weights(text: str) -> tuple[float, ...]:
     return tuple(_parse_fraction(t) for t in tokens)
 
 
-def _d_rule(text: str, line_no: int | None) -> str | float:
+def _d_rule(text: str) -> str | float:
     if text == "r_loop":
         return text
-    d = parse_quantity(text, "length", line_no)
+    d = parse_quantity(text, "length")
     if not d > 0.0:
-        error = NonpositiveDistance(f"d_rule must be positive, got {text!r}")
-        raise error.in_context(f"line {line_no}") if line_no else error
+        raise NonpositiveDistance(f"d_rule must be positive, got {text!r}")
     return d
 
 
@@ -137,41 +138,32 @@ _NUMBER_UNIT = re.compile(
 _FRACTION = re.compile(r"^(\d+)\s*/\s*(\d+)$")
 
 
-def parse_quantity(text: str, dimension: str, line_no: int | None = None) -> float:
+def parse_quantity(text: str, dimension: str) -> float:
     """Parse '<number> [unit]' into SI, enforcing the key's dimension."""
     text = text.strip()
     m = _NUMBER_UNIT.match(text)
     if not m:
-        raise ParseError(f"cannot parse quantity {text!r}", line_no)
-    return _in_si(m, dimension, line_no)
+        raise ParseError(f"cannot parse quantity {text!r}")
+    return _in_si(m, dimension)
 
 
-def _in_si(m: re.Match, dimension: str, line_no: int | None,
-           unit: str = "") -> float:
+def _in_si(m: re.Match, dimension: str, unit: str = "") -> float:
     """The SI value of a _NUMBER_UNIT match, with `unit` for a bare number."""
     text = m.group(0)
     value = float(m.group(1))
     unit = m.group(2) or unit
     if dimension == "none":
         if unit:
-            raise ValidationError(
-                f"dimensionless key given unit {unit!r}" +
-                (f" (line {line_no})" if line_no else "")
-            )
+            raise ValidationError(f"dimensionless key given unit {unit!r}")
         return value
     if not unit:
-        raise ValidationError(
-            f"physical quantity {text!r} needs a unit" +
-            (f" (line {line_no})" if line_no else "")
-        )
+        raise ValidationError(f"physical quantity {text!r} needs a unit")
     if unit not in UNIT_TABLE:
-        raise ParseError(f"unknown unit {unit!r}", line_no)
+        raise ParseError(f"unknown unit {unit!r}")
     dim, factor = UNIT_TABLE[unit]
     if dim != dimension:
         raise ValidationError(
-            f"unit {unit!r} has dimension {dim!r}, expected {dimension!r}" +
-            (f" (line {line_no})" if line_no else "")
-        )
+            f"unit {unit!r} has dimension {dim!r}, expected {dimension!r}")
     return value * factor
 
 
@@ -299,10 +291,9 @@ class ScanConfig:
                 continue
             if f"[{section}]" not in lines:
                 lines.append(f"[{section}]")
-            label, value = key, getattr(getattr(self, section), key)
-            if kind == "frequency":
-                label, value = f"{key}/2pi", value / TWO_PI
-            lines.append(f"  {label} = {_echo_value(value, unit)}")
+            label = f"{key}/2pi" if kind == "frequency" else key
+            held = getattr(getattr(self, section), key)
+            lines.append(f"  {label} = {_echo_value(section, key, held)}")
         lines.append("[scan]")
         for ax in self.axes:
             shown = ", ".join(f"{to_unit(v, ax.unit):.6g}" for v in ax.values[:6])
@@ -314,14 +305,29 @@ class ScanConfig:
         return "\n".join(lines)
 
 
-def _echo_value(value, unit: str) -> str:
+def _echo_value(section: str, key: str, value) -> str:
+    """A value as held, as config text that _parse_value reads back to it."""
+    kind, _, unit = KEY_TABLE[(section, key)]
     if value is None:             # n_fock
         return "adaptive"
     if isinstance(value, tuple):  # weights
-        return " ".join(f"{v:.6g}" for v in value)
-    if isinstance(value, float):
-        return format_in(value, unit)
-    return str(value)
+        return " ".join(_shortest(v, v, _parse_fraction) for v in value)
+    if not isinstance(value, float):
+        return str(value)
+    suffix = f" {unit}" if unit else ""
+    shown = to_unit(value / TWO_PI if kind == "frequency" else value, unit)
+    return _shortest(value, shown, lambda text: _parse_value(
+        section, key, text + suffix)) + suffix
+
+
+def _shortest(value: float, shown: float, parse) -> str:
+    """`shown` to the fewest significant digits, 6 or more, that `parse`
+    reads back to `value` (17 if none do)."""
+    for digits in range(6, 18):
+        text = f"{shown:.{digits}g}"
+        if parse(text) == value:
+            break
+    return text
 
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_]+)\]$")
@@ -380,7 +386,7 @@ def parse_config_text(text: str) -> tuple[dict, AxisSpecs]:
     return tree, axes
 
 
-def _parse_axis_spec(name: str, spec: str, line_no: int | None) -> ScanAxis:
+def _parse_axis_spec(name: str, spec: str) -> ScanAxis:
     if name not in AXES:
         raise ValidationError(f"unknown scan axis {name!r}")
     dim = AXES[name][0]
@@ -391,10 +397,9 @@ def _parse_axis_spec(name: str, spec: str, line_no: int | None) -> ScanAxis:
         m = re.match(r"^(.*?)\s+to\s+(.*?)\s+points\s+(\d+)$", rest)
         if not m:
             raise ParseError(
-                "linspace axis looks like 'linspace <lo> to <hi> points <n>'",
-                line_no)
-        lo = parse_quantity(m.group(1), dim, line_no)
-        hi = parse_quantity(m.group(2), dim, line_no)
+                "linspace axis looks like 'linspace <lo> to <hi> points <n>'")
+        lo = parse_quantity(m.group(1), dim)
+        hi = parse_quantity(m.group(2), dim)
         n = int(m.group(3))
         if n < 1:
             raise ValidationError("axis needs at least one point")
@@ -408,19 +413,19 @@ def _parse_axis_spec(name: str, spec: str, line_no: int | None) -> ScanAxis:
     if kind == "list":
         tokens = [t.strip() for t in rest.split(",") if t.strip()]
         if not tokens:
-            raise ParseError("empty axis list", line_no)
+            raise ParseError("empty axis list")
         # a bare value takes the last value's unit: "0.5, 5, 20 us", so the
         # last value is checked first
         matches = {}
         for t in tokens[-1:] + tokens[:-1]:
             matches[t] = _NUMBER_UNIT.match(t)
             if not matches[t]:
-                raise ParseError(f"cannot parse axis value {t!r}", line_no)
+                raise ParseError(f"cannot parse axis value {t!r}")
         unit = matches[tokens[-1]].group(2) or ""
-        values = tuple(_in_si(matches[t], dim, line_no, unit) for t in tokens)
+        values = tuple(_in_si(matches[t], dim, unit) for t in tokens)
         return ScanAxis(name, values, unit)
     raise ParseError(f"axis spec must start with 'linspace' or 'list', "
-                     f"got {kind!r}", line_no)
+                     f"got {kind!r}")
 
 
 def _unit_of(text: str) -> str:
@@ -434,31 +439,32 @@ def _stored(kind, value):
     return TWO_PI * value if kind == "frequency" else value
 
 
-def _parse_value(section: str, key: str, raw: str, line_no: int | None):
+def _parse_value(section: str, key: str, raw: str):
     kind, _, _ = KEY_TABLE[(section, key)]
     if isinstance(kind, str):
-        return _stored(kind, parse_quantity(raw, kind, line_no))
-    if kind is _d_rule:       # a length, whose errors carry the line
-        return _d_rule(raw, line_no)
+        return _stored(kind, parse_quantity(raw, kind))
     try:
         return kind(raw)
-    except SpinbusError as exc:
-        if line_no is None:
-            raise
-        raise exc.in_context(f"line {line_no}") from None
+    except SpinbusError:
+        raise
     except ValueError:
-        raise ParseError(f"cannot parse {key}={raw!r}", line_no) from None
+        raise ParseError(f"cannot parse {key}={raw!r}") from None
 
 
 def _parse_from(source: Source, parse, *args):
-    """parse(*args, line_no) for a value from `source`: errors of a config
-    line carry its number, errors of an override name the override."""
-    if not isinstance(source, str):
-        return parse(*args, source)
+    """parse(*args) for a value from `source`, the one place that says where
+    a bad value came from: its error gets `line N: ` in front for config
+    line N (a ParseError also gets line_no = N), or the override's own text,
+    `override key=value: `."""
     try:
-        return parse(*args, None)
+        return parse(*args)
     except SpinbusError as exc:
-        raise exc.in_context(source) from None
+        if isinstance(source, str):
+            raise exc.in_context(source) from None
+        error = exc.in_context(f"line {source}")
+        if isinstance(error, ParseError):
+            error.line_no = source
+        raise error from None
 
 
 def _construct(build, *args, **values):

@@ -59,6 +59,17 @@ class ResonatorParams:
                 raise ValueError("Q and kappa disagree: kappa != omega_r/Q")
 
 
+def check_coherence_times(T1: float, T2: float, suffix: str = "") -> None:
+    """The one coherence-time rule: both times positive and T2 <= 2*T1 (to
+    1e-12 relative), as T2 > 2*T1 would need a negative pure-dephasing
+    rate. `suffix` completes the names in the message, as in T2_pcq."""
+    if T1 <= 0.0 or T2 <= 0.0:
+        raise ValueError("coherence times must be positive")
+    if T2 > 2.0 * T1 * (1.0 + 1e-12):
+        raise UnphysicalT2(f"UnphysicalT2: T2{suffix}={T2!r} "
+                           f"exceeds 2*T1{suffix}={2 * T1!r}")
+
+
 @dataclass(frozen=True)
 class LoopParams:
     """Persistent-current loop: geometry, current, gap, flux bias, coherence.
@@ -82,11 +93,7 @@ class LoopParams:
             raise ValueError("I_p must be nonnegative")
         if self.n_turns < 1 or int(self.n_turns) != self.n_turns:
             raise ValueError("n_turns must be a positive integer")
-        if self.T1_pcq <= 0.0 or self.T2_pcq <= 0.0:
-            raise ValueError("coherence times must be positive")
-        if self.T2_pcq > 2.0 * self.T1_pcq * (1.0 + 1e-12):
-            raise UnphysicalT2(f"UnphysicalT2: T2_pcq={self.T2_pcq!r} "
-                               f"exceeds 2*T1_pcq={2 * self.T1_pcq!r}")
+        check_coherence_times(self.T1_pcq, self.T2_pcq, "_pcq")
         if self.Phi_x is None:
             object.__setattr__(self, "Phi_x", CONSTANTS.flux_quantum / 2.0)
 
@@ -120,11 +127,7 @@ class NVParams:
             raise ValueError("D must be positive")
         if self.slope <= 0.0:
             raise ValueError("slope must be positive")
-        if self.T1_nv <= 0.0 or self.T2_nv <= 0.0:
-            raise ValueError("coherence times must be positive")
-        if self.T2_nv > 2.0 * self.T1_nv * (1.0 + 1e-12):
-            raise UnphysicalT2(f"UnphysicalT2: T2_nv={self.T2_nv!r} "
-                               f"exceeds 2*T1_nv={2 * self.T1_nv!r}")
+        check_coherence_times(self.T1_nv, self.T2_nv, "_nv")
 
 
 def rms_vacuum_current(r: ResonatorParams) -> float:

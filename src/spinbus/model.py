@@ -43,8 +43,8 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .couplings import NVParams
-from .errors import LayoutMismatch, UnphysicalT2, WeightsInvalid
+from .couplings import NVParams, check_coherence_times
+from .errors import LayoutMismatch, WeightsInvalid
 from .operators import (
     LabeledOperator,
     SpaceLayout,
@@ -137,13 +137,10 @@ def rates_from_times(T1: float, T2: float,
     """(gamma, gamma_phi) in rad/s from lifetimes.
 
     gamma/2pi = 1/T1 and gamma_phi/2pi = 1/T_phi = 1/T2 - 1/(2 T1) under
-    the default convention; "plain" omits the 2pi. T2 > 2*T1 is rejected
-    because it would need a negative pure-dephasing rate.
+    the default convention; "plain" omits the 2pi. The times must pass
+    couplings.check_coherence_times.
     """
-    if T1 <= 0.0 or T2 <= 0.0:
-        raise ValueError("T1 and T2 must be positive")
-    if T2 > 2.0 * T1 * (1.0 + 1e-12):
-        raise UnphysicalT2(f"T2={T2!r} exceeds 2*T1={2 * T1!r}")
+    check_coherence_times(T1, T2)
     inv_tphi = max(1.0 / T2 - 1.0 / (2.0 * T1), 0.0)
     check_convention("rate_convention", convention, RateConvention)
     scale = TWO_PI if convention == "cyclic" else 1.0

@@ -7,7 +7,8 @@ import pytest
 import spinbus
 from spinbus import sweeps
 from spinbus.cli import main, preset_path
-from spinbus.config import load_config
+from spinbus.config import load_config, load_config_text
+from spinbus.errors import ParseError
 
 from emitted_tables import data_section, read_csv
 
@@ -395,6 +396,94 @@ def test_override_errors_name_the_override(tmp_path, capsys, override, line):
     assert capsys.readouterr().err.splitlines() == [line]
 
 
+# name -> (category, section, config line, message, override or None). The
+# line is line 6 of MINIMAL_CONFIG plus "[section]"; the override, where one
+# gives the same value, is applied to MINIMAL_CONFIG alone.
+MINIMAL_CONFIG = "[resonator]\nomega_r = 6 GHz\nL_r = 2 nH\nkappa = 26 kHz\n"
+BAD_VALUES = {
+    "missing_unit": (
+        "ValidationError", "loop", "r_loop = 0.4",
+        "physical quantity '0.4' needs a unit", "loop.r_loop=0.4"),
+    "unknown_unit": (
+        "ParseError", "loop", "r_loop = 0.4 furlong",
+        "unknown unit 'furlong'", "loop.r_loop=0.4 furlong"),
+    "wrong_dimension": (
+        "ValidationError", "loop", "r_loop = 0.4 us",
+        "unit 'us' has dimension 'time', expected 'length'",
+        "loop.r_loop=0.4 us"),
+    "not_an_int": (
+        "ParseError", "loop", "n_turns = 1.5",
+        "cannot parse n_turns='1.5'", "loop.n_turns=1.5"),
+    "weights_count": (
+        "ValidationError", "solver", "weights = 0.5 0.5",
+        "weights needs exactly three entries", "solver.weights=0.5 0.5"),
+    "d_rule_nonpositive": (
+        "NonpositiveDistance", "solver", "d_rule = -0.2 um",
+        "d_rule must be positive, got '-0.2 um'", "solver.d_rule=-0.2 um"),
+    "d_rule_wrong_unit": (
+        "ValidationError", "solver", "d_rule = 0.8 us",
+        "unit 'us' has dimension 'time', expected 'length'",
+        "solver.d_rule=0.8 us"),
+    "unknown_axis": (
+        "ValidationError", "scan", "axis foo = list 1, 2",
+        "unknown scan axis 'foo'", None),
+    "linspace_no_points": (
+        "ValidationError", "scan",
+        "axis r_loop = linspace 0.1 um to 1 um points 0",
+        "axis needs at least one point", None),
+    "linspace_bare_endpoint": (
+        "ValidationError", "scan",
+        "axis r_loop = linspace 0.1 to 1 um points 4",
+        "physical quantity '0.1' needs a unit", None),
+    "list_unparseable": (
+        "ParseError", "scan", "axis tau = list x, 10 us",
+        "cannot parse axis value 'x'", "tau=x, 10 us"),
+    "list_wrong_dimension": (
+        "ValidationError", "scan", "axis tau = list 5 nA, 10 us",
+        "unit 'nA' has dimension 'current', expected 'time'",
+        "tau=5 nA, 10 us"),
+    "epsilon_unit": (
+        "ValidationError", "scan", "axis epsilon = list 0.5 us, 1 us",
+        "dimensionless key given unit 'us'", "epsilon=0.5 us, 1 us"),
+    "axis_kind": (
+        "ParseError", "scan", "axis tau = range 1 us",
+        "axis spec must start with 'linspace' or 'list', got 'range'", None),
+}
+
+
+@pytest.mark.parametrize("category, section, line, message, override",
+                         list(BAD_VALUES.values()), ids=list(BAD_VALUES))
+def test_bad_config_value_error_line_names_its_line(
+        tmp_path, capsys, category, section, line, message, override):
+    # Every error of a config value starts with its line number.
+    text = MINIMAL_CONFIG + f"[{section}]\n{line}\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = main(["couplings", "--config", str(cfg),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: category={category}: line 6: {message}"]
+    if category == "ParseError":
+        with pytest.raises(ParseError) as info:
+            load_config_text(text)
+        assert info.value.line_no == 6
+
+
+@pytest.mark.parametrize("category, message, override", [
+    pytest.param(c, m, o, id=name)
+    for name, (c, _, _, m, o) in BAD_VALUES.items() if o is not None])
+def test_bad_override_value_error_line_names_the_override(
+        tmp_path, capsys, category, message, override):
+    cfg = tmp_path / "minimal.cfg"
+    cfg.write_text(MINIMAL_CONFIG)
+    rc = main(["couplings", "--config", str(cfg), "--override", override,
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: category={category}: override {override}: {message}"]
+
+
 @pytest.mark.parametrize("command, preset", [("couplings", "fig3"),
                                              ("spectrum", "fig7")])
 def test_nonpositive_d_rule_is_rejected_before_echo_and_any_point(
@@ -414,16 +503,16 @@ def test_nonpositive_d_rule_is_rejected_before_echo_and_any_point(
         "d_rule must be positive, got '-0.2 um'"]
 
 
-def test_threads_env_var_honored_flag_wins(monkeypatch):
-    from spinbus.cli import _threads
-
-    class Args:
-        threads = None
-
+def test_threads_env_var_is_ignored(tmp_path, capsys, monkeypatch):
+    # --threads is the one source of the worker count: without it a scan
+    # runs serially, whatever THREADS says.
     monkeypatch.setenv("THREADS", "3")
-    assert _threads(Args()) == 3
-    Args.threads = 2
-    assert _threads(Args()) == 2      # flag takes precedence
-    Args.threads = None
-    monkeypatch.delenv("THREADS")
-    assert _threads(Args()) == 1
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST_SPECTRUM)
+    out = tmp_path / "spec.csv"
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(out),
+               "--override", "tau=15 us, 20 us"])
+    assert rc == 0
+    _, rows, prov = read_csv(str(out))
+    assert len(rows) == 2 * 301
+    assert prov["workers"] == "1"

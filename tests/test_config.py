@@ -177,8 +177,8 @@ def test_axis_list_values_keep_their_own_units(spec, values, unit):
 def test_axis_list_value_unit_of_the_wrong_dimension_is_rejected():
     text = MINIMAL + "\n[scan]\naxis tau = list 5 nA, 10 us\n"
     with pytest.raises(ValidationError,
-                       match="^unit 'nA' has dimension 'current', "
-                             "expected 'time' \\(line \\d+\\)$"):
+                       match="^line \\d+: unit 'nA' has dimension "
+                             "'current', expected 'time'$"):
         load_config_text(text)
 
 
@@ -368,6 +368,29 @@ def test_echo_shows_every_key_but_q():
             key = line.split(" = ")[0].strip().removesuffix("/2pi")
             shown.add((section, key))
     assert shown == set(KEY_TABLE) - {("resonator", "Q")}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_echoed_keys_load_back_to_the_values_held(name):
+    # Each echoed key row, fed back as an override, sets its field to the
+    # value the echoed config holds.
+    cfg = load_config(preset_path(name))
+    section = None
+    for line in cfg.describe().splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif section != "scan":
+            label, _, value = line.strip().partition(" = ")
+            key = label.removesuffix("/2pi")
+            again = load_config(preset_path(name),
+                                [f"{section}.{key}={value}"])
+            assert (_field(again, section, key)
+                    == _field(cfg, section, key)), line
+
+
+def _field(cfg, section, key):
+    """The field a config key sets; products is a ScanConfig field."""
+    return getattr(cfg if section == "output" else getattr(cfg, section), key)
 
 
 def test_readme_config_block_loads_and_names_every_key():
